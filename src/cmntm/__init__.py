@@ -14,7 +14,7 @@ from .config import TrainConfig, config_from_dict, config_json, config_to_dict, 
 from .errors import (CheckpointError, CmntmError, ConfigError, DatasetFormatError,
                      DegenerateInputError, DomainError, ShapeError,
                      TimingMonotonicityError, TrainingDivergedError)
-from .harness import (Adam, build_model, evaluate_checkpoint, evaluate_model,
+from .harness import (Adam, build_model, evaluate_model,
                       full_model_gradient_check, load_checkpoint, restore_model,
                       save_checkpoint, train)
 from .ntm import HeadParams, NTMStage, StageState, address, memory_read, memory_write
@@ -35,7 +35,7 @@ __all__ = [
     "SyntheticDataset", "Tape", "TaskConfig", "Tensor", "TimingMonotonicityError",
     "TrainConfig", "TrainingDivergedError", "Transaction", "address", "batch_loss",
     "build_model", "config_from_dict", "config_json", "config_to_dict",
-    "datasets_equal", "evaluate_checkpoint", "evaluate_model", "ewma_aggregate",
+    "datasets_equal", "evaluate_model", "ewma_aggregate",
     "full_model_gradient_check", "gen_block_reveal", "gen_distractor",
     "gradient_check", "load_checkpoint", "load_config", "load_dataset", "load_entries",
     "make_db", "mean_aggregate", "memory_read", "memory_write", "no_grad",

@@ -21,13 +21,14 @@ import struct
 import numpy as np
 
 from .errors import CheckpointError
+from .fileio import atomic_open
 
 MAGIC = b"CMNT"
 VERSION = 1
 
 
 def save_entries(path: str, entries: dict[str, np.ndarray]) -> None:
-    """Write named float32 arrays; insertion order is preserved on disk."""
+    """Write named float32 arrays, atomically; insertion order is preserved on disk."""
     chunks: list[bytes] = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(entries))]
     for name, arr in entries.items():
         arr = np.asarray(arr)
@@ -40,7 +41,7 @@ def save_entries(path: str, entries: dict[str, np.ndarray]) -> None:
         chunks.append(struct.pack(f"<{arr.ndim}I", *arr.shape) if arr.ndim else b"")
         chunks.append(np.ascontiguousarray(arr, dtype="<f4").tobytes())
     body = b"".join(chunks)
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(body)
         fh.write(struct.pack("<Q", len(body)))
 

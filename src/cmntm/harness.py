@@ -24,7 +24,8 @@ from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, DegenerateInputError, DomainError, ShapeError,
                      TimingMonotonicityError, TrainingDivergedError)
-from .retrieval import CandidateDB, rank, recall_at_k, similarity_scores, transaction_loss
+from .fileio import atomic_open
+from .retrieval import CandidateDB, similarity_scores, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, gen_distractor
 
 METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
@@ -164,16 +165,42 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
     return np.concatenate(chunks, axis=0)
 
 
-def _top_ids(prediction: np.ndarray, db: CandidateDB, k: int) -> np.ndarray:
-    return rank(similarity_scores(prediction, db), db.ids).ids[:k]
+def _checked_scores(prediction: np.ndarray, db: CandidateDB) -> np.ndarray:
+    """``similarity_scores``, refusing NaN and inf as ``rank`` does."""
+    scores = similarity_scores(prediction, db)
+    if not np.all(np.isfinite(scores)):
+        raise DegenerateInputError("non-finite retrieval score")
+    return scores
+
+
+def _top_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` ids of ``rank(scores, ids)`` without sorting every score.
+
+    Every score tied with the k-th best stays in the partial sort, so ties
+    still break by ascending id.
+    """
+    kth = -np.partition(-scores, k - 1)[k - 1]
+    top = np.flatnonzero(scores >= kth)
+    return ids[top[np.lexsort((ids[top], -scores[top]))][:k]]
 
 
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
-    rankings = [rank(similarity_scores(p, dataset.db), dataset.db.ids) for p in final_preds]
-    targets = [int(t.target_ids[-1]) for t in dataset.transactions]
-    report = {"count": len(rankings)}
+    """Final-turn recall@k over the whole db, one similarity row per prediction.
+
+    A target's 0-based place in ``rank``'s order is #(s > s_t) + #(s == s_t,
+    id < t), so counting gives each rank without sorting the db.
+    """
+    db = dataset.db
+    ranks = []
+    for pred, txn in zip(final_preds, dataset.transactions, strict=True):
+        scores = _checked_scores(pred, db)
+        target = int(txn.target_ids[-1])
+        s_t = scores[db.index_of(target)]
+        ranks.append(int(np.count_nonzero(scores > s_t)
+                         + np.count_nonzero((scores == s_t) & (db.ids < target))))
+    report = {"count": len(ranks)}
     for k in RECALL_KS:
-        report[f"r{k}"] = recall_at_k(rankings, targets, k)
+        report[f"r{k}"] = sum(r < k for r in ranks) / len(ranks)
     report["mean_r5_r8"] = (report["r5"] + report["r8"]) / 2.0
     return report
 
@@ -183,12 +210,6 @@ def evaluate_model(model, dataset: SyntheticDataset,
     """Final-turn retrieval metrics over the whole candidate db."""
     preds = predict_dataset(model, dataset, eval_batch_size, seed)
     return _recall_report(preds[:, -1], dataset)
-
-
-def evaluate_checkpoint(path: str, dataset: SyntheticDataset) -> dict:
-    ckpt = load_checkpoint(path)
-    model = restore_model(ckpt)
-    return evaluate_model(model, dataset, ckpt.cfg.eval_batch_size, ckpt.cfg.seed)
 
 
 # ---------------------------------------------------------------------------
@@ -298,10 +319,26 @@ def _metrics_row_text(row: dict) -> str:
 
 
 def write_metrics_csv(rows: list[dict], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(METRICS_HEADER + "\n")
         for row in rows:
             fh.write(_metrics_row_text(row) + "\n")
+
+
+def _read_metrics_csv(path: str) -> list[dict]:
+    """Rows of a file ``write_metrics_csv`` wrote; they format back to the same text."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines or lines[0] != METRICS_HEADER:
+        raise ValueError(f"{path}: expected metrics header {METRICS_HEADER!r}")
+    keys = METRICS_HEADER.split(",")
+    rows = []
+    for line_no, line in enumerate(lines[1:], start=2):
+        values = line.split(",")
+        if len(values) != len(keys):
+            raise ValueError(f"{path}:{line_no}: expected {len(keys)} fields, got {len(values)}")
+        rows.append({"epoch": int(values[0]), **{k: float(v) for k, v in zip(keys[1:], values[1:])}})
+    return rows
 
 
 def _diverged_message(epoch: int, batch_index: int, loss_value: float,
@@ -326,6 +363,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     evaluates final-turn recall on the validation split. Per-transaction
     memory initialization is re-drawn on every visit from (seed, epoch,
     transaction index).
+
+    With ``out_dir``, ``metrics.csv`` is rewritten after every epoch. A
+    resumed run keeps the rows of an existing ``metrics.csv`` up to the
+    checkpoint's epoch, so the file ends as an uninterrupted run's would;
+    the returned ``metrics`` hold only the epochs this call trained.
     """
     if train_ds is None or val_ds is None:
         gen_train, gen_val = default_datasets(cfg)
@@ -348,8 +390,15 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     turns = train_ds.max_turns
     metrics_rows: list[dict] = []
     count = len(train_ds.transactions)
+    metrics_path = None
+    earlier_rows: list[dict] = []
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        metrics_path = os.path.join(out_dir, "metrics.csv")
+        if resume_from is not None and os.path.exists(metrics_path):
+            earlier_rows = [row for row in _read_metrics_csv(metrics_path)
+                            if row["epoch"] <= start_epoch]
+        write_metrics_csv(earlier_rows, metrics_path)
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
         order = np.random.default_rng(
             np.random.SeedSequence([_SHUFFLE_TAG, cfg.seed, epoch])).permutation(count)
@@ -386,17 +435,17 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
         row = {"epoch": epoch, "train_loss": train_loss, **{f"r{k}": report[f"r{k}"] for k in RECALL_KS},
                "mean_r5_r8": report["mean_r5_r8"]}
         metrics_rows.append(row)
+        if metrics_path is not None:
+            write_metrics_csv(earlier_rows + metrics_rows, metrics_path)
         if log is not None:
             log(_metrics_row_text(row))
         if out_dir is not None and cfg.checkpoint_every > 0 and epoch % cfg.checkpoint_every == 0:
             save_checkpoint(os.path.join(out_dir, f"checkpoint_epoch{epoch}.bin"),
                             model, opt, cfg, epoch)
-    checkpoint_path = metrics_path = None
+    checkpoint_path = None
     if out_dir is not None:
         checkpoint_path = os.path.join(out_dir, "checkpoint.bin")
         save_checkpoint(checkpoint_path, model, opt, cfg, cfg.epochs)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        write_metrics_csv(metrics_rows, metrics_path)
     return TrainResult(model, metrics_rows, checkpoint_path, metrics_path)
 
 
@@ -547,6 +596,7 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     the target, the fraction that still contain it after permutation.
     """
     txns = dataset.transactions[:count]
+    db = dataset.db
     subset = SyntheticDataset(dataset.feature_dim, dataset.max_turns, dataset.db,
                               list(txns), dataset.split)
     originals = predict_dataset(model, subset, eval_batch_size, seed)[:, -1]
@@ -559,8 +609,8 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     overlaps = []
     kept = retained = 0
     for i, txn in enumerate(txns):
-        top_orig = set(int(v) for v in _top_ids(originals[i], dataset.db, 5))
-        top_perm = set(int(v) for v in _top_ids(permuted[i], dataset.db, 5))
+        top_orig = set(int(v) for v in _top_ids(_checked_scores(originals[i], db), db.ids, 5))
+        top_perm = set(int(v) for v in _top_ids(_checked_scores(permuted[i], db), db.ids, 5))
         overlaps.append(len(top_orig & top_perm) / 5.0)
         target = int(txn.target_ids[-1])
         if target in top_orig:
@@ -596,6 +646,8 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
     txns = dataset.transactions
     n = dataset.max_turns
     db = dataset.db
+    top_l = max(1, round(BLOCK_MATCH_TOP_SHARE * len(db)))
+    block_norms: dict[int, np.ndarray] = {}  # block -> row norms of that slice
     match_sets = []
     for txn in txns:
         if txn.meta is None:
@@ -604,11 +656,11 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
         sl = slice(block * block_len, (block + 1) * block_len)
         revealed = txn.queries[0][sl]
         sub = db.features[:, sl]
-        denom = np.maximum(np.linalg.norm(sub, axis=1) * max(np.linalg.norm(revealed), 1e-30), 1e-30)
+        if block not in block_norms:
+            block_norms[block] = np.linalg.norm(sub, axis=1)
+        denom = np.maximum(block_norms[block] * max(np.linalg.norm(revealed), 1e-30), 1e-30)
         sims = sub @ revealed / denom
-        top_l = max(1, round(BLOCK_MATCH_TOP_SHARE * len(db)))
-        order = np.lexsort((db.ids, -sims))
-        match_sets.append(set(int(v) for v in db.ids[order[:top_l]]))
+        match_sets.append(set(int(v) for v in _top_ids(sims, db.ids, top_l)))
     stateful_preds = predict_dataset(model, dataset, eval_batch_size, seed)
     reset_preds = np.empty_like(stateful_preds)
     for turn in range(n):
@@ -620,12 +672,12 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
     def rates(preds: np.ndarray) -> list[float]:
         out = []
         for turn in range(n):
-            hits = [len(set(int(v) for v in _top_ids(preds[i, turn], db, 5)) & match_sets[i]) / 5.0
+            hits = [len(set(int(v) for v in _top_ids(_checked_scores(preds[i, turn], db), db.ids, 5))
+                        & match_sets[i]) / 5.0
                     for i in range(len(txns))]
             out.append(float(np.mean(hits)))
         return out
 
-    top_l = max(1, round(BLOCK_MATCH_TOP_SHARE * len(db)))
     report = {"count": len(txns),
               "chance_rate": top_l / len(db),
               "stateful": rates(stateful_preds),

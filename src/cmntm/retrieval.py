@@ -6,7 +6,7 @@ flow back into the model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -18,14 +18,22 @@ from .errors import DegenerateInputError, ShapeError
 
 @dataclass
 class CandidateDB:
-    """Fixed candidate set: integer ids aligned with feature rows."""
+    """Fixed candidate set: integer ids aligned with feature rows.
+
+    ``row_norms`` holds each feature row's L2 norm, computed once here for
+    every db-wide cosine. ``features`` is a read-only view of the given
+    array, so writes through the db raise instead of leaving the norms
+    stale; the caller must not change the array it passed in either.
+    """
 
     ids: np.ndarray       # (count,) unique integers
-    features: np.ndarray  # (count, D)
+    features: np.ndarray  # (count, D), read-only
+    row_norms: np.ndarray = field(init=False, repr=False)  # (count,)
 
     def __post_init__(self):
         self.ids = np.asarray(self.ids, dtype=np.int64)
-        self.features = np.asarray(self.features)
+        self.features = np.asarray(self.features).view()
+        self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ShapeError("CandidateDB", f"features must be 2-d, got {self.features.shape}")
         if self.ids.shape != (self.features.shape[0],):
@@ -35,8 +43,9 @@ class CandidateDB:
             raise DegenerateInputError("CandidateDB: need at least 2 candidates")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DegenerateInputError("CandidateDB: duplicate candidate ids")
-        norms = np.linalg.norm(self.features, axis=1)
-        if np.any(norms <= COSINE_EPS):
+        self.row_norms = np.linalg.norm(self.features, axis=1)
+        self.row_norms.flags.writeable = False
+        if np.any(self.row_norms <= COSINE_EPS):
             raise DegenerateInputError("CandidateDB: zero-norm candidate feature")
         self._index = {int(i): k for k, i in enumerate(self.ids)}
 
@@ -73,8 +82,7 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
     qn = np.linalg.norm(query)
     if qn <= COSINE_EPS:
         raise DegenerateInputError("similarity_scores: zero-norm query")
-    row_norms = np.linalg.norm(db.features, axis=1)
-    denom = np.maximum(qn * row_norms, COSINE_EPS)
+    denom = np.maximum(qn * db.row_norms, COSINE_EPS)
     return np.clip(db.features @ query / denom, -1.0, 1.0)
 
 

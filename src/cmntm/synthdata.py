@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError
+from .fileio import atomic_open
 from .retrieval import CandidateDB
 
 FILE_VERSION = 1
@@ -151,10 +152,13 @@ def make_db(config: TaskConfig) -> CandidateDB:
     return CandidateDB(np.arange(config.db_size), feats.astype(np.float32))
 
 
-def _nearest_id(db: CandidateDB, vector: np.ndarray) -> int:
-    """Id of the candidate with the highest cosine similarity to ``vector``."""
-    norms = np.linalg.norm(db.features, axis=1) * max(np.linalg.norm(vector), 1e-30)
-    return int(db.ids[np.argmax(db.features @ vector / norms)])
+def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> int:
+    """Id of the candidate with the highest cosine similarity to ``vector``.
+
+    ``features64`` is ``db.features`` cast to float64 once by the caller.
+    """
+    norms = db.row_norms * max(np.linalg.norm(vector), 1e-30)
+    return int(db.ids[np.argmax(features64 @ vector / norms)])
 
 
 def _generate(config: TaskConfig, count: int, split: str,
@@ -164,6 +168,8 @@ def _generate(config: TaskConfig, count: int, split: str,
     if count < 1:
         raise ValueError("dataset must contain at least one transaction")
     db = make_db(config)
+    # one upcast per call; each turn's float64 gemv then reads it directly
+    features64 = db.features.astype(np.float64)
     split_tag = _SPLIT_TAGS[split]
     transactions = []
     for index in range(count):
@@ -186,7 +192,7 @@ def _generate(config: TaskConfig, count: int, split: str,
                                                                 size=config.block_len)
                 composite[sl] = db.feature_of(tgt)[sl]
             queries.append(query.astype(np.float32))
-            target_ids.append(_nearest_id(db, composite))
+            target_ids.append(_nearest_id(db, features64, composite))
             metas.append(TurnMeta(block=block, distractor=is_distractor))
         target_ids = np.asarray(target_ids, dtype=np.int64)
         txn = Transaction(
@@ -242,8 +248,11 @@ def _float_list(arr: np.ndarray) -> list[float]:
 
 
 def save_dataset(dataset: SyntheticDataset, path: str) -> None:
-    """Write JSON lines: header, db items, transactions (deterministic bytes)."""
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write JSON lines: header, db items, transactions (deterministic bytes).
+
+    The file is replaced atomically: a failed write leaves ``path`` as it was.
+    """
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         header = {"version": FILE_VERSION, "D": dataset.feature_dim,
                   "N_max": dataset.max_turns, "db_size": len(dataset.db),
                   "split": dataset.split}

@@ -27,7 +27,7 @@ from cmntm.errors import (
     TimingMonotonicityError,
     TrainingDivergedError,
 )
-from cmntm.retrieval import transaction_loss
+from cmntm.retrieval import CandidateDB, rank, recall_at_k, similarity_scores, transaction_loss
 from cmntm.synthdata import TaskConfig, gen_block_reveal
 
 
@@ -179,6 +179,28 @@ class TestTraining:
         assert (open(f"{full_dir}/checkpoint.bin", "rb").read()
                 == open(f"{resumed_dir}/checkpoint.bin", "rb").read())
         assert resumed.metrics == full.metrics[2:]
+
+    def test_resumed_metrics_file_matches_uninterrupted_run(self, tmp_path):
+        cfg = tiny_cfg(epochs=3, checkpoint_every=1)
+        full_dir, out = str(tmp_path / "full"), str(tmp_path / "stopped")
+        harness.train(cfg, out_dir=full_dir)
+
+        class Stop(Exception):
+            pass
+
+        def stop_at_epoch_3(line):
+            if line.startswith("3,"):
+                raise Stop
+
+        with pytest.raises(Stop):
+            harness.train(cfg, out_dir=out, log=stop_at_epoch_3)
+        # epoch 3's row reached the file; its checkpoint did not
+        assert len(open(f"{out}/metrics.csv").read().splitlines()) == 1 + 3
+        assert not os.path.exists(f"{out}/checkpoint_epoch3.bin")
+        resumed = harness.train(cfg, out_dir=out, resume_from=f"{out}/checkpoint_epoch2.bin")
+        assert [row["epoch"] for row in resumed.metrics] == [3]
+        assert (open(f"{out}/metrics.csv", "rb").read()
+                == open(f"{full_dir}/metrics.csv", "rb").read())
 
     def test_resume_rejects_different_config(self, tmp_path):
         cfg = tiny_cfg(epochs=2, checkpoint_every=1)
@@ -372,6 +394,21 @@ class TestMetrics:
         assert lines[0] == harness.METRICS_HEADER
         assert lines[1] == "1,0.500000,0.100000,0.200000,0.300000,0.400000,0.250000"
 
+    def test_read_returns_rows_that_write_back_identically(self, tmp_path):
+        path = str(tmp_path / "m.csv")
+        rows = [{"epoch": e, "train_loss": 3.1 / e, "r1": 0.01 * e, "r5": 0.2, "r8": 0.3,
+                 "r10": 0.4, "mean_r5_r8": 0.25} for e in (1, 2)]
+        harness.write_metrics_csv(rows, path)
+        again = str(tmp_path / "again.csv")
+        harness.write_metrics_csv(harness._read_metrics_csv(path), again)
+        assert open(path, "rb").read() == open(again, "rb").read()
+
+    def test_read_rejects_a_file_without_the_header(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("epoch,loss\n1,0.5\n")
+        with pytest.raises(ValueError, match="header"):
+            harness._read_metrics_csv(str(path))
+
     def test_train_emits_one_row_per_epoch(self, tmp_path):
         cfg = tiny_cfg(epochs=3)
         out = str(tmp_path / "run")
@@ -415,6 +452,47 @@ class TestEvaluation:
         with pytest.raises(ShapeError):
             harness.predict_dataset(model, tiny_val, 8, seed=0,
                                     queries_override=np.zeros((3, 2, 8), dtype=np.float32))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_recall_report_matches_rank_and_recall_at_k(self, seed):
+        # desk-sized db (256 x 32). Odd seeds use ternary rows, each twice,
+        # under shuffled ids, and integer predictions, half of them copies
+        # of the target row: exact score ties, the target's twin included.
+        rng = np.random.default_rng(seed)
+        ds = gen_block_reveal(TaskConfig(), count=40, split="val")
+        targets = [int(t.target_ids[-1]) for t in ds.transactions]
+        if seed % 2:
+            rows = rng.integers(-1, 2, size=(128, 32)).astype(np.float32)
+            rows[np.all(rows == 0, axis=1), 0] = 1.0
+            ds = dataclasses.replace(ds, db=CandidateDB(rng.permutation(256),
+                                                        np.repeat(rows, 2, axis=0)))
+            preds = rng.integers(-2, 3, size=(40, 32)).astype(np.float32)
+            preds[np.all(preds == 0, axis=1), 0] = 1.0
+            preds[::2] = [ds.db.feature_of(t) for t in targets[::2]]
+        else:
+            preds = np.stack([ds.db.feature_of(t) for t in targets])
+            preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
+        rankings = [rank(similarity_scores(p, ds.db), ds.db.ids) for p in preds]
+        if seed % 2:
+            assert any(len(np.unique(r.scores)) < len(r.scores) for r in rankings)
+        report = harness._recall_report(preds, ds)
+        for k in harness.RECALL_KS:
+            assert report[f"r{k}"] == recall_at_k(rankings, targets, k)
+        assert 0.0 < report["r1"] < report["r10"]  # neither all misses nor all hits
+
+    @pytest.mark.parametrize("k", [1, 5, 26, 256])
+    def test_top_ids_match_the_rank_prefix_under_ties(self, k):
+        rng = np.random.default_rng(k)
+        ids = rng.permutation(256)
+        for _ in range(20):
+            scores = (rng.integers(-3, 4, size=256) / 3).astype(np.float32)
+            assert (harness._top_ids(scores, ids, k).tolist()
+                    == rank(scores, ids).ids[:k].tolist())
+
+    def test_non_finite_prediction_raises(self, tiny_val):
+        preds = np.full((len(tiny_val.transactions), 8), np.nan, dtype=np.float32)
+        with pytest.raises(DegenerateInputError, match="non-finite"):
+            harness._recall_report(preds, tiny_val)
 
     def test_mean_model_matches_running_mean(self, tiny_val):
         preds = harness.predict_dataset(MeanModel(), tiny_val, 8, seed=0)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmntm import autodiff as ad
 from cmntm.autodiff import Tape, Tensor, gradient_check
@@ -65,6 +66,23 @@ class TestCandidateDB:
         with pytest.raises(KeyError):
             db.index_of(99)
 
+    def test_row_norms_are_the_feature_row_norms(self, rng):
+        db = _random_db(rng, count=12, dim=5)
+        assert db.row_norms.tobytes() == np.linalg.norm(db.features, axis=1).tobytes()
+
+    def test_features_are_read_only(self, rng):
+        db = _random_db(rng, count=6, dim=3)
+        with pytest.raises(ValueError):
+            db.features[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            db.feature_of(2)[:] = 0.0
+
+    def test_callers_array_stays_writable(self, rng):
+        feats = rng.normal(size=(6, 3)).astype(np.float32)
+        db = CandidateDB(ids=np.arange(6), features=feats)
+        assert feats.flags.writeable
+        assert np.shares_memory(db.features, feats)  # a view, not a copy
+
 
 # ----------------------------------------------------------------- similarity
 
@@ -109,6 +127,24 @@ class TestSimilarityScores:
         db = _random_db(rng, count=5, dim=4)
         with pytest.raises(DegenerateInputError):
             similarity_scores(np.zeros(4), db)
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 300), dim=st.integers(1, 48),
+       dtype=st.sampled_from([np.float32, np.float64]), scale=st.floats(1e-3, 1e3))
+@settings(max_examples=80, deadline=None)
+def test_similarity_scores_with_cached_norms_is_bit_equal(seed, count, dim, dtype, scale):
+    # the expression that recomputed every row norm on each call
+    rng = np.random.default_rng(seed)
+    feats = (rng.normal(size=(count, dim)) * scale).astype(dtype)
+    feats[np.linalg.norm(feats, axis=1) <= 1e-6, 0] = 1.0
+    db = CandidateDB(ids=np.arange(count), features=feats)
+    query = rng.normal(size=dim).astype(dtype)
+    qn = np.linalg.norm(query)
+    old = np.clip(feats @ query / np.maximum(qn * np.linalg.norm(feats, axis=1), ad.COSINE_EPS),
+                  -1.0, 1.0)
+    got = similarity_scores(query, db)
+    assert got.dtype == old.dtype
+    assert got.tobytes() == old.tobytes()
 
 
 # ----------------------------------------------------------------------- rank

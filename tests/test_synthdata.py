@@ -1,6 +1,8 @@
 """Synthetic task generator and dataset file format tests."""
 
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -275,6 +277,18 @@ class TestSerialization:
         assert loaded.transactions[-1].original_len == 2
         assert datasets_equal(loaded, ds)
 
+    def test_failed_save_keeps_the_existing_file(self, tmp_path):
+        path = tmp_path / "ds.jsonl"
+        save_dataset(gen_block_reveal(SMALL, count=2), str(path))
+        before = path.read_bytes()
+        broken = gen_block_reveal(SMALL, count=3)
+        # not JSON-serializable: raises after the db and two transactions are written
+        broken.transactions[-1].meta.turns[0] = TurnMeta(block=object(), distractor=False)
+        with pytest.raises(TypeError):
+            save_dataset(broken, str(path))
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["ds.jsonl"]
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.jsonl"
         path.write_text("")
@@ -350,3 +364,26 @@ class TestSerialization:
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match="9999"):
             load_dataset(path)
+
+
+# ----------------------------------------------------------------- golden data
+
+# Generation must stay bit-for-bit: a change to its arithmetic that flips a
+# bit or a near-tie moves these digests, and the change is then wrong.
+DESK_JSONL_SHA256 = "913a4b8f47a7218be0be55bb441a4af0194cc18445592d479f35e091329ed073"
+SCALE_TXN_SHA256 = "f3992cee0de47c6b9e424c553bfdf7d857ad2f0a6458d17293657aef58609985"
+
+
+class TestGoldenData:
+    def test_desk_preset_file_bytes_are_pinned(self, tmp_path):
+        path = str(tmp_path / "desk.jsonl")
+        save_dataset(gen_distractor(TaskConfig(), count=64), path)
+        with open(path, "rb") as fh:
+            assert hashlib.sha256(fh.read()).hexdigest() == DESK_JSONL_SHA256
+
+    def test_scale_preset_transactions_are_pinned(self):
+        ds = gen_distractor(TaskConfig(feature_dim=768, db_size=10000, max_turns=4), count=8)
+        queries = np.stack([t.queries for t in ds.transactions])
+        target_ids = np.stack([t.target_ids for t in ds.transactions])
+        digest = hashlib.sha256(queries.tobytes() + target_ids.tobytes()).hexdigest()
+        assert digest == SCALE_TXN_SHA256

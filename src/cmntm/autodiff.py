@@ -4,9 +4,16 @@ Operations execute eagerly and append themselves to the active ``Tape``; eager
 order is already topological, so ``Tape.backward`` visits each recorded node
 exactly once in reverse. A node may have several outputs (the fused
 memory-stage primitives do); it is visited once, with one gradient per output.
-Gradients accumulate additively into ``Tensor.grad``:
-running backward twice on the same tape doubles leaf gradients, and the caller
-is responsible for resetting grads between optimization steps.
+Only leaves (tensors that require grad and that no node of the tape produced,
+such as parameters) receive a ``Tensor.grad``; an intermediate's gradient lives
+only until its producing node has used it. Gradients accumulate additively
+into ``Tensor.grad``: running backward twice on the same tape doubles leaf
+gradients, and the caller is responsible for resetting grads between
+optimization steps.
+
+A tape references its tensors and no tensor references its tape, so a tape
+and everything it recorded are freed by reference counting as soon as the
+caller drops them, without waiting for the cyclic garbage collector.
 
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
@@ -47,11 +54,12 @@ class Tensor:
     """Dense array with an optional gradient slot.
 
     Values are stored row-major (C order). ``grad`` is ``None`` until a
-    backward pass touches the tensor, after which it matches ``data``'s shape.
+    backward pass reaches the tensor as a leaf, after which it matches
+    ``data``'s shape.
     Tensors and tapes are single-owner: never mutate one from two threads.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape")
+    __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         # np.dtype singletons make the common already-float case an identity check
@@ -65,7 +73,6 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
-        self._tape: "Tape | None" = None
 
     @property
     def shape(self) -> tuple:
@@ -151,42 +158,57 @@ class Tape:
         return len(self._nodes)
 
     def backward(self, loss: Tensor) -> None:
-        """Propagate d(loss)/d(tensor) to every recorded tensor's ``grad``.
+        """Accumulate d(loss)/d(leaf) into the ``grad`` of every leaf reached.
 
-        ``loss`` must be a scalar produced while this tape was active. Each
-        node is visited once, in reverse recording order; because consumers
-        are always recorded after producers, a tensor's pass-gradient is
-        complete by the time its producing node is visited.
+        ``loss`` must be a scalar output of a node on this tape. Each node is
+        visited once, in reverse recording order; because consumers are always
+        recorded after producers, an output's pass gradient is complete when
+        its node is visited, and it is dropped once that node has used it. What
+        is left after the sweep belongs to leaves: tensors that require grad and
+        that no node of this tape produced. Intermediates never get a ``grad``.
+        Sums are done in place only in buffers this sweep allocated, since a
+        node's backward may hand back an array it still holds.
         """
         if loss.data.size != 1:
             raise ShapeError("backward", f"loss must be scalar, got shape {loss.data.shape}")
-        if loss._tape is not self:
+        if not any(o is loss for node in reversed(self._nodes)
+                   for o in (node.output if type(node.output) is tuple else (node.output,))):
             raise ValueError("backward: loss was not recorded on this tape")
         pass_grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-        holders: dict[int, Tensor] = {id(loss): loss}
+        tensors: dict[int, Tensor] = {}
+        owned: set[int] = set()
         for node in reversed(self._nodes):
             out = node.output
             if type(out) is tuple:
-                g = tuple(pass_grads.get(id(o)) for o in out)
+                g = tuple(pass_grads.pop(id(o), None) for o in out)
                 if all(gi is None for gi in g):
                     continue
             else:
-                g = pass_grads.get(id(out))
+                g = pass_grads.pop(id(out), None)
                 if g is None:
                     continue
             for t, gi in zip(node.inputs, node.backward(g)):
                 if gi is None or not t.requires_grad:
                     continue
                 key = id(t)
-                if key in pass_grads:
-                    pass_grads[key] = pass_grads[key] + gi
-                else:
+                prev = pass_grads.get(key)
+                if prev is None:
                     pass_grads[key] = gi
-                    holders[key] = t
-        for key, t in holders.items():
-            if t.requires_grad:
-                g = pass_grads[key]
-                t.grad = np.array(g, copy=True) if t.grad is None else t.grad + g
+                    tensors[key] = t
+                elif key in owned and gi.dtype is prev.dtype:
+                    prev += gi
+                else:
+                    total = prev + gi
+                    pass_grads[key] = total
+                    # a sum of 0-d arrays is a numpy scalar, not a buffer
+                    if type(total) is np.ndarray:
+                        owned.add(key)
+        for key, g in pass_grads.items():
+            t = tensors[key]
+            if t.grad is not None:
+                t.grad = t.grad + g
+            else:
+                t.grad = g if key in owned else np.array(g, copy=True)
 
 
 class no_grad:
@@ -231,8 +253,6 @@ def _record(inputs: Sequence[Tensor], out_data, backward: Callable):
         out = Tensor(out_data, requires_grad=requires)
     if requires:
         tape._nodes.append(_Node(tuple(inputs), out, backward))
-        for o in (out if multi else (out,)):
-            o._tape = tape
     return out
 
 
@@ -396,7 +416,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if a.requires_grad else None,
+                a.data.T @ g if b.requires_grad else None)
 
     return _record((a, b), out, backward)
 
@@ -660,9 +681,8 @@ def einsum2(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("einsum", f"{subscripts!r} on {a.data.shape} and {b.data.shape}: {e}") from None
 
     def backward(g):
-        ga = _einsum_exec(ga_spec, g, b.data)
-        gb = _einsum_exec(gb_spec, g, a.data)
-        return ga, gb
+        return (_einsum_exec(ga_spec, g, b.data) if a.requires_grad else None,
+                _einsum_exec(gb_spec, g, a.data) if b.requires_grad else None)
 
     return _record((a, b), out, backward)
 

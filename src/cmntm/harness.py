@@ -106,11 +106,20 @@ class Adam:
             g = p.grad
             if g is None:
                 continue
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * (g * g)
-            m_hat = self.m[k] / bc1
-            v_hat = self.v[k] / bc2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            # in place, but each expression and its order as in
+            # m = b1 * m + (1 - b1) * g; p -= lr * m_hat / (sqrt(v_hat) + eps)
+            m, v = self.m[k], self.v[k]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            step = m / bc1
+            step *= self.lr
+            denom = v / bc2
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            step /= denom
+            p.data -= step
 
 
 def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
@@ -124,7 +133,7 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
         scale = max_norm / total
         for p in params.values():
             if p.grad is not None:
-                p.grad = p.grad * np.asarray(scale, dtype=p.grad.dtype)
+                p.grad *= np.asarray(scale, dtype=p.grad.dtype)
     return total
 
 

@@ -16,6 +16,7 @@ losslessly and are byte-identical for a given seed.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,9 +243,9 @@ def oracle_features(txn: Transaction, db: CandidateDB,
 
 
 def _float_list(arr: np.ndarray) -> list[float]:
-    # float32 -> python float is exact, and json round-trips doubles exactly,
-    # so values survive save/load bit-for-bit
-    return [float(v) for v in np.asarray(arr, dtype=np.float32)]
+    # float32 -> float64 is exact, and json round-trips doubles exactly, so
+    # values survive save/load bit-for-bit
+    return np.asarray(arr, np.float32).astype(np.float64).tolist()
 
 
 def save_dataset(dataset: SyntheticDataset, path: str) -> None:
@@ -291,73 +292,86 @@ def _require(obj: dict, key: str, path: str, line_no: int):
 
 
 def load_dataset(path: str) -> SyntheticDataset:
-    """Parse a dataset file; malformed content raises with the line number."""
+    """Parse a dataset file; malformed content raises with the line number.
+
+    The file is read one line at a time, and db features are written straight
+    into one preallocated array, so the file's text is never held whole.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    if not lines:
-        raise DatasetFormatError(path, 1, "empty file")
-    header = _parse_line(path, 1, lines[0])
-    version = _require(header, "version", path, 1)
-    if version != FILE_VERSION:
-        raise DatasetFormatError(path, 1, f"unsupported version {version}")
-    feature_dim = int(_require(header, "D", path, 1))
-    max_turns = int(_require(header, "N_max", path, 1))
-    db_size = int(_require(header, "db_size", path, 1))
-    split = str(header.get("split", "train"))
-    if len(lines) < 1 + db_size:
-        raise DatasetFormatError(path, len(lines) + 1,
-                                 f"unexpected end of file: header promises {db_size} db items")
-    ids, feats = [], []
-    for i in range(db_size):
-        line_no = 2 + i
-        obj = _parse_line(path, line_no, lines[1 + i])
-        ids.append(int(_require(obj, "id", path, line_no)))
-        feature = _require(obj, "feature", path, line_no)
-        if not isinstance(feature, list) or len(feature) != feature_dim:
-            raise DatasetFormatError(path, line_no, f"feature must be a list of {feature_dim} numbers")
-        feats.append(np.asarray(feature, dtype=np.float32))
-    db = CandidateDB(np.asarray(ids), np.stack(feats))
-    transactions = []
-    for j, line in enumerate(lines[1 + db_size:]):
-        line_no = 2 + db_size + j
-        obj = _parse_line(path, line_no, line)
-        turns = _require(obj, "turns", path, line_no)
-        original_len = int(_require(obj, "original_len", path, line_no))
-        if not isinstance(turns, list) or not turns:
-            raise DatasetFormatError(path, line_no, "turns must be a non-empty list")
-        queries, target_ids = [], []
-        for turn in turns:
-            if not isinstance(turn, dict):
-                raise DatasetFormatError(path, line_no, "each turn must be an object")
-            qry = _require(turn, "qry", path, line_no)
-            if not isinstance(qry, list) or len(qry) != feature_dim:
-                raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} numbers")
-            queries.append(np.asarray(qry, dtype=np.float32))
-            target_ids.append(int(_require(turn, "target_id", path, line_no)))
-        for t in target_ids:
-            if t not in db._index:
-                raise DatasetFormatError(path, line_no, f"target_id {t} not in the candidate db")
-        meta = None
-        if "meta" in obj:
-            raw = obj["meta"]
-            meta = TransactionMeta(
-                reference_id=int(_require(raw, "ref", path, line_no)),
-                turns=[TurnMeta(int(_require(t, "block", path, line_no)),
-                                bool(_require(t, "distractor", path, line_no)))
-                       for t in _require(raw, "turns", path, line_no)])
-        try:
-            txn = Transaction(
-                queries=np.stack(queries),
-                target_ids=np.asarray(target_ids, dtype=np.int64),
-                target_features=np.stack([db.feature_of(t) for t in target_ids]),
-                original_len=original_len,
-                meta=meta,
-            )
-        except DegenerateInputError as e:
-            raise DatasetFormatError(path, line_no, str(e)) from None
-        transactions.append(txn)
+        numbered = ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=1))
+        first = next(numbered, None)
+        if first is None:
+            raise DatasetFormatError(path, 1, "empty file")
+        header = _parse_line(path, 1, first[1])
+        version = _require(header, "version", path, 1)
+        if version != FILE_VERSION:
+            raise DatasetFormatError(path, 1, f"unsupported version {version}")
+        feature_dim = int(_require(header, "D", path, 1))
+        max_turns = int(_require(header, "N_max", path, 1))
+        db_size = int(_require(header, "db_size", path, 1))
+        split = str(header.get("split", "train"))
+        # A db line takes at least 2 * D + 20 bytes, so the file holds fewer
+        # rows than this bound: a header that promises more fails on a missing
+        # or bad line before the array is full, and never gets its promise
+        # allocated. A negative D fails the first row's width check.
+        width = max(feature_dim, 0)
+        rows = min(db_size, os.fstat(fh.fileno()).st_size // (2 * width + 20) + 1)
+        ids = np.empty(rows, dtype=np.int64)
+        feats = np.empty((rows, width), dtype=np.float32)
+        for i in range(db_size):
+            line_no = 2 + i
+            got = next(numbered, None)
+            if got is None:
+                raise DatasetFormatError(path, line_no,
+                                         f"unexpected end of file: header promises {db_size} db items")
+            obj = _parse_line(path, line_no, got[1])
+            ids[i] = int(_require(obj, "id", path, line_no))
+            feature = _require(obj, "feature", path, line_no)
+            if not isinstance(feature, list) or len(feature) != feature_dim:
+                raise DatasetFormatError(path, line_no, f"feature must be a list of {feature_dim} numbers")
+            feats[i] = feature
+        db = CandidateDB(ids, feats)
+        transactions = []
+        line_no = 1 + db_size
+        for line_no, line in numbered:
+            obj = _parse_line(path, line_no, line)
+            turns = _require(obj, "turns", path, line_no)
+            original_len = int(_require(obj, "original_len", path, line_no))
+            if not isinstance(turns, list) or not turns:
+                raise DatasetFormatError(path, line_no, "turns must be a non-empty list")
+            queries, target_ids = [], []
+            for turn in turns:
+                if not isinstance(turn, dict):
+                    raise DatasetFormatError(path, line_no, "each turn must be an object")
+                qry = _require(turn, "qry", path, line_no)
+                if not isinstance(qry, list) or len(qry) != feature_dim:
+                    raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} numbers")
+                queries.append(np.asarray(qry, dtype=np.float32))
+                target_ids.append(int(_require(turn, "target_id", path, line_no)))
+            for t in target_ids:
+                if t not in db._index:
+                    raise DatasetFormatError(path, line_no, f"target_id {t} not in the candidate db")
+            meta = None
+            if "meta" in obj:
+                raw = obj["meta"]
+                meta = TransactionMeta(
+                    reference_id=int(_require(raw, "ref", path, line_no)),
+                    turns=[TurnMeta(int(_require(t, "block", path, line_no)),
+                                    bool(_require(t, "distractor", path, line_no)))
+                           for t in _require(raw, "turns", path, line_no)])
+            try:
+                txn = Transaction(
+                    queries=np.stack(queries),
+                    target_ids=np.asarray(target_ids, dtype=np.int64),
+                    target_features=np.stack([db.feature_of(t) for t in target_ids]),
+                    original_len=original_len,
+                    meta=meta,
+                )
+            except DegenerateInputError as e:
+                raise DatasetFormatError(path, line_no, str(e)) from None
+            transactions.append(txn)
     if not transactions:
-        raise DatasetFormatError(path, len(lines) + 1, "file contains no transactions")
+        raise DatasetFormatError(path, line_no + 1, "file contains no transactions")
     return SyntheticDataset(feature_dim, max_turns, db, transactions, split)
 
 

@@ -317,6 +317,65 @@ def test_broadcast_add_gradient_reduces():
     assert np.allclose(b.grad, [2.0, 2.0, 2.0])
 
 
+def test_intermediates_get_no_grad():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        y = mul(x, x)
+        z = mul(y, 3.0)
+        loss = reduce_sum(z)
+    tape.backward(loss)
+    assert y.grad is None and z.grad is None and loss.grad is None
+    assert np.array_equal(x.grad, np.array([6.0, 12.0], dtype=np.float32))
+
+
+def test_leaf_grads_are_separate_buffers():
+    # add hands one gradient array to both inputs; each leaf must still own
+    # its grad, since the optimizer and clipping update grads in place
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        loss = reduce_sum(mul(add(a, b), 2.0))
+    tape.backward(loss)
+    assert not np.shares_memory(a.grad, b.grad)
+    assert np.array_equal(a.grad, b.grad)
+
+
+def test_leaf_from_an_earlier_tape_gets_grad():
+    x = Tensor([2.0], requires_grad=True)
+    with Tape():
+        y = mul(x, x)
+    with Tape() as tape:
+        loss = reduce_sum(mul(y, 3.0))
+    tape.backward(loss)
+    assert np.array_equal(y.grad, np.array([3.0], dtype=np.float32))
+    assert x.grad is None
+
+
+@pytest.mark.parametrize("op", ["matmul", "einsum2"])
+@pytest.mark.parametrize("constant", [0, 1])
+def test_constant_contraction_operand_gets_no_gradient(op, constant):
+    rng = np.random.default_rng(5)
+    a_data, b_data, w_data = (rng.standard_normal(shape).astype(np.float32)
+                              for shape in ((3, 4), (4, 5), (3, 5)))
+
+    def run(a_grad, b_grad):
+        a = Tensor(a_data, requires_grad=a_grad)
+        b = Tensor(b_data, requires_grad=b_grad)
+        with Tape() as tape:
+            out = matmul(a, b) if op == "matmul" else einsum2("ij,jd->id", a, b)
+            loss = reduce_sum(mul(out, Tensor(w_data)))
+        tape.backward(loss)
+        return tape, (a.grad, b.grad)
+
+    _, both = run(True, True)
+    tape, grads = run(constant != 0, constant != 1)
+    # the node computes no adjoint for the constant operand ...
+    assert tape._nodes[0].backward(w_data)[constant] is None
+    assert grads[constant] is None
+    # ... and the other operand's is the one it gets when both need gradients
+    assert np.array_equal(grads[1 - constant], both[1 - constant])
+
+
 # ---------------------------------------------------------------------------
 # domain and shape errors
 

@@ -1,9 +1,11 @@
 """Training loop, checkpoint format, config, and experiment protocol tests."""
 
 import dataclasses
+import gc
 import json
 import os
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -271,6 +273,72 @@ class TestTraining:
             harness.stack_batch(ds.transactions, expected_turns=3)
 
 
+# ----------------------------------------------------------- backward contract
+
+def _model_step_tape(model, seed: int = 0):
+    """Record one training forward of ``model`` on four tiny transactions."""
+    ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
+    queries, _, target_features = harness.stack_batch(ds.transactions, 2)
+    targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(2)]
+    state = model.initial_state([np.random.default_rng(seed + i) for i in range(4)])
+    with Tape() as tape:
+        preds, _ = model.forward_transaction(queries, state)
+        loss = transaction_loss(preds, targets)
+    return tape, loss
+
+
+def _every_pass_gradient(tape, loss) -> dict:
+    """d(loss)/d(t) for every tensor t reached, by a plain sweep that keeps
+    every pass gradient and sums out of place; leaf gradients must match it."""
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(tape._nodes):
+        multi = type(node.output) is tuple
+        g = tuple(grads.get(id(o)) for o in (node.output if multi else (node.output,)))
+        if all(gi is None for gi in g):
+            continue
+        for t, gi in zip(node.inputs, node.backward(g if multi else g[0])):
+            if gi is not None and t.requires_grad:
+                grads[id(t)] = gi if id(t) not in grads else grads[id(t)] + gi
+    return grads
+
+
+class TestBackwardContract:
+    @pytest.mark.parametrize("kind", ["cmntm", "lstm"])
+    def test_only_leaves_get_grads_equal_to_a_full_sweep(self, kind):
+        model = harness.build_model(tiny_cfg(model=kind))
+        model.set_training(True)
+        tape, loss = _model_step_tape(model)
+        expected = _every_pass_gradient(tape, loss)
+        tape.backward(loss)
+        for name, p in model.parameters().items():
+            assert np.array_equal(p.grad, expected[id(p)]), name
+        for node in tape._nodes:
+            for out in (node.output if type(node.output) is tuple else (node.output,)):
+                assert out.grad is None
+
+    def test_finished_step_tape_is_freed_without_the_cycle_collector(self):
+        cfg = tiny_cfg()
+        model = harness.build_model(cfg)
+        model.set_training(True)
+        params = model.parameters()
+        opt = harness.Adam(params, cfg.learning_rate)
+
+        def step():
+            tape, loss = _model_step_tape(model)
+            opt.zero_grad()
+            tape.backward(loss)
+            harness.clip_gradients(params, cfg.grad_clip)
+            opt.step()
+            return weakref.ref(tape)
+
+        gc.collect()
+        gc.disable()
+        try:
+            assert step()() is None
+        finally:
+            gc.enable()
+
+
 # ------------------------------------------------------------- optimizer bits
 
 class TestOptimizer:
@@ -280,6 +348,49 @@ class TestOptimizer:
         harness.Adam({"p": p}, lr=0.1).step()
         # bias-corrected first step is lr * sign(grad) up to eps
         np.testing.assert_allclose(p.data, [0.9, -1.9], atol=1e-5)
+
+    def test_in_place_step_matches_the_out_of_place_formula(self):
+        rng = np.random.default_rng(3)
+        shapes = {"w": (16, 8), "b": (8,)}
+        # parameters start at zero, so each step's rounding shows in them
+        params = {k: Tensor(np.zeros(s, dtype=np.float32), requires_grad=True)
+                  for k, s in shapes.items()}
+        opt = harness.Adam(params, lr=1e-2)
+        ref_p = {k: p.data.copy() for k, p in params.items()}
+        ref_m = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        ref_v = {k: np.zeros_like(v) for k, v in ref_p.items()}
+        b1, b2 = opt.beta1, opt.beta2
+        for t in range(1, 6):
+            grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
+            for k, p in params.items():
+                p.grad = grads[k]
+            opt.step()
+            for k, g in grads.items():
+                ref_m[k] = b1 * ref_m[k] + (1.0 - b1) * g
+                ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
+                m_hat = ref_m[k] / (1.0 - b1 ** t)
+                v_hat = ref_v[k] / (1.0 - b2 ** t)
+                ref_p[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        for k, p in params.items():
+            assert p.data.dtype == np.float32
+            assert np.array_equal(p.data, ref_p[k]), k
+            assert np.array_equal(opt.m[k], ref_m[k]), k
+            assert np.array_equal(opt.v[k], ref_v[k]), k
+
+    def test_restored_optimizer_leaves_checkpoint_moments_alone(self, tmp_path):
+        cfg = tiny_cfg(epochs=1)
+        ckpt = harness.load_checkpoint(harness.train(cfg, out_dir=str(tmp_path)).checkpoint_path)
+        saved = {k: (ckpt.adam_m[k].copy(), ckpt.adam_v[k].copy()) for k in ckpt.adam_m}
+        assert saved
+        model = harness.restore_model(ckpt)
+        opt = harness.Adam(model.parameters(), cfg.learning_rate)
+        harness._restore_optimizer(opt, ckpt)
+        for p in model.parameters().values():
+            p.grad = np.ones_like(p.data)
+        opt.step()
+        for k, (m, v) in saved.items():
+            assert np.array_equal(ckpt.adam_m[k], m), k
+            assert np.array_equal(ckpt.adam_v[k], v), k
 
     def test_none_grads_leave_parameters_alone(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)

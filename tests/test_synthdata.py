@@ -1,8 +1,10 @@
 """Synthetic task generator and dataset file format tests."""
 
+import dataclasses
 import hashlib
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -317,7 +319,20 @@ class TestSerialization:
         save_dataset(ds, path)
         lines = open(path).read().splitlines()
         open(path, "w").write("\n".join(lines[:10]) + "\n")  # header + 9 of 32 db rows
-        with pytest.raises(DatasetFormatError):
+        with pytest.raises(DatasetFormatError, match=r"cut\.jsonl:11: unexpected end of file"):
+            load_dataset(path)
+
+    def test_header_promising_more_rows_than_memory_fails_on_a_line(self, tmp_path):
+        ds = gen_block_reveal(SMALL, count=1)
+        path = str(tmp_path / "huge.jsonl")
+        save_dataset(ds, path)
+        lines = open(path).read().splitlines()
+        header = json.loads(lines[0])
+        header["db_size"] = 10 ** 12  # 64 TB of features if allocated up front
+        lines[0] = json.dumps(header, separators=(",", ":"))
+        open(path, "w").write("\n".join(lines) + "\n")
+        # the transaction on line 34 is read as a db row, not 10**12 rows allocated
+        with pytest.raises(DatasetFormatError, match=r"huge\.jsonl:34: missing key 'id'"):
             load_dataset(path)
 
     def test_missing_transactions_rejected(self, tmp_path):
@@ -326,8 +341,38 @@ class TestSerialization:
         save_dataset(ds, path)
         lines = open(path).read().splitlines()
         open(path, "w").write("\n".join(lines[:33]) + "\n")  # header + full db only
-        with pytest.raises(DatasetFormatError, match="no transactions"):
+        with pytest.raises(DatasetFormatError, match=r"notxn\.jsonl:34: file contains no transactions"):
             load_dataset(path)
+
+    def test_crlf_line_endings_load_equal(self, tmp_path):
+        ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=3)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, str(path))
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert datasets_equal(load_dataset(str(crlf)), ds)
+
+    def test_missing_final_newline_loads_equal(self, tmp_path):
+        ds = gen_block_reveal(SMALL, count=3)
+        path = tmp_path / "ds.jsonl"
+        save_dataset(ds, str(path))
+        path.write_bytes(path.read_bytes()[:-1])
+        assert datasets_equal(load_dataset(str(path)), ds)
+
+    def test_load_streams_the_file(self, tmp_path):
+        # the db alone is 6 MB of float32 in a ~33 MB file; a load that held
+        # the text or a list of rows at once would peak well above half of it
+        ds = gen_block_reveal(TaskConfig(feature_dim=768, db_size=2000), count=8)
+        path = str(tmp_path / "big.jsonl")
+        save_dataset(ds, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < os.path.getsize(path) / 2
+        assert datasets_equal(loaded, ds)
 
     def test_missing_key_rejected(self, tmp_path):
         ds = gen_block_reveal(SMALL, count=1)

@@ -7,8 +7,7 @@ reverse-mode autodiff engine, memory-less baselines, synthetic multi-turn
 task generators, and a reproducible training and experiment harness.
 """
 from .autodiff import (BatchNorm, Tape, Tensor, gradient_check, no_grad)
-from .cascade import (CMNTM, CascadeConfig, CascadeState, EwmaModel, LstmBaseline,
-                      MeanModel, ewma_aggregate, mean_aggregate)
+from .cascade import CMNTM, CascadeConfig, CascadeState, EwmaModel, LstmBaseline, MeanModel
 from .checkpoint import load_entries, save_entries
 from .config import TrainConfig, config_from_dict, config_json, config_to_dict, load_config
 from .errors import (CheckpointError, CmntmError, ConfigError, DatasetFormatError,
@@ -35,10 +34,10 @@ __all__ = [
     "SyntheticDataset", "Tape", "TaskConfig", "Tensor", "TimingMonotonicityError",
     "TrainConfig", "TrainingDivergedError", "Transaction", "address", "batch_loss",
     "build_model", "config_from_dict", "config_json", "config_to_dict",
-    "datasets_equal", "evaluate_model", "ewma_aggregate",
+    "datasets_equal", "evaluate_model",
     "full_model_gradient_check", "gen_block_reveal", "gen_distractor",
     "gradient_check", "load_checkpoint", "load_config", "load_dataset", "load_entries",
-    "make_db", "mean_aggregate", "memory_read", "memory_write", "no_grad",
+    "make_db", "memory_read", "memory_write", "no_grad",
     "oracle_features", "pad_transaction", "rank", "recall_at_k", "restore_model",
     "save_checkpoint", "save_dataset", "save_entries", "similarity_scores", "train",
     "transaction_loss", "truncate_transaction",

@@ -15,6 +15,13 @@ A tape references its tensors and no tensor references its tape, so a tape
 and everything it recorded are freed by reference counting as soon as the
 caller drops them, without waiting for the cyclic garbage collector.
 
+The model's memory stage runs on fused primitives (``lstm_cell``,
+``head_mlp``, ``ntm_address``, ``erase_add`` and ``weighted_read``), each one
+tape node. The unfused primitives they fold together (``take_slice``,
+``sigmoid``, ``tanh``, ``softplus``, ``softmax``, ``circular_convolution``
+and the elementwise ops) stay as the reference the fused ops are tested
+against, value for value and gradient for gradient.
+
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
 """
@@ -25,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, ShapeError
+from .errors import DomainError, ShapeError
 
 # Cosine denominators are clamped below at this value; vectors whose norm
 # falls at or below it are rejected at API boundaries instead.
@@ -53,9 +60,9 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense array with an optional gradient slot.
 
-    Values are stored row-major (C order). ``grad`` is ``None`` until a
-    backward pass reaches the tensor as a leaf, after which it matches
-    ``data``'s shape.
+    Values are stored row-major (C order), except that ``transpose`` returns
+    a view of its input. ``grad`` is ``None`` until a backward pass reaches
+    the tensor as a leaf, after which it matches ``data``'s shape.
     Tensors and tapes are single-owner: never mutate one from two threads.
     """
 
@@ -78,55 +85,13 @@ class Tensor:
     def shape(self) -> tuple:
         return self.data.shape
 
-    @property
-    def values(self) -> np.ndarray:
-        """Flat row-major view of the stored values."""
-        return self.data.reshape(-1)
-
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError("item", f"expected a scalar, got shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy(), requires_grad=False)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
-
-    # Operator sugar; everything routes through the module-level primitives.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __pow__(self, other):
-        return power(self, other)
 
 
 class _Node:
@@ -388,18 +353,6 @@ def clamp_min(t: Tensor, lo: float) -> Tensor:
     return _record((t,), out, backward)
 
 
-def clamp(t: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp into ``[lo, hi]``; gradient passes only strictly inside the band."""
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
-    out = np.clip(t.data, lo, hi)
-
-    def backward(g):
-        return (g * ((t.data > lo) & (t.data < hi)),)
-
-    return _record((t,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -420,6 +373,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.T @ g if b.requires_grad else None)
 
     return _record((a, b), out, backward)
+
+
+def transpose(t: Tensor) -> Tensor:
+    """Swap the axes of a 2-d tensor; the result is a view of ``t``'s values."""
+    if t.data.ndim != 2:
+        raise ShapeError("transpose", f"expected a 2-d operand, got {t.data.shape}")
+
+    def backward(g):
+        return (g.T,)
+
+    return _record((t,), t.data.T, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -606,22 +570,6 @@ def l2norm(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor
 # contraction / convolution
 
 
-# np.einsum's subscript parsing dominates small-operand contractions, so the
-# handful of patterns on the model's hot path get direct BLAS equivalents.
-_EINSUM_FAST = {
-    "bm,bpm->bp": lambda x, y: np.matmul(y, x[:, :, None])[:, :, 0],
-    "bp,bpm->bm": lambda x, y: np.matmul(x[:, None, :], y)[:, 0, :],
-    "bpm,bm->bp": lambda x, y: np.matmul(x, y[:, :, None])[:, :, 0],
-    "bpm,bp->bm": lambda x, y: np.matmul(y[:, None, :], x)[:, 0, :],
-    "bp,bm->bpm": lambda x, y: x[:, :, None] * y[:, None, :],
-    "bm,bp->bpm": lambda x, y: y[:, :, None] * x[:, None, :],
-    "id,jd->ij": lambda x, y: np.matmul(x, y.T),
-    "ij,jd->id": lambda x, y: np.matmul(x, y),
-    "ij,id->jd": lambda x, y: np.matmul(x.T, y),
-}
-
-_EINSUM_SPECS: dict[str, tuple] = {}
-
 # (forward, inverse) rows realizing np.roll along the last axis, one per offset
 _ROLL_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
@@ -637,54 +585,18 @@ def _roll_indices(size: int, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return got
 
 
-def _einsum_specs(subscripts: str) -> tuple:
-    cached = _EINSUM_SPECS.get(subscripts)
-    if cached is not None:
-        return cached
-    try:
-        lhs, out_spec = subscripts.replace(" ", "").split("->")
-        a_spec, b_spec = lhs.split(",")
-    except ValueError:
-        raise ShapeError("einsum", f"unsupported subscripts {subscripts!r}") from None
-    for term, other in ((a_spec, b_spec), (b_spec, a_spec)):
-        if len(set(term)) != len(term):
-            raise ShapeError("einsum", f"repeated index within a term in {subscripts!r}")
-        if not set(term) <= set(out_spec) | set(other):
-            raise ShapeError("einsum", f"index summed over a single operand in {subscripts!r}")
-    key = f"{a_spec},{b_spec}->{out_spec}"
-    ga_spec = f"{out_spec},{b_spec}->{a_spec}"
-    gb_spec = f"{out_spec},{a_spec}->{b_spec}"
-    specs = (key, ga_spec, gb_spec)
-    _EINSUM_SPECS[subscripts] = specs
-    return specs
-
-
-def _einsum_exec(spec: str, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    fast = _EINSUM_FAST.get(spec)
-    if fast is not None:
-        return fast(x, y)
-    return np.einsum(spec, x, y)
-
-
-def einsum2(subscripts: str, a: Tensor, b: Tensor) -> Tensor:
-    """Two-operand einsum restricted to plain contractions.
-
-    Every index must be unique within its term and appear in the output or in
-    the other operand, which makes the adjoint of each operand itself an
-    einsum with the output specification swapped in.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    key, ga_spec, gb_spec = _einsum_specs(subscripts)
-    try:
-        out = _einsum_exec(key, a.data, b.data)
-    except ValueError as e:
-        raise ShapeError("einsum", f"{subscripts!r} on {a.data.shape} and {b.data.shape}: {e}") from None
+def weighted_read(w: Tensor, memory: Tensor) -> Tensor:
+    """Weighted sum of memory rows: (B, P) weights over (B, P, M) memory -> (B, M)."""
+    wd, mem = w.data, memory.data
+    if mem.ndim != 3 or wd.shape != mem.shape[:2]:
+        raise ShapeError("weighted_read", f"weights {wd.shape} do not fit memory {mem.shape}")
+    out = np.matmul(wd[:, None, :], mem)[:, 0, :]
 
     def backward(g):
-        return (_einsum_exec(ga_spec, g, b.data) if a.requires_grad else None,
-                _einsum_exec(gb_spec, g, a.data) if b.requires_grad else None)
+        return (np.matmul(mem, g[:, :, None])[:, :, 0] if w.requires_grad else None,
+                wd[:, :, None] * g[:, None, :] if memory.requires_grad else None)
 
-    return _record((a, b), out, backward)
+    return _record((w, memory), out, backward)
 
 
 def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
@@ -729,25 +641,6 @@ def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = N
         return gw, gs
 
     return _record((w, s), out, backward)
-
-
-def cosine_similarity(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine of the angle between two vectors, clamped into [-1, 1].
-
-    The denominator is floored at ``COSINE_EPS``; inputs whose own norm is at
-    or below that floor are rejected outright.
-    """
-    a, b = _as_tensor(a), _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise ShapeError("cosine_similarity",
-                         f"expected equal-length vectors, got {a.data.shape} and {b.data.shape}")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na <= COSINE_EPS or nb <= COSINE_EPS:
-        raise DegenerateInputError(f"cosine_similarity: zero-norm input (norms {na:.3g}, {nb:.3g})")
-    dot = reduce_sum(mul(a, b))
-    denom = clamp_min(mul(l2norm(a), l2norm(b)), COSINE_EPS)
-    return clamp(div(dot, denom), -1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import BatchNorm, Tensor
-from .errors import DegenerateInputError, ShapeError
+from .errors import ShapeError
 from .ntm import Linear, LSTMCell, NTMStage, StageState
 
 MEMORY_INIT_STD = 0.05
@@ -177,31 +177,12 @@ class CMNTM:
 # baselines
 
 
-def mean_aggregate(features: Sequence[np.ndarray]) -> np.ndarray:
-    """Arithmetic mean of the turn features seen so far."""
-    if len(features) == 0:
-        raise DegenerateInputError("mean_aggregate: empty feature list")
-    return np.mean(np.stack([np.asarray(f) for f in features]), axis=0)
-
-
-def ewma_aggregate(features: Sequence[np.ndarray], alpha: float = 0.5) -> np.ndarray:
-    """Exponentially weighted moving average across turns.
-
-    The first turn seeds the average; each later turn n updates it as
-    ``alpha * f(n) + (1 - alpha) * previous``.
-    """
-    if len(features) == 0:
-        raise DegenerateInputError("ewma_aggregate: empty feature list")
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"ewma_aggregate: alpha must be in (0, 1], got {alpha}")
-    acc = np.array(features[0], dtype=np.asarray(features[0]).dtype, copy=True)
-    for f in features[1:]:
-        acc = alpha * np.asarray(f) + (1.0 - alpha) * acc
-    return acc
-
-
 class _AggregatorModel:
-    """Shared plumbing for the parameter-free turn aggregators."""
+    """Shared plumbing for the parameter-free turn aggregators.
+
+    Each keeps a running aggregate across the turns of a transaction, so a
+    transaction of N turns costs O(N) updates.
+    """
 
     def set_training(self, flag: bool) -> None:
         pass
@@ -218,34 +199,43 @@ class _AggregatorModel:
     def initial_state(self, rngs) -> None:
         return None
 
-    def _aggregate(self, turns: list[np.ndarray]) -> np.ndarray:
+    def _scan(self, queries: np.ndarray):
+        """Yield the aggregate after each turn of (B, N, D) ``queries``."""
         raise NotImplementedError
 
     def forward_transaction(self, queries: np.ndarray, state=None) -> tuple[list[Tensor], None]:
-        preds = []
-        for n in range(queries.shape[1]):
-            turns = [queries[:, i] for i in range(n + 1)]
-            preds.append(Tensor(self._aggregate(turns).astype(np.float32)))
-        return preds, None
+        return [Tensor(agg.astype(np.float32)) for agg in self._scan(queries)], None
 
 
 class MeanModel(_AggregatorModel):
     """Prediction at turn n is the mean of query features 1..n."""
 
-    def _aggregate(self, turns):
-        return mean_aggregate(turns)
+    def _scan(self, queries):
+        total = None
+        for n in range(queries.shape[1]):
+            total = queries[:, n] if total is None else total + queries[:, n]
+            # a Python int divisor keeps a float32 sum in float32
+            yield total / (n + 1)
 
 
 class EwmaModel(_AggregatorModel):
-    """Prediction at turn n is the EWMA of query features 1..n."""
+    """Prediction at turn n is the EWMA of query features 1..n.
+
+    The first turn seeds the average; each later turn n updates it as
+    ``alpha * f(n) + (1 - alpha) * previous``.
+    """
 
     def __init__(self, alpha: float = 0.5):
         if not (0.0 < alpha <= 1.0):
             raise ValueError(f"EwmaModel: alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
 
-    def _aggregate(self, turns):
-        return ewma_aggregate(turns, self.alpha)
+    def _scan(self, queries):
+        acc = None
+        for n in range(queries.shape[1]):
+            f = queries[:, n]
+            acc = f if acc is None else self.alpha * f + (1.0 - self.alpha) * acc
+            yield acc
 
 
 class LstmBaseline:

@@ -81,7 +81,10 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
     entries: dict[str, np.ndarray] = {}
     for i in range(count):
         name_len = r.u32(f"entry {i} name length")
-        name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        try:
+            name = r.take(name_len, f"entry {i} name").decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: entry {i} name is not UTF-8") from None
         ndim = r.u32(f"entry {name!r} ndim")
         if ndim > 8:
             raise CheckpointError(f"{path}: entry {name!r} has implausible ndim {ndim}")

@@ -22,8 +22,8 @@ from . import checkpoint as ckpt_io
 from .autodiff import Tape, Tensor, no_grad
 from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .config import TrainConfig, config_from_dict, config_json
-from .errors import (CheckpointError, DegenerateInputError, DomainError, ShapeError,
-                     TimingMonotonicityError, TrainingDivergedError)
+from .errors import (CheckpointError, ConfigError, DegenerateInputError, DomainError,
+                     ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
 from .retrieval import CandidateDB, similarity_scores, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, gen_distractor
@@ -258,12 +258,15 @@ def save_checkpoint(path: str, model, opt: Adam | None, cfg: TrainConfig, epoch:
 def load_checkpoint(path: str) -> Checkpoint:
     entries = ckpt_io.load_entries(path)
     try:
-        cfg_text = ckpt_io.unpack_text(entries["meta.config"], entries["meta.config_len"])
+        cfg = config_from_dict(json.loads(
+            ckpt_io.unpack_text(entries["meta.config"], entries["meta.config_len"])))
         epoch = int(entries["meta.epoch"].reshape(-1)[0])
         adam_step = int(entries["meta.adam_step"].reshape(-1)[0])
     except KeyError as e:
         raise CheckpointError(f"{path}: missing meta entry {e}") from None
-    cfg = config_from_dict(json.loads(cfg_text))
+    except (IndexError, ValueError, OverflowError, ConfigError) as e:
+        # ValueError covers text that is not UTF-8 or not JSON
+        raise CheckpointError(f"{path}: corrupt meta entry: {e}") from None
     params, buffers, adam_m, adam_v = {}, {}, {}, {}
     for name, arr in entries.items():
         if name.startswith("param."):

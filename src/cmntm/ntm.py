@@ -125,7 +125,7 @@ def address(memory: Tensor, params: HeadParams, w_prev: Tensor) -> Tensor:
 
 def memory_read(memory: Tensor, w: Tensor) -> Tensor:
     """Weighted sum of memory rows: (B, P, M) x (B, P) -> (B, M)."""
-    return ad.einsum2("bp,bpm->bm", w, memory)
+    return ad.weighted_read(w, memory)
 
 
 def memory_write(memory: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tensor:

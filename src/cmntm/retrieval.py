@@ -143,7 +143,7 @@ def batch_loss(predictions: Tensor, targets: Tensor) -> Tensor:
         return Tensor(np.zeros((), dtype=predictions.data.dtype))
     pn = ad.div(predictions, ad.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), COSINE_EPS))
     tn = ad.div(targets, ad.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), COSINE_EPS))
-    sims = ad.einsum2("id,jd->ij", pn, tn)
+    sims = ad.matmul(pn, ad.transpose(tn))
     exp_sims = ad.exp(sims)
     log_denom = ad.log(ad.reduce_sum(exp_sims, axis=1))
     eye = Tensor(np.eye(b, dtype=predictions.data.dtype))

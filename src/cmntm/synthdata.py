@@ -286,9 +286,40 @@ def _parse_line(path: str, line_no: int, line: str) -> dict:
 
 
 def _require(obj: dict, key: str, path: str, line_no: int):
-    if key not in obj:
-        raise DatasetFormatError(path, line_no, f"missing key {key!r}")
-    return obj[key]
+    try:
+        return obj[key]
+    except KeyError:
+        raise DatasetFormatError(path, line_no, f"missing key {key!r}") from None
+    except TypeError:
+        raise DatasetFormatError(path, line_no,
+                                 f"expected an object with key {key!r}, got {obj!r:.40}") from None
+
+
+def _int(obj: dict, key: str, path: str, line_no: int) -> int:
+    value = _require(obj, key, path, line_no)
+    try:
+        number = int(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    # ids are stored as int64
+    if number is None or abs(number) >= 2 ** 63:
+        raise DatasetFormatError(path, line_no, f"{key} must be a 64-bit integer, got {value!r:.40}")
+    return number
+
+
+def _read_floats(obj: dict, key: str, out: np.ndarray, path: str, line_no: int) -> None:
+    """Write the number list ``obj[key]`` into the float32 row ``out``.
+
+    A null entry is stored as NaN; callers reject non-finite rows.
+    """
+    value = _require(obj, key, path, line_no)
+    if isinstance(value, list) and len(value) == len(out):
+        try:
+            out[:] = value
+            return
+        except (TypeError, ValueError):
+            pass
+    raise DatasetFormatError(path, line_no, f"{key} must be a list of {len(out)} numbers")
 
 
 def load_dataset(path: str) -> SyntheticDataset:
@@ -306,18 +337,19 @@ def load_dataset(path: str) -> SyntheticDataset:
         version = _require(header, "version", path, 1)
         if version != FILE_VERSION:
             raise DatasetFormatError(path, 1, f"unsupported version {version}")
-        feature_dim = int(_require(header, "D", path, 1))
-        max_turns = int(_require(header, "N_max", path, 1))
-        db_size = int(_require(header, "db_size", path, 1))
+        feature_dim = _int(header, "D", path, 1)
+        max_turns = _int(header, "N_max", path, 1)
+        db_size = _int(header, "db_size", path, 1)
+        if min(feature_dim, max_turns, db_size) < 0:
+            raise DatasetFormatError(path, 1, "D, N_max and db_size must be non-negative")
         split = str(header.get("split", "train"))
         # A db line takes at least 2 * D + 20 bytes, so the file holds fewer
         # rows than this bound: a header that promises more fails on a missing
         # or bad line before the array is full, and never gets its promise
-        # allocated. A negative D fails the first row's width check.
-        width = max(feature_dim, 0)
-        rows = min(db_size, os.fstat(fh.fileno()).st_size // (2 * width + 20) + 1)
+        # allocated.
+        rows = min(db_size, os.fstat(fh.fileno()).st_size // (2 * feature_dim + 20) + 1)
         ids = np.empty(rows, dtype=np.int64)
-        feats = np.empty((rows, width), dtype=np.float32)
+        feats = np.empty((rows, feature_dim), dtype=np.float32)
         for i in range(db_size):
             line_no = 2 + i
             got = next(numbered, None)
@@ -325,43 +357,50 @@ def load_dataset(path: str) -> SyntheticDataset:
                 raise DatasetFormatError(path, line_no,
                                          f"unexpected end of file: header promises {db_size} db items")
             obj = _parse_line(path, line_no, got[1])
-            ids[i] = int(_require(obj, "id", path, line_no))
-            feature = _require(obj, "feature", path, line_no)
-            if not isinstance(feature, list) or len(feature) != feature_dim:
-                raise DatasetFormatError(path, line_no, f"feature must be a list of {feature_dim} numbers")
-            feats[i] = feature
-        db = CandidateDB(ids, feats)
+            ids[i] = _int(obj, "id", path, line_no)
+            _read_floats(obj, "feature", feats[i], path, line_no)
+        finite = np.isfinite(feats).all(axis=1)
+        if not finite.all():
+            raise DatasetFormatError(path, 2 + int(np.argmin(finite)),
+                                     f"feature must be a list of {feature_dim} finite numbers")
+        try:
+            db = CandidateDB(ids, feats)
+        except DegenerateInputError as e:
+            raise DatasetFormatError(path, 1 + db_size, f"candidate db: {e}") from None
         transactions = []
         line_no = 1 + db_size
         for line_no, line in numbered:
             obj = _parse_line(path, line_no, line)
             turns = _require(obj, "turns", path, line_no)
-            original_len = int(_require(obj, "original_len", path, line_no))
+            original_len = _int(obj, "original_len", path, line_no)
             if not isinstance(turns, list) or not turns:
                 raise DatasetFormatError(path, line_no, "turns must be a non-empty list")
-            queries, target_ids = [], []
-            for turn in turns:
+            queries = np.empty((len(turns), feature_dim), dtype=np.float32)
+            target_ids = []
+            for n, turn in enumerate(turns):
                 if not isinstance(turn, dict):
                     raise DatasetFormatError(path, line_no, "each turn must be an object")
-                qry = _require(turn, "qry", path, line_no)
-                if not isinstance(qry, list) or len(qry) != feature_dim:
-                    raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} numbers")
-                queries.append(np.asarray(qry, dtype=np.float32))
-                target_ids.append(int(_require(turn, "target_id", path, line_no)))
+                _read_floats(turn, "qry", queries[n], path, line_no)
+                target_ids.append(_int(turn, "target_id", path, line_no))
+            if not np.isfinite(queries).all():
+                raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} finite numbers")
             for t in target_ids:
                 if t not in db._index:
                     raise DatasetFormatError(path, line_no, f"target_id {t} not in the candidate db")
             meta = None
             if "meta" in obj:
                 raw = obj["meta"]
+                meta_turns = _require(raw, "turns", path, line_no)
+                if not isinstance(meta_turns, list):
+                    raise DatasetFormatError(path, line_no, "meta turns must be a list")
                 meta = TransactionMeta(
-                    reference_id=int(_require(raw, "ref", path, line_no)),
-                    turns=[TurnMeta(int(_require(t, "block", path, line_no)),
+                    reference_id=_int(raw, "ref", path, line_no),
+                    turns=[TurnMeta(_int(t, "block", path, line_no),
                                     bool(_require(t, "distractor", path, line_no)))
-                           for t in _require(raw, "turns", path, line_no)])
+                           for t in meta_turns])
             try:
                 txn = Transaction(
-                    queries=np.stack(queries),
+                    queries=queries,
                     target_ids=np.asarray(target_ids, dtype=np.int64),
                     target_features=np.stack([db.feature_of(t) for t in target_ids]),
                     original_len=original_len,

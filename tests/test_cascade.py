@@ -12,10 +12,8 @@ from cmntm.cascade import (
     EwmaModel,
     LstmBaseline,
     MeanModel,
-    ewma_aggregate,
-    mean_aggregate,
 )
-from cmntm.errors import DegenerateInputError, ShapeError
+from cmntm.errors import ShapeError
 
 
 def _tiny_config(**overrides):
@@ -255,40 +253,71 @@ def test_full_model_gradients_on_one_turn():
 # aggregator baselines
 
 
-def test_mean_aggregate_matches_numpy():
+def _ewma_last(turns, alpha):
+    """EWMA prediction after the given (D,) turns, for a batch of one."""
+    q = np.stack(turns)[None].astype(np.float32)
+    preds, _ = EwmaModel(alpha).forward_transaction(q, None)
+    assert len(preds) == len(turns)
+    return preds[-1].data[0]
+
+
+def _prefix_means(q):
+    """Each turn's mean recomputed from the whole prefix, as numpy stacks it."""
+    return [np.mean(np.stack([q[:, i] for i in range(n + 1)]), axis=0).astype(np.float32)
+            for n in range(q.shape[1])]
+
+
+def _prefix_ewmas(q, alpha):
+    """Each turn's EWMA recomputed from the whole prefix."""
+    out = []
+    for n in range(q.shape[1]):
+        acc = q[:, 0].copy()
+        for i in range(1, n + 1):
+            acc = alpha * q[:, i] + (1.0 - alpha) * acc
+        out.append(acc.astype(np.float32))
+    return out
+
+
+def test_mean_model_matches_numpy_prefix_means():
+    # the running sum must give the prefix mean bit for bit, at any scale
     rng = np.random.default_rng(0)
-    feats = [rng.standard_normal(5).astype(np.float32) for _ in range(4)]
-    assert np.allclose(mean_aggregate(feats), np.mean(feats, axis=0), atol=1e-6)
+    for scale in (1e-3, 1.0, 1e3):
+        q = (scale * rng.standard_normal((3, 6, 33))).astype(np.float32)
+        preds, _ = MeanModel().forward_transaction(q, None)
+        for pred, oracle in zip(preds, _prefix_means(q), strict=True):
+            assert pred.data.dtype == np.float32
+            assert np.array_equal(pred.data, oracle)
+
+
+def test_ewma_model_matches_prefix_recursion():
+    rng = np.random.default_rng(1)
+    q = rng.standard_normal((2, 5, 4)).astype(np.float32)
+    for alpha in (0.3, 0.5, 1.0):
+        preds, _ = EwmaModel(alpha).forward_transaction(q, None)
+        for pred, oracle in zip(preds, _prefix_ewmas(q, alpha), strict=True):
+            assert np.array_equal(pred.data, oracle)
 
 
 def test_ewma_three_turn_example():
     feats = [np.array([0.0]), np.array([2.0]), np.array([4.0])]
-    assert np.allclose(ewma_aggregate(feats, alpha=0.5), [2.5], atol=1e-7)
+    assert np.allclose(_ewma_last(feats, alpha=0.5), [2.5], atol=1e-7)
 
 
 def test_ewma_alpha_one_keeps_last():
     feats = [np.array([1.0, 1.0]), np.array([-3.0, 5.0])]
-    assert np.allclose(ewma_aggregate(feats, alpha=1.0), [-3.0, 5.0], atol=1e-7)
+    assert np.allclose(_ewma_last(feats, alpha=1.0), [-3.0, 5.0], atol=1e-7)
 
 
 def test_ewma_single_turn_is_identity():
     f = np.array([1.5, -2.0])
-    assert np.allclose(ewma_aggregate([f], alpha=0.3), f, atol=1e-7)
-
-
-def test_aggregates_reject_empty_input():
-    with pytest.raises(DegenerateInputError):
-        mean_aggregate([])
-    with pytest.raises(DegenerateInputError):
-        ewma_aggregate([])
+    assert np.allclose(_ewma_last([f], alpha=0.3), f, atol=1e-7)
 
 
 def test_ewma_rejects_bad_alpha():
-    feats = [np.array([1.0])]
     with pytest.raises(ValueError):
-        ewma_aggregate(feats, alpha=0.0)
+        EwmaModel(alpha=0.0)
     with pytest.raises(ValueError):
-        ewma_aggregate(feats, alpha=1.5)
+        EwmaModel(alpha=1.5)
 
 
 def test_mean_model_per_turn_outputs():
@@ -302,16 +331,6 @@ def test_mean_model_per_turn_outputs():
     assert np.allclose(preds[0].data, 2.0, atol=1e-6)
     assert np.allclose(preds[1].data, 3.0, atol=1e-6)
     assert np.allclose(preds[2].data, 4.0, atol=1e-6)
-
-
-def test_ewma_model_matches_function():
-    rng = np.random.default_rng(1)
-    q = rng.standard_normal((2, 3, 4)).astype(np.float32)
-    model = EwmaModel(alpha=0.5)
-    preds, _ = model.forward_transaction(q, None)
-    for b in range(2):
-        expected = ewma_aggregate([q[b, n] for n in range(3)], alpha=0.5)
-        assert np.allclose(preds[-1].data[b], expected, atol=1e-6)
 
 
 def test_aggregator_models_have_no_parameters():

@@ -5,6 +5,9 @@ import os
 
 import pytest
 
+import numpy as np
+
+from cmntm import checkpoint as ckpt_io
 from cmntm.cascade import CascadeConfig
 from cmntm.cli import main
 from cmntm.config import TrainConfig, config_json
@@ -108,6 +111,26 @@ class TestCli:
                    "--out", str(tmp_path), "--splits", "dev"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", [
+        # config bytes that are not UTF-8
+        lambda e: e.update({"meta.config": np.frombuffer(b"\xff\xfe\xfd\xfc", dtype="<f4"),
+                            "meta.config_len": np.array([4.0], dtype=np.float32)}),
+        lambda e: e.update({"meta.epoch": np.zeros(0, dtype=np.float32)}),
+        lambda e: e.update(zip(("meta.config", "meta.config_len"),
+                               ckpt_io.pack_text("not json"))),
+        lambda e: e.update(zip(("meta.config", "meta.config_len"), ckpt_io.pack_text("[1]"))),
+        lambda e: e.update({"meta.adam_step": np.array([np.nan], dtype=np.float32)}),
+    ], ids=["config-not-utf8", "empty-epoch", "config-not-json", "config-not-object",
+            "nan-adam-step"])
+    def test_corrupt_checkpoint_meta_is_a_clean_error(self, workspace, tmp_path, capsys, corrupt):
+        entries = ckpt_io.load_entries(workspace["ckpt"])
+        corrupt(entries)
+        bad = str(tmp_path / "bad.bin")
+        ckpt_io.save_entries(bad, entries)
+        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
     def test_seed_flag_changes_initialization(self, workspace, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")

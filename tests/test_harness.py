@@ -122,6 +122,15 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="length field"):
             ckpt_io.load_entries(path)
 
+    def test_entry_name_that_is_not_utf8_detected(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        ckpt_io.save_entries(path, {"x": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(open(path, "rb").read())
+        blob[16] = 0xFF  # the name's one byte, after magic, version, count, length
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"c\.bin: entry 0 name is not UTF-8"):
+            ckpt_io.load_entries(path)
+
 
 # -------------------------------------------------------- model checkpointing
 

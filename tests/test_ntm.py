@@ -426,8 +426,30 @@ def _chain_head(head, ctrl_out):
     return HeadParams(*params)
 
 
+def _row_dots(key, memory):
+    """(B, M) key against (B, P, M) memory rows -> (B, P) dot products."""
+    k, mem = key.data, memory.data
+
+    def backward(g):
+        return (np.matmul(g[:, None, :], mem)[:, 0, :] if key.requires_grad else None,
+                g[:, :, None] * k[:, None, :] if memory.requires_grad else None)
+
+    return ad._record((key, memory), np.matmul(mem, k[:, :, None])[:, :, 0], backward)
+
+
+def _outer(w, v):
+    """(B, P) and (B, M) -> (B, P, M) per-row outer products."""
+    wd, vd = w.data, v.data
+
+    def backward(g):
+        return (np.matmul(g, vd[:, :, None])[:, :, 0] if w.requires_grad else None,
+                np.matmul(wd[:, None, :], g)[:, 0, :] if v.requires_grad else None)
+
+    return ad._record((w, v), wd[:, :, None] * vd[:, None, :], backward)
+
+
 def _chain_address(memory, params, w_prev):
-    dots = ad.einsum2("bm,bpm->bp", params.key, memory)
+    dots = _row_dots(params.key, memory)
     key_norm = ad.l2norm(params.key, axis=1, keepdims=True)
     row_norm = ad.l2norm(memory, axis=2)
     denom = ad.clamp_min(ad.mul(key_norm, row_norm), ad.COSINE_EPS)
@@ -438,8 +460,8 @@ def _chain_address(memory, params, w_prev):
 
 
 def _chain_write(memory, w, erase, add_vec):
-    we = ad.einsum2("bp,bm->bpm", w, erase)
-    wa = ad.einsum2("bp,bm->bpm", w, add_vec)
+    we = _outer(w, erase)
+    wa = _outer(w, add_vec)
     return ad.add(ad.sub(memory, ad.mul(memory, we)), wa)
 
 

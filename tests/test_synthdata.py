@@ -344,6 +344,36 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match=r"notxn\.jsonl:34: file contains no transactions"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("line_no, corrupt", [
+        (1, lambda o: o.update(D="x")),
+        (1, lambda o: o.update(db_size=-1)),
+        (2, lambda o: o["feature"].__setitem__(0, "x")),
+        (3, lambda o: o["feature"].__setitem__(5, None)),
+        (4, lambda o: o.update(id=10 ** 30)),
+        (5, lambda o: o.update(id="x")),
+        (33, lambda o: o.update(id=0)),  # the db now holds id 0 twice
+        (34, lambda o: o["turns"][1]["qry"].__setitem__(3, "x")),
+        (34, lambda o: o["turns"][2]["qry"].__setitem__(0, None)),
+        (35, lambda o: o.update(original_len="x")),
+        (35, lambda o: o.update(meta=5)),
+        (36, lambda o: o["turns"][0].update(target_id=None)),
+        (36, lambda o: o["meta"]["turns"].__setitem__(0, 5)),
+        (36, lambda o: o["meta"].update(turns=5)),
+    ], ids=["header-D", "negative-db-size", "feature-text", "feature-null", "db-id-huge",
+            "db-id-text", "duplicate-db-id", "qry-text", "qry-null", "original-len-text",
+            "meta-number", "target-id-null", "meta-turn-number", "meta-turns-number"])
+    def test_malformed_value_cites_line(self, tmp_path, line_no, corrupt):
+        ds = gen_block_reveal(SMALL, count=3)
+        path = str(tmp_path / "bad.jsonl")
+        save_dataset(ds, path)
+        lines = open(path).read().splitlines()
+        obj = json.loads(lines[line_no - 1])
+        corrupt(obj)
+        lines[line_no - 1] = json.dumps(obj)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError, match=rf"bad\.jsonl:{line_no}:"):
+            load_dataset(path)
+
     def test_crlf_line_endings_load_equal(self, tmp_path):
         ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=3)
         path = tmp_path / "ds.jsonl"

@@ -365,10 +365,13 @@ def test_matmul_shape_error():
     assert e.value.op == "matmul"
 
 
-def test_contraction_shape_errors():
+def test_contraction_rejects_mismatched_summed_axis():
     with pytest.raises(ShapeError) as e:
         weighted_read(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3, 5))))
     assert e.value.op == "weighted_read"
+
+
+def test_contraction_rejects_wrong_rank():
     with pytest.raises(ShapeError):
         weighted_read(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
     with pytest.raises(ShapeError) as e:

@@ -21,8 +21,7 @@ from .retrieval import (CandidateDB, RankingResult, batch_loss, rank, recall_at_
                         similarity_scores, transaction_loss)
 from .synthdata import (SyntheticDataset, TaskConfig, Transaction, datasets_equal,
                         gen_block_reveal, gen_distractor, load_dataset, make_db,
-                        oracle_features, pad_transaction, save_dataset,
-                        truncate_transaction)
+                        oracle_features, save_dataset)
 
 __version__ = "0.1.0"
 
@@ -38,7 +37,7 @@ __all__ = [
     "full_model_gradient_check", "gen_block_reveal", "gen_distractor",
     "gradient_check", "load_checkpoint", "load_config", "load_dataset", "load_entries",
     "make_db", "memory_read", "memory_write", "no_grad",
-    "oracle_features", "pad_transaction", "rank", "recall_at_k", "restore_model",
+    "oracle_features", "rank", "recall_at_k", "restore_model",
     "save_checkpoint", "save_dataset", "save_entries", "similarity_scores", "train",
-    "transaction_loss", "truncate_transaction",
+    "transaction_loss",
 ]

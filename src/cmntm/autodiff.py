@@ -18,9 +18,13 @@ caller drops them, without waiting for the cyclic garbage collector.
 The model's memory stage runs on fused primitives (``lstm_cell``,
 ``head_mlp``, ``ntm_address``, ``erase_add`` and ``weighted_read``), each one
 tape node. The unfused primitives they fold together (``take_slice``,
-``sigmoid``, ``tanh``, ``softplus``, ``softmax``, ``circular_convolution``
-and the elementwise ops) stay as the reference the fused ops are tested
-against, value for value and gradient for gradient.
+``sigmoid``, ``tanh``, ``softplus``, ``softmax``, ``clamp_min``,
+``circular_convolution`` and the elementwise ops) stay as the reference the
+fused ops are tested against, value for value and gradient for gradient.
+
+Primitives take ``Tensor`` operands. The binary elementwise ops (``add``,
+``sub``, ``mul``, ``div`` and ``power``) also take a Python scalar on either
+side, which runs in the other operand's dtype.
 
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
@@ -50,11 +54,6 @@ def _stack() -> list:
         s = []
         _tls.tapes = s
     return s
-
-
-def active_tape() -> "Tape | None":
-    s = _stack()
-    return s[-1] if s else None
 
 
 class Tensor:
@@ -188,11 +187,13 @@ class no_grad:
         return False
 
 
-def _as_tensor(x, like: Tensor | None = None) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else None
-    return Tensor(np.asarray(x, dtype=dtype))
+def _as_tensors(a, b) -> tuple[Tensor, Tensor]:
+    """A binary op's operands as Tensors; a scalar takes the other's dtype."""
+    if type(a) is not Tensor:
+        a = Tensor(np.asarray(a, dtype=b.data.dtype if type(b) is Tensor else None))
+    if type(b) is not Tensor:
+        b = Tensor(np.asarray(b, dtype=a.data.dtype))
+    return a, b
 
 
 def _record(inputs: Sequence[Tensor], out_data, backward: Callable):
@@ -238,10 +239,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    if type(a) is not Tensor:
-        a = _as_tensor(a, like=b if type(b) is Tensor else None)
-    if type(b) is not Tensor:
-        b = _as_tensor(b, like=a)
+    a, b = _as_tensors(a, b)
     try:
         out = a.data + b.data
     except ValueError:
@@ -254,10 +252,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    if type(a) is not Tensor:
-        a = _as_tensor(a, like=b if type(b) is Tensor else None)
-    if type(b) is not Tensor:
-        b = _as_tensor(b, like=a)
+    a, b = _as_tensors(a, b)
     try:
         out = a.data - b.data
     except ValueError:
@@ -270,10 +265,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    if type(a) is not Tensor:
-        a = _as_tensor(a, like=b if type(b) is Tensor else None)
-    if type(b) is not Tensor:
-        b = _as_tensor(b, like=a)
+    a, b = _as_tensors(a, b)
     try:
         out = a.data * b.data
     except ValueError:
@@ -286,10 +278,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    if type(a) is not Tensor:
-        a = _as_tensor(a, like=b if type(b) is Tensor else None)
-    if type(b) is not Tensor:
-        b = _as_tensor(b, like=a)
+    a, b = _as_tensors(a, b)
     # all() is false exactly when a zero is present; avoids a temporary bool array
     if not b.data.all():
         raise DomainError("div: division by zero")
@@ -313,10 +302,7 @@ def power(base, exponent) -> Tensor:
     zero bases with negative exponents are rejected. The derivative w.r.t. the
     exponent uses the limit value 0 where the base is 0.
     """
-    if type(base) is not Tensor:
-        base = _as_tensor(base, like=exponent if type(exponent) is Tensor else None)
-    if type(exponent) is not Tensor:
-        exponent = _as_tensor(exponent, like=base)
+    base, exponent = _as_tensors(base, exponent)
     bx, ex = base.data, exponent.data
     try:
         _check_power_domain("power", bx, ex)
@@ -343,8 +329,6 @@ def _check_power_domain(op: str, bx: np.ndarray, ex: np.ndarray) -> None:
 
 def clamp_min(t: Tensor, lo: float) -> Tensor:
     """Elementwise maximum with a constant floor; gradient passes where ``t > lo``."""
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     out = np.maximum(t.data, np.asarray(lo, dtype=t.data.dtype))
 
     def backward(g):
@@ -358,10 +342,6 @@ def clamp_min(t: Tensor, lo: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if type(a) is not Tensor:
-        a = _as_tensor(a)
-    if type(b) is not Tensor:
-        b = _as_tensor(b)
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul", f"expected 2-d operands, got {a.data.shape} and {b.data.shape}")
     if a.data.shape[1] != b.data.shape[0]:
@@ -387,7 +367,7 @@ def transpose(t: Tensor) -> Tensor:
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = [_as_tensor(t) for t in tensors]
+    ts = tuple(tensors)
     if not ts:
         raise ShapeError("concat", "empty input list")
     try:
@@ -403,13 +383,11 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def backward(g):
         return tuple(g[lead + (slice(lo, hi),)] for lo, hi in zip(edges, edges[1:]))
 
-    return _record(tuple(ts), out, backward)
+    return _record(ts, out, backward)
 
 
 def take_slice(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
     """Contiguous slice ``[start:stop]`` along one axis."""
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     if axis < 0 or axis >= t.data.ndim:
         raise ShapeError("take_slice", f"axis {axis} out of range for shape {t.data.shape}")
     size = t.data.shape[axis]
@@ -429,8 +407,6 @@ def take_slice(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     out = t.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
@@ -443,8 +419,6 @@ def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Te
 
 
 def reduce_mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     count = t.data.size if axis is None else t.data.shape[axis]
     out = t.data.mean(axis=axis, keepdims=keepdims)
 
@@ -468,8 +442,6 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     out = _sigmoid_values(t.data)
 
     def backward(g):
@@ -479,8 +451,6 @@ def sigmoid(t: Tensor) -> Tensor:
 
 
 def tanh(t: Tensor) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     out = np.tanh(t.data)
 
     def backward(g):
@@ -490,8 +460,6 @@ def tanh(t: Tensor) -> Tensor:
 
 
 def softplus(t: Tensor) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     x = t.data
     # NaN inputs pass through; divergence is caught at the loss value
     with np.errstate(invalid="ignore"):
@@ -505,8 +473,6 @@ def softplus(t: Tensor) -> Tensor:
 
 def softmax(t: Tensor, axis: int = -1) -> Tensor:
     """Numerically stabilized softmax; output rows sum to 1."""
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     x = t.data
     shifted = x - x.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
@@ -520,8 +486,6 @@ def softmax(t: Tensor, axis: int = -1) -> Tensor:
 
 
 def log(t: Tensor) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     if t.data.size and not t.data.min() > 0:
         raise DomainError("log: non-positive input")
     out = np.log(t.data)
@@ -533,8 +497,6 @@ def log(t: Tensor) -> Tensor:
 
 
 def exp(t: Tensor) -> Tensor:
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     with np.errstate(over="ignore"):
         out = np.exp(t.data)
     if out.size:
@@ -550,8 +512,6 @@ def exp(t: Tensor) -> Tensor:
 
 def l2norm(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     """Euclidean norm; the subgradient at an exactly-zero vector is 0."""
-    if type(t) is not Tensor:
-        t = _as_tensor(t)
     sq = (t.data * t.data).sum(axis=axis, keepdims=keepdims)
     out = np.sqrt(sq)
 
@@ -607,10 +567,6 @@ def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = N
     on batched rows (shift applied along the last axis). Callers guarantee
     that ``w`` and ``s`` are simplex vectors; only shapes are checked here.
     """
-    if type(w) is not Tensor:
-        w = _as_tensor(w)
-    if type(s) is not Tensor:
-        s = _as_tensor(s)
     if w.data.ndim not in (1, 2) or s.data.ndim != w.data.ndim:
         raise ShapeError("circular_convolution",
                          f"expected matching 1-d or 2-d operands, got {w.data.shape} and {s.data.shape}")
@@ -905,7 +861,6 @@ class BatchNorm:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def __call__(self, x: Tensor) -> Tensor:
-        x = _as_tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.dim:
             raise ShapeError("batch_norm", f"expected (batch, {self.dim}) input, got {x.data.shape}")
         if self.training:

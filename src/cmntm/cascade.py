@@ -11,7 +11,7 @@ modified query feature.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -43,9 +43,6 @@ class CascadeConfig:
     def stage_input_size(self) -> int:
         # hand-forward read + derived feature + own previous read
         return 2 * self.mem_width + self.feature_dim
-
-    def with_stages(self, num_stages: int) -> "CascadeConfig":
-        return replace(self, num_stages=num_stages)
 
 
 @dataclass

@@ -15,7 +15,6 @@ import os
 import sys
 
 from . import harness
-from .cascade import CascadeConfig
 from .config import TrainConfig, load_config
 from .errors import CmntmError
 from .synthdata import gen_distractor, load_dataset, save_dataset

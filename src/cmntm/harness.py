@@ -52,7 +52,7 @@ def build_model(cfg: TrainConfig):
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
     if cfg.model == "vntm":
-        return CMNTM(cfg.cascade.with_stages(1), rng)
+        return CMNTM(dataclasses.replace(cfg.cascade, num_stages=1), rng)
     if cfg.model == "lstm":
         return LstmBaseline(cfg.cascade.feature_dim, cfg.cascade.hidden_size, rng)
     if cfg.model == "ewma":
@@ -63,16 +63,15 @@ def build_model(cfg: TrainConfig):
 
 
 def stack_batch(transactions: Sequence[Transaction],
-                expected_turns: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack padded transactions into (queries, target_ids, target_features)."""
+                expected_turns: int) -> tuple[np.ndarray, np.ndarray]:
+    """Stack transactions into (queries, target_features), each (B, N, D)."""
     for txn in transactions:
         if txn.num_turns != expected_turns:
             raise ShapeError("stack_batch",
-                             f"transaction has {txn.num_turns} turns, expected padded length {expected_turns}")
+                             f"transaction has {txn.num_turns} turns, expected {expected_turns}")
     queries = np.stack([t.queries for t in transactions])
-    target_ids = np.stack([t.target_ids for t in transactions])
     target_features = np.stack([t.target_features for t in transactions])
-    return queries, target_ids, target_features
+    return queries, target_features
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +163,7 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
             if queries_override is not None:
                 queries = queries_override[idx[0]:idx[-1] + 1]
             else:
-                queries, _, _ = stack_batch([txns[i] for i in idx], dataset.max_turns)
+                queries, _ = stack_batch([txns[i] for i in idx], dataset.max_turns)
             state = model.initial_state(_rngs(_EVAL_MEM_TAG, seed, idx))
             with no_grad():
                 preds, _ = model.forward_transaction(queries, state)
@@ -385,17 +384,16 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
         gen_train, gen_val = default_datasets(cfg)
         train_ds = train_ds or gen_train
         val_ds = val_ds or gen_val
-    model = build_model(cfg)
-    params = model.parameters()
-    opt = Adam(params, cfg.learning_rate)
-    start_epoch = 0
+    ckpt = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
         if config_json(ckpt.cfg) != config_json(cfg):
             raise CheckpointError("resume config does not match checkpoint config")
-        model = restore_model(ckpt)
-        params = model.parameters()
-        opt = Adam(params, cfg.learning_rate)
+    model = build_model(cfg) if ckpt is None else restore_model(ckpt)
+    params = model.parameters()
+    opt = Adam(params, cfg.learning_rate)
+    start_epoch = 0
+    if ckpt is not None:
         _restore_optimizer(opt, ckpt)
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
@@ -420,7 +418,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             idx = [int(i) for i in order[start:start + cfg.batch_size]]
             if len(idx) < 2:
                 continue
-            queries, _, target_features = stack_batch([train_ds.transactions[i] for i in idx], turns)
+            queries, target_features = stack_batch([train_ds.transactions[i] for i in idx], turns)
             state = model.initial_state(_rngs(_TRAIN_MEM_TAG, cfg.seed, idx, extra=epoch))
             targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(turns)]
             try:
@@ -463,6 +461,17 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
 
 # ---------------------------------------------------------------------------
 # experiments
+
+
+def _write_artifact(out_dir: str, name: str, content: str | dict) -> None:
+    """Replace ``out_dir/name`` atomically with ``content``; a dict goes as JSON."""
+    os.makedirs(out_dir, exist_ok=True)
+    with atomic_open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        if isinstance(content, str):
+            fh.write(content)
+        else:
+            json.dump(content, fh, indent=2, sort_keys=True)
+            fh.write("\n")
 
 
 def full_model_gradient_check(num_stages: int = 2, mem_locations: int = 4, mem_width: int = 8,
@@ -511,7 +520,8 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
         val_ds = val_ds or gen_val
     rows = []
     for c in stage_counts:
-        cfg_c = dataclasses.replace(cfg, model="cmntm", cascade=cfg.cascade.with_stages(int(c)))
+        cfg_c = dataclasses.replace(cfg, model="cmntm",
+                                    cascade=dataclasses.replace(cfg.cascade, num_stages=int(c)))
         result = train(cfg_c, train_ds=train_ds, val_ds=val_ds, log=log)
         report = evaluate_model(result.model, val_ds, cfg.eval_batch_size, cfg.seed)
         rows.append({"C": int(c), "r5": report["r5"], "r8": report["r8"],
@@ -521,12 +531,11 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
         row["pct_change_vs_first"] = (0.0 if base == 0
                                       else (row["mean_r5_r8"] - base) / base * 100.0)
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "ablate_memories.csv"), "w", encoding="utf-8") as fh:
-            fh.write("C,r5,r8,mean_r5_r8,pct_change_vs_first\n")
-            for row in rows:
-                fh.write(f"{row['C']},{row['r5']:.6f},{row['r8']:.6f},"
-                         f"{row['mean_r5_r8']:.6f},{row['pct_change_vs_first']:.2f}\n")
+        lines = ["C,r5,r8,mean_r5_r8,pct_change_vs_first"]
+        for row in rows:
+            lines.append(f"{row['C']},{row['r5']:.6f},{row['r8']:.6f},"
+                         f"{row['mean_r5_r8']:.6f},{row['pct_change_vs_first']:.2f}")
+        _write_artifact(out_dir, "ablate_memories.csv", "\n".join(lines) + "\n")
     return rows
 
 
@@ -535,6 +544,14 @@ TURN_IMPORTANCE_PROTOCOL = (
     "prefix is granted via ground-truth state substitution: the model enters at "
     "turn N-k with the reference portion of that turn's query replaced by the "
     "turn-(N-k-1) ground-truth target feature")
+
+
+def _block_slice(block: int, block_len: int, feature_dim: int) -> slice:
+    """The coordinates of ``block``; a block that ends past the feature raises."""
+    if (block + 1) * block_len > feature_dim:
+        raise DegenerateInputError(
+            f"block {block} of length {block_len} ends past feature dim {feature_dim}")
+    return slice(block * block_len, (block + 1) * block_len)
 
 
 def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) -> np.ndarray:
@@ -554,8 +571,7 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) 
                     "turn_importance: ground-truth substitution needs generation metadata")
             granted = dataset.db.feature_of(int(txn.target_ids[entry_turn - 1]))
             for t in range(entry_turn, txn.queries.shape[0]):
-                block = txn.meta.turns[t].block
-                sl = slice(block * block_len, (block + 1) * block_len)
+                sl = _block_slice(txn.meta.turns[t].block, block_len, dataset.feature_dim)
                 rebuilt = granted.copy()
                 rebuilt[sl] = txn.queries[t][sl]
                 qs[t - entry_turn] = rebuilt
@@ -591,10 +607,7 @@ def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len:
         spreads[label] = max(values) - min(values)
     summary = {"protocol": TURN_IMPORTANCE_PROTOCOL, "rows": rows, "spread": spreads}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "turn_importance.json"), "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_artifact(out_dir, "turn_importance.json", summary)
     return summary
 
 
@@ -633,10 +646,7 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
               "mean_top5_overlap": float(np.mean(overlaps)),
               "target_retention": (retained / kept) if kept else None}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "turn_order.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_artifact(out_dir, "turn_order.json", report)
     return report
 
 
@@ -665,7 +675,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
         if txn.meta is None:
             raise DegenerateInputError("memory_retention: needs generation metadata")
         block = txn.meta.turns[0].block
-        sl = slice(block * block_len, (block + 1) * block_len)
+        sl = _block_slice(block, block_len, dataset.feature_dim)
         revealed = txn.queries[0][sl]
         sub = db.features[:, sl]
         if block not in block_norms:
@@ -695,10 +705,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
               "stateful": rates(stateful_preds),
               "state_reset": rates(reset_preds)}
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "memory_retention.json"), "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_artifact(out_dir, "memory_retention.json", report)
     return report
 
 
@@ -745,12 +752,11 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
                      "mean_r5_r8": recall,
                      "ms_per_txn": float(statistics.median(times_ms))})
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "timing.csv"), "w", encoding="utf-8") as fh:
-            fh.write("C,P,M,mean_r5_r8,ms_per_txn\n")
-            for row in rows:
-                recall_text = "" if row["mean_r5_r8"] is None else f"{row['mean_r5_r8']:.6f}"
-                fh.write(f"{row['C']},{row['P']},{row['M']},{recall_text},{row['ms_per_txn']:.6f}\n")
+        lines = ["C,P,M,mean_r5_r8,ms_per_txn"]
+        for row in rows:
+            recall_text = "" if row["mean_r5_r8"] is None else f"{row['mean_r5_r8']:.6f}"
+            lines.append(f"{row['C']},{row['P']},{row['M']},{recall_text},{row['ms_per_txn']:.6f}")
+        _write_artifact(out_dir, "timing.csv", "\n".join(lines) + "\n")
     return rows
 
 

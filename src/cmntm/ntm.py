@@ -150,9 +150,6 @@ class NTMStage:
 
     def __init__(self, input_size: int, mem_locations: int, mem_width: int,
                  hidden_size: int, rng: np.random.Generator, dtype=np.float32):
-        self.mem_locations = mem_locations
-        self.mem_width = mem_width
-        self.hidden_size = hidden_size
         self.controller = LSTMCell(input_size, hidden_size, rng, dtype)
         self.read_head = HeadMLP(hidden_size, mem_width, write=False, rng=rng, dtype=dtype)
         self.write_head = HeadMLP(hidden_size, mem_width, write=True, rng=rng, dtype=dtype)

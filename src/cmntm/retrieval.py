@@ -141,8 +141,9 @@ def batch_loss(predictions: Tensor, targets: Tensor) -> Tensor:
         raise DegenerateInputError("batch_loss: zero-norm row")
     if b == 1:
         return Tensor(np.zeros((), dtype=predictions.data.dtype))
-    pn = ad.div(predictions, ad.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), COSINE_EPS))
-    tn = ad.div(targets, ad.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), COSINE_EPS))
+    # the guard above makes every norm exceed COSINE_EPS, so no floor is needed
+    pn = ad.div(predictions, ad.l2norm(predictions, axis=1, keepdims=True))
+    tn = ad.div(targets, ad.l2norm(targets, axis=1, keepdims=True))
     sims = ad.matmul(pn, ad.transpose(tn))
     exp_sims = ad.exp(sims)
     log_denom = ad.log(ad.reduce_sum(exp_sims, axis=1))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,12 +83,16 @@ class TransactionMeta:
 
 @dataclass
 class Transaction:
-    """One padded multi-turn retrieval episode."""
+    """One multi-turn retrieval episode of exactly the dataset's N_max turns.
+
+    ``original_len`` records how many leading turns are real; the file format
+    keeps it, though every generator fills all N_max turns.
+    """
 
     queries: np.ndarray          # (N, D) float32 query feature per turn
     target_ids: np.ndarray       # (N,) int64 per-turn ground-truth item id
     target_features: np.ndarray  # (N, D) float32 features of the ground-truth items
-    original_len: int            # turns before padding
+    original_len: int            # real turns; later ones repeat the last
     meta: TransactionMeta | None = None
 
     def __post_init__(self):
@@ -114,35 +118,6 @@ class SyntheticDataset:
     db: CandidateDB
     transactions: list[Transaction]
     split: str = "train"
-
-
-def pad_transaction(txn: Transaction, max_turns: int) -> Transaction:
-    """Pad to ``max_turns`` by repeating the last real turn; keeps original_len."""
-    if txn.num_turns > max_turns:
-        raise DegenerateInputError(
-            f"pad_transaction: transaction has {txn.num_turns} turns, max_turns is {max_turns}")
-    extra = max_turns - txn.num_turns
-    if extra == 0:
-        return txn
-    queries = np.concatenate([txn.queries, np.repeat(txn.queries[-1:], extra, axis=0)])
-    target_ids = np.concatenate([txn.target_ids, np.repeat(txn.target_ids[-1:], extra)])
-    target_features = np.concatenate(
-        [txn.target_features, np.repeat(txn.target_features[-1:], extra, axis=0)])
-    meta = None
-    if txn.meta is not None:
-        turns = txn.meta.turns + [TurnMeta(txn.meta.turns[-1].block, txn.meta.turns[-1].distractor)] * extra
-        meta = TransactionMeta(txn.meta.reference_id, turns)
-    return Transaction(queries, target_ids, target_features, txn.original_len, meta)
-
-
-def truncate_transaction(txn: Transaction) -> Transaction:
-    """Drop padded turns, restoring the transaction to its original length."""
-    n = txn.original_len
-    meta = None
-    if txn.meta is not None:
-        meta = TransactionMeta(txn.meta.reference_id, txn.meta.turns[:n])
-    return Transaction(txn.queries[:n].copy(), txn.target_ids[:n].copy(),
-                       txn.target_features[:n].copy(), n, meta)
 
 
 def make_db(config: TaskConfig) -> CandidateDB:
@@ -322,6 +297,16 @@ def _read_floats(obj: dict, key: str, out: np.ndarray, path: str, line_no: int) 
     raise DatasetFormatError(path, line_no, f"{key} must be a list of {len(out)} numbers")
 
 
+def _turn_meta(obj: dict, feature_dim: int, path: str, line_no: int) -> TurnMeta:
+    block = _int(obj, "block", path, line_no)
+    if not 0 <= block < feature_dim:
+        raise DatasetFormatError(path, line_no, f"block must be in [0, {feature_dim}), got {block}")
+    distractor = _require(obj, "distractor", path, line_no)
+    if not isinstance(distractor, bool):
+        raise DatasetFormatError(path, line_no, f"distractor must be true or false, got {distractor!r:.40}")
+    return TurnMeta(block, distractor)
+
+
 def load_dataset(path: str) -> SyntheticDataset:
     """Parse a dataset file; malformed content raises with the line number.
 
@@ -340,8 +325,8 @@ def load_dataset(path: str) -> SyntheticDataset:
         feature_dim = _int(header, "D", path, 1)
         max_turns = _int(header, "N_max", path, 1)
         db_size = _int(header, "db_size", path, 1)
-        if min(feature_dim, max_turns, db_size) < 0:
-            raise DatasetFormatError(path, 1, "D, N_max and db_size must be non-negative")
+        if min(feature_dim, db_size) < 0 or max_turns < 1:
+            raise DatasetFormatError(path, 1, "D and db_size must be non-negative, N_max positive")
         split = str(header.get("split", "train"))
         # A db line takes at least 2 * D + 20 bytes, so the file holds fewer
         # rows than this bound: a header that promises more fails on a missing
@@ -373,8 +358,8 @@ def load_dataset(path: str) -> SyntheticDataset:
             obj = _parse_line(path, line_no, line)
             turns = _require(obj, "turns", path, line_no)
             original_len = _int(obj, "original_len", path, line_no)
-            if not isinstance(turns, list) or not turns:
-                raise DatasetFormatError(path, line_no, "turns must be a non-empty list")
+            if not isinstance(turns, list) or len(turns) != max_turns:
+                raise DatasetFormatError(path, line_no, f"turns must be a list of N_max = {max_turns} turns")
             queries = np.empty((len(turns), feature_dim), dtype=np.float32)
             target_ids = []
             for n, turn in enumerate(turns):
@@ -391,13 +376,12 @@ def load_dataset(path: str) -> SyntheticDataset:
             if "meta" in obj:
                 raw = obj["meta"]
                 meta_turns = _require(raw, "turns", path, line_no)
-                if not isinstance(meta_turns, list):
-                    raise DatasetFormatError(path, line_no, "meta turns must be a list")
+                if not isinstance(meta_turns, list) or len(meta_turns) != len(turns):
+                    raise DatasetFormatError(path, line_no,
+                                             f"meta turns must be a list of {len(turns)} turns")
                 meta = TransactionMeta(
                     reference_id=_int(raw, "ref", path, line_no),
-                    turns=[TurnMeta(_int(t, "block", path, line_no),
-                                    bool(_require(t, "distractor", path, line_no)))
-                           for t in meta_turns])
+                    turns=[_turn_meta(t, feature_dim, path, line_no) for t in meta_turns])
             try:
                 txn = Transaction(
                     queries=queries,

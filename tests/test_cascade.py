@@ -46,12 +46,6 @@ def test_stage_input_size_is_two_reads_plus_feature():
     assert cfg.stage_input_size == 2 * 3 + 6
 
 
-def test_with_stages_replaces_count_only():
-    cfg = _tiny_config().with_stages(4)
-    assert cfg.num_stages == 4
-    assert cfg.mem_width == 3
-
-
 # ---------------------------------------------------------------------------
 # model structure
 

@@ -30,7 +30,7 @@ from cmntm.errors import (
     TrainingDivergedError,
 )
 from cmntm.retrieval import CandidateDB, rank, recall_at_k, similarity_scores, transaction_loss
-from cmntm.synthdata import TaskConfig, gen_block_reveal
+from cmntm.synthdata import TaskConfig, TransactionMeta, TurnMeta, gen_block_reveal
 
 
 TINY_TASK = TaskConfig(feature_dim=8, blocks=4, max_turns=2, db_size=16,
@@ -238,7 +238,7 @@ class TestTraining:
         model = harness.build_model(cfg)
         model.set_training(True)
         ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-        queries, _, target_features = harness.stack_batch(ds.transactions, 2)
+        queries, target_features = harness.stack_batch(ds.transactions, 2)
         targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(2)]
 
         def loss_once(record: bool):
@@ -287,7 +287,7 @@ class TestTraining:
 def _model_step_tape(model, seed: int = 0):
     """Record one training forward of ``model`` on four tiny transactions."""
     ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-    queries, _, target_features = harness.stack_batch(ds.transactions, 2)
+    queries, target_features = harness.stack_batch(ds.transactions, 2)
     targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(2)]
     state = model.initial_state([np.random.default_rng(seed + i) for i in range(4)])
     with Tape() as tape:
@@ -679,6 +679,32 @@ class TestExperiments:
         with pytest.raises(DegenerateInputError):
             harness.turn_importance(model, baseline, stripped, TINY_TASK.block_len,
                                     eval_batch_size=8, seed=0)
+
+    @pytest.mark.parametrize("experiment", ["turn_importance", "memory_retention"])
+    def test_block_past_the_feature_end_raises(self, tiny_val, experiment):
+        # block 4 of length 2 would slice coordinates 8:10 of an 8-dim feature
+        meta_turns = [TurnMeta(4, False)] * tiny_val.max_turns
+        ds = dataclasses.replace(tiny_val, transactions=[
+            dataclasses.replace(t, meta=TransactionMeta(t.meta.reference_id, meta_turns))
+            for t in tiny_val.transactions])
+        model = harness.build_model(tiny_cfg())
+        with pytest.raises(DegenerateInputError, match="block 4 of length 2"):
+            if experiment == "turn_importance":
+                harness.turn_importance(model, harness.build_model(tiny_cfg(model="lstm")), ds,
+                                        TINY_TASK.block_len, eval_batch_size=8, seed=0)
+            else:
+                harness.memory_retention_experiment(model, ds, TINY_TASK.block_len,
+                                                    eval_batch_size=8, seed=0)
+
+    def test_failed_artifact_write_keeps_the_existing_file(self, tmp_path):
+        path = tmp_path / "report.json"
+        harness._write_artifact(str(tmp_path), "report.json", {"a": 1})
+        before = path.read_bytes()
+        # not JSON-serializable: raises after "a" has been written
+        with pytest.raises(TypeError):
+            harness._write_artifact(str(tmp_path), "report.json", {"a": 2, "z": object()})
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["report.json"]
 
     def test_turn_order_single_turn_overlap_is_one(self):
         task = TaskConfig(feature_dim=8, blocks=4, max_turns=1, db_size=16, seed=0)

@@ -346,6 +346,41 @@ class TestBatchLoss:
             batch_loss(Tensor(np.ones(3)), Tensor(np.ones(3)))
 
 
+def _clamped_batch_loss(predictions, targets):
+    # the loss as it was built with its cosine denominators floored by clamp_min
+    b = predictions.data.shape[0]
+    pn = ad.div(predictions, ad.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), ad.COSINE_EPS))
+    tn = ad.div(targets, ad.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), ad.COSINE_EPS))
+    sims = ad.matmul(pn, ad.transpose(tn))
+    log_denom = ad.log(ad.reduce_sum(ad.exp(sims), axis=1))
+    diag = ad.reduce_sum(ad.mul(sims, Tensor(np.eye(b, dtype=predictions.data.dtype))), axis=1)
+    return ad.reduce_mean(ad.sub(log_denom, diag))
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 8), dim=st.integers(1, 16),
+       dtype=st.sampled_from([np.float32, np.float64]), scale=st.floats(1e-3, 1e3),
+       tiny=st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_batch_loss_equals_the_clamped_chain(seed, b, dim, dtype, scale, tiny):
+    rng = np.random.default_rng(seed)
+    arrays = [(rng.normal(size=(b, dim)) * scale).astype(dtype) for _ in range(2)]
+    for arr in arrays:
+        # rows whose norm sits just above the guard's COSINE_EPS
+        for i in rng.choice(b, size=min(tiny, b), replace=False):
+            arr[i] = (arr[i] / np.linalg.norm(arr[i]) * 2e-8).astype(dtype)
+    results = []
+    for loss_fn in (batch_loss, _clamped_batch_loss):
+        preds = Tensor(arrays[0].copy(), requires_grad=True)
+        tars = Tensor(arrays[1].copy(), requires_grad=True)
+        with Tape() as tape:
+            loss = loss_fn(preds, tars)
+        tape.backward(loss)
+        results.append((loss.data, preds.grad, tars.grad))
+    for got, want in zip(*results):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
 # ----------------------------------------------------------- transaction_loss
 
 class TestTransactionLoss:

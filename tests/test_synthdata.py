@@ -22,9 +22,7 @@ from cmntm.synthdata import (
     load_dataset,
     make_db,
     oracle_features,
-    pad_transaction,
     save_dataset,
-    truncate_transaction,
 )
 
 
@@ -195,43 +193,9 @@ class TestDistractors:
         assert 0.3 < np.mean(flags) < 0.7
 
 
-# ------------------------------------------------------------ pad and truncate
-
-def _two_turn_txn(rng):
-    q = rng.normal(size=(2, 8)).astype(np.float32)
-    feats = rng.normal(size=(2, 8)).astype(np.float32)
-    meta = TransactionMeta(reference_id=3, turns=[TurnMeta(0, False), TurnMeta(2, False)])
-    return Transaction(q, np.array([4, 5]), feats, original_len=2, meta=meta)
-
+# --------------------------------------------------------------- transactions
 
 class TestPadding:
-    def test_pad_repeats_last_turn(self, rng):
-        txn = _two_turn_txn(rng)
-        padded = pad_transaction(txn, max_turns=4)
-        assert padded.num_turns == 4
-        assert padded.original_len == 2
-        np.testing.assert_array_equal(padded.queries[2], txn.queries[1])
-        np.testing.assert_array_equal(padded.queries[3], txn.queries[1])
-        np.testing.assert_array_equal(padded.target_ids, [4, 5, 5, 5])
-        assert [t.block for t in padded.meta.turns] == [0, 2, 2, 2]
-
-    def test_pad_truncate_round_trip(self, rng):
-        txn = _two_turn_txn(rng)
-        back = truncate_transaction(pad_transaction(txn, max_turns=4))
-        np.testing.assert_array_equal(back.queries, txn.queries)
-        np.testing.assert_array_equal(back.target_ids, txn.target_ids)
-        assert back.original_len == 2
-        assert [t.block for t in back.meta.turns] == [0, 2]
-
-    def test_pad_to_same_length_is_identity(self, rng):
-        txn = _two_turn_txn(rng)
-        assert pad_transaction(txn, max_turns=2) is txn
-
-    def test_pad_below_length_raises(self, rng):
-        txn = _two_turn_txn(rng)
-        with pytest.raises(DegenerateInputError):
-            pad_transaction(txn, max_turns=1)
-
     def test_transaction_validates_turn_counts(self, rng):
         q = rng.normal(size=(2, 4)).astype(np.float32)
         with pytest.raises(DegenerateInputError):
@@ -267,12 +231,12 @@ class TestSerialization:
 
     def test_padded_short_transactions_round_trip(self, rng, tmp_path):
         ds = gen_block_reveal(SMALL, count=2)
-        q = rng.normal(size=(2, SMALL.feature_dim)).astype(np.float32)
-        meta = TransactionMeta(reference_id=3, turns=[TurnMeta(0, False), TurnMeta(2, False)])
-        short = Transaction(q, np.array([4, 5]),
-                            np.stack([ds.db.feature_of(i) for i in (4, 5)]),
-                            original_len=2, meta=meta)
-        ds.transactions.append(pad_transaction(short, ds.max_turns))
+        # two real turns, the second repeated to fill N_max = 4
+        q = np.repeat(rng.normal(size=(2, SMALL.feature_dim)).astype(np.float32), [1, 3], axis=0)
+        ids = np.array([4, 5, 5, 5])
+        meta = TransactionMeta(reference_id=3, turns=[TurnMeta(0, False)] + [TurnMeta(2, False)] * 3)
+        ds.transactions.append(Transaction(q, ids, np.stack([ds.db.feature_of(i) for i in ids]),
+                                           original_len=2, meta=meta))
         path = str(tmp_path / "mixed.jsonl")
         save_dataset(ds, path)
         loaded = load_dataset(path)
@@ -359,9 +323,17 @@ class TestSerialization:
         (36, lambda o: o["turns"][0].update(target_id=None)),
         (36, lambda o: o["meta"]["turns"].__setitem__(0, 5)),
         (36, lambda o: o["meta"].update(turns=5)),
+        (34, lambda o: o.update(turns=o["turns"][:2], original_len=2,
+                                meta={"ref": o["meta"]["ref"], "turns": o["meta"]["turns"][:2]})),
+        (35, lambda o: o["meta"]["turns"][1].update(distractor="no")),
+        (35, lambda o: o["meta"].update(turns=o["meta"]["turns"][:2])),
+        (36, lambda o: o["meta"]["turns"][2].update(block=99)),
+        (36, lambda o: o["meta"]["turns"][0].update(block=-1)),
     ], ids=["header-D", "negative-db-size", "feature-text", "feature-null", "db-id-huge",
             "db-id-text", "duplicate-db-id", "qry-text", "qry-null", "original-len-text",
-            "meta-number", "target-id-null", "meta-turn-number", "meta-turns-number"])
+            "meta-number", "target-id-null", "meta-turn-number", "meta-turns-number",
+            "short-turns", "distractor-text", "short-meta-turns", "block-past-D",
+            "block-negative"])
     def test_malformed_value_cites_line(self, tmp_path, line_no, corrupt):
         ds = gen_block_reveal(SMALL, count=3)
         path = str(tmp_path / "bad.jsonl")

@@ -66,8 +66,8 @@ class CMNTM:
         c, d = config.num_stages, config.feature_dim
         self.derive_fc = [Linear(d, d, rng, dtype) for _ in range(c - 1)]
         self.derive_bn = [BatchNorm(d, dtype=dtype) for _ in range(c - 1)]
-        self.stages = [NTMStage(config.stage_input_size, config.mem_locations,
-                                config.mem_width, config.hidden_size, rng, dtype)
+        self.stages = [NTMStage(config.stage_input_size, config.mem_width,
+                                config.hidden_size, rng, dtype)
                        for _ in range(c)]
         self.fusion = Linear(config.hidden_size + config.mem_width, d, rng, dtype)
         self.training = True
@@ -94,16 +94,12 @@ class CMNTM:
         return out
 
     def buffers(self) -> dict[str, np.ndarray]:
+        """The live batch-norm running statistics; a restore writes into them."""
         out: dict[str, np.ndarray] = {}
         for i, bn in enumerate(self.derive_bn):
             for name, b in bn.buffers().items():
                 out[f"derive{i}.bn.{name}"] = b
         return out
-
-    def set_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        for i, bn in enumerate(self.derive_bn):
-            bn.running_mean = buffers[f"derive{i}.bn.running_mean"].copy()
-            bn.running_var = buffers[f"derive{i}.bn.running_var"].copy()
 
     # -- state ---------------------------------------------------------------
 
@@ -157,7 +153,7 @@ class CMNTM:
 
     def forward_transaction(self, queries: np.ndarray,
                             state: CascadeState) -> tuple[list[Tensor], CascadeState]:
-        """Run all turns of a padded transaction batch.
+        """Run all turns of a transaction batch.
 
         ``queries`` has shape (B, N, D); returns the per-turn predictions and
         the final state.
@@ -189,9 +185,6 @@ class _AggregatorModel:
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
-
-    def set_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        pass
 
     def initial_state(self, rngs) -> None:
         return None
@@ -259,9 +252,6 @@ class LstmBaseline:
 
     def buffers(self) -> dict[str, np.ndarray]:
         return {}
-
-    def set_buffers(self, buffers: dict[str, np.ndarray]) -> None:
-        pass
 
     def initial_state(self, rngs) -> tuple[Tensor, Tensor]:
         b = len(rngs)

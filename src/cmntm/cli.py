@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import json
 import os
+import re
 import sys
 
 from . import harness
@@ -31,14 +32,31 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
+# the config field that sets each split's transaction count
+_SPLIT_COUNTS = {"train": "train_count", "val": "val_count", "test": "val_count"}
+
+
+def _comma_list(pattern: str, what: str, convert=int):
+    """An argparse ``type``: a comma list whose items all match ``pattern``."""
+    def parse(text: str) -> list:
+        items = [item.strip() for item in text.split(",")]
+        if not all(re.fullmatch(pattern, item) for item in items):
+            raise argparse.ArgumentTypeError(f"expected a comma list of {what}, got {text!r}")
+        return [convert(item) for item in items]
+    return parse
+
+
+_POSITIVE = r"\d*[1-9]\d*"
+_SPLITS = _comma_list("|".join(_SPLIT_COUNTS), "train, val, test", str)
+_STAGES = _comma_list(_POSITIVE, "positive integers")
+_SIZES = _comma_list(f"{_POSITIVE}x{_POSITIVE}", "PxM sizes",
+                     lambda t: tuple(map(int, t.split("x"))))
+
+
 def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    counts = {"train": cfg.train_count, "val": cfg.val_count, "test": cfg.val_count}
-    for split in args.splits.split(","):
-        split = split.strip()
-        if split not in counts:
-            raise CmntmError(f"unknown split {split!r} (expected train, val, or test)")
-        dataset = gen_distractor(cfg.task, counts[split], split=split)
+    for split in args.splits:
+        dataset = gen_distractor(cfg.task, getattr(cfg, _SPLIT_COUNTS[split]), split=split)
         path = f"{args.out}/{split}.jsonl"
         os.makedirs(args.out, exist_ok=True)
         save_dataset(dataset, path)
@@ -92,8 +110,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
 
 def _cmd_ablate_memories(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    stage_counts = [int(s) for s in args.stages.split(",")]
-    rows = harness.ablate_num_memories(cfg, stage_counts, out_dir=args.out, log=print)
+    rows = harness.ablate_num_memories(cfg, args.stages, out_dir=args.out, log=print)
     for row in rows:
         print(f"C={row['C']}: mean_r5_r8 {row['mean_r5_r8']:.6f} "
               f"({row['pct_change_vs_first']:+.2f}% vs C={rows[0]['C']})")
@@ -137,13 +154,8 @@ def _cmd_memory_retention(args: argparse.Namespace) -> int:
 
 def _cmd_time(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    stage_counts = [int(s) for s in args.stages.split(",")]
-    sizes = []
-    for token in args.sizes.split(","):
-        p, _, m = token.partition("x")
-        sizes.append((int(p), int(m)))
     configs = [dataclasses.replace(cfg.cascade, num_stages=c, mem_locations=p, mem_width=m)
-               for (p, m) in sizes for c in stage_counts]
+               for (p, m) in args.sizes for c in args.stages]
     rows = harness.timing_experiment(configs, cfg.task, txn_count=args.txns,
                                      warmup=args.warmup, seed=cfg.seed,
                                      checkpoint_path=args.checkpoint, out_dir=args.out)
@@ -168,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate synthetic datasets")
     common(p, out_required=True)
-    p.add_argument("--splits", default="train,val", help="comma list: train,val,test")
+    p.add_argument("--splits", default="train,val", type=_SPLITS, help="comma list: train,val,test")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model")
@@ -197,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ablate-memories", help="train at several cascade depths")
     common(p, out_required=True)
-    p.add_argument("--stages", default="1,2", help="comma list of stage counts")
+    p.add_argument("--stages", default="1,2", type=_STAGES, help="comma list of stage counts")
     p.set_defaults(func=_cmd_ablate_memories)
 
     p = sub.add_parser("turn-importance", help="recall vs history length")
@@ -222,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("time", help="median inference time per transaction")
     common(p)
-    p.add_argument("--stages", default="1,2,4,8", help="comma list of stage counts")
-    p.add_argument("--sizes", default="16x32", help="comma list of PxM memory sizes")
+    p.add_argument("--stages", default="1,2,4,8", type=_STAGES, help="comma list of stage counts")
+    p.add_argument("--sizes", default="16x32", type=_SIZES, help="comma list of PxM memory sizes")
     p.add_argument("--txns", type=int, default=100)
     p.add_argument("--warmup", type=int, default=10)
     p.add_argument("--checkpoint", help="report this checkpoint's recall alongside timings")
@@ -235,7 +247,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:
+        # a usage error (status 2) or --help returns its status like any command
+        return e.code
     try:
         return args.func(args)
     except (CmntmError, OSError) as e:

@@ -13,7 +13,7 @@ from .cascade import CascadeConfig
 from .errors import ConfigError
 from .synthdata import TaskConfig
 
-MODEL_KINDS = ("cmntm", "vntm", "lstm", "ewma", "mean")
+MODEL_KINDS = ("cmntm", "lstm", "ewma", "mean")
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .errors import (CheckpointError, ConfigError, DegenerateInputError, DomainE
                      ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
 from .retrieval import CandidateDB, similarity_scores, transaction_loss
-from .synthdata import SyntheticDataset, TaskConfig, Transaction, gen_distractor
+from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
 METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
 RECALL_KS = (1, 5, 8, 10)
@@ -51,8 +51,6 @@ def build_model(cfg: TrainConfig):
     rng = np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, cfg.seed]))
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
-    if cfg.model == "vntm":
-        return CMNTM(dataclasses.replace(cfg.cascade, num_stages=1), rng)
     if cfg.model == "lstm":
         return LstmBaseline(cfg.cascade.feature_dim, cfg.cascade.hidden_size, rng)
     if cfg.model == "ewma":
@@ -62,16 +60,13 @@ def build_model(cfg: TrainConfig):
     raise ValueError(f"unknown model kind {cfg.model!r}")
 
 
-def stack_batch(transactions: Sequence[Transaction],
-                expected_turns: int) -> tuple[np.ndarray, np.ndarray]:
-    """Stack transactions into (queries, target_features), each (B, N, D)."""
+def stack_batch(transactions: Sequence[Transaction], expected_turns: int) -> np.ndarray:
+    """Stack the transactions' queries into one (B, N, D) array."""
     for txn in transactions:
         if txn.num_turns != expected_turns:
             raise ShapeError("stack_batch",
                              f"transaction has {txn.num_turns} turns, expected {expected_turns}")
-    queries = np.stack([t.queries for t in transactions])
-    target_features = np.stack([t.target_features for t in transactions])
-    return queries, target_features
+    return np.stack([t.queries for t in transactions])
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +158,7 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
             if queries_override is not None:
                 queries = queries_override[idx[0]:idx[-1] + 1]
             else:
-                queries, _ = stack_batch([txns[i] for i in idx], dataset.max_turns)
+                queries = stack_batch([txns[i] for i in idx], dataset.max_turns)
             state = model.initial_state(_rngs(_EVAL_MEM_TAG, seed, idx))
             with no_grad():
                 preds, _ = model.forward_transaction(queries, state)
@@ -235,22 +230,20 @@ class Checkpoint:
     adam_v: dict[str, np.ndarray]
 
 
-def save_checkpoint(path: str, model, opt: Adam | None, cfg: TrainConfig, epoch: int) -> None:
+def save_checkpoint(path: str, model, opt: Adam, cfg: TrainConfig, epoch: int) -> None:
     entries: dict[str, np.ndarray] = {}
     config_data, config_len = ckpt_io.pack_text(config_json(cfg))
     entries["meta.config"] = config_data
     entries["meta.config_len"] = config_len
     entries["meta.epoch"] = np.asarray([float(epoch)], dtype=np.float32)
-    entries["meta.adam_step"] = np.asarray(
-        [float(opt.step_count if opt is not None else 0)], dtype=np.float32)
+    entries["meta.adam_step"] = np.asarray([float(opt.step_count)], dtype=np.float32)
     for name, p in model.parameters().items():
         entries[f"param.{name}"] = p.data
     for name, b in model.buffers().items():
         entries[f"buffer.{name}"] = b
-    if opt is not None:
-        for name in model.parameters():
-            entries[f"adam.m.{name}"] = opt.m[name]
-            entries[f"adam.v.{name}"] = opt.v[name]
+    for name in model.parameters():
+        entries[f"adam.m.{name}"] = opt.m[name]
+        entries[f"adam.v.{name}"] = opt.v[name]
     ckpt_io.save_entries(path, entries)
 
 
@@ -279,30 +272,24 @@ def load_checkpoint(path: str) -> Checkpoint:
     return Checkpoint(cfg, epoch, adam_step, params, buffers, adam_m, adam_v)
 
 
+def _restore_arrays(group: str, live: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
+    """Copy ``saved`` into the ``live`` arrays in place; names and shapes must match exactly."""
+    misshaped = [f"{name} {saved[name].shape} for {arr.shape}" for name, arr in live.items()
+                 if name in saved and saved[name].shape != arr.shape]
+    if set(live) != set(saved) or misshaped:
+        raise CheckpointError(f"{group} mismatch: missing {sorted(set(live) - set(saved))}, "
+                              f"unexpected {sorted(set(saved) - set(live))}, mis-shaped {misshaped}")
+    for name, arr in live.items():
+        arr[...] = saved[name]
+
+
 def restore_model(ckpt: Checkpoint):
     """Rebuild the checkpointed model and load its parameters and buffers."""
     model = build_model(ckpt.cfg)
-    params = model.parameters()
-    if set(params) != set(ckpt.params):
-        missing = sorted(set(params) - set(ckpt.params))
-        extra = sorted(set(ckpt.params) - set(params))
-        raise CheckpointError(f"parameter set mismatch (missing {missing}, unexpected {extra})")
-    for name, p in params.items():
-        if p.data.shape != ckpt.params[name].shape:
-            raise CheckpointError(
-                f"parameter {name!r} has shape {ckpt.params[name].shape}, expected {p.data.shape}")
-        p.data = ckpt.params[name].copy()
-    if ckpt.buffers:
-        model.set_buffers(ckpt.buffers)
+    _restore_arrays("parameter", {name: p.data for name, p in model.parameters().items()},
+                    ckpt.params)
+    _restore_arrays("buffer", model.buffers(), ckpt.buffers)
     return model
-
-
-def _restore_optimizer(opt: Adam, ckpt: Checkpoint) -> None:
-    opt.step_count = ckpt.adam_step
-    for name in opt.params:
-        if name in ckpt.adam_m:
-            opt.m[name] = ckpt.adam_m[name].copy()
-            opt.v[name] = ckpt.adam_v[name].copy()
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +381,13 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     opt = Adam(params, cfg.learning_rate)
     start_epoch = 0
     if ckpt is not None:
-        _restore_optimizer(opt, ckpt)
+        opt.step_count = ckpt.adam_step
+        _restore_arrays("adam.m", opt.m, ckpt.adam_m)
+        _restore_arrays("adam.v", opt.v, ckpt.adam_v)
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
     turns = train_ds.max_turns
+    db = train_ds.db
     metrics_rows: list[dict] = []
     count = len(train_ds.transactions)
     metrics_path = None
@@ -418,9 +408,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             idx = [int(i) for i in order[start:start + cfg.batch_size]]
             if len(idx) < 2:
                 continue
-            queries, target_features = stack_batch([train_ds.transactions[i] for i in idx], turns)
+            batch = [train_ds.transactions[i] for i in idx]
+            queries = stack_batch(batch, turns)
             state = model.initial_state(_rngs(_TRAIN_MEM_TAG, cfg.seed, idx, extra=epoch))
-            targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(turns)]
+            targets = [Tensor(db.features[[db.index_of(t.target_ids[n]) for t in batch]])
+                       for n in range(turns)]
             try:
                 with Tape() as tape:
                     preds, _ = model.forward_transaction(queries, state)
@@ -546,14 +538,6 @@ TURN_IMPORTANCE_PROTOCOL = (
     "turn-(N-k-1) ground-truth target feature")
 
 
-def _block_slice(block: int, block_len: int, feature_dim: int) -> slice:
-    """The coordinates of ``block``; a block that ends past the feature raises."""
-    if (block + 1) * block_len > feature_dim:
-        raise DegenerateInputError(
-            f"block {block} of length {block_len} ends past feature dim {feature_dim}")
-    return slice(block * block_len, (block + 1) * block_len)
-
-
 def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) -> np.ndarray:
     """Queries from ``entry_turn`` on, rebuilt around the previous turn's
     ground-truth target feature.
@@ -571,7 +555,7 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) 
                     "turn_importance: ground-truth substitution needs generation metadata")
             granted = dataset.db.feature_of(int(txn.target_ids[entry_turn - 1]))
             for t in range(entry_turn, txn.queries.shape[0]):
-                sl = _block_slice(txn.meta.turns[t].block, block_len, dataset.feature_dim)
+                sl = block_slice(txn.meta.turns[t].block, block_len, dataset.feature_dim)
                 rebuilt = granted.copy()
                 rebuilt[sl] = txn.queries[t][sl]
                 qs[t - entry_turn] = rebuilt
@@ -675,7 +659,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
         if txn.meta is None:
             raise DegenerateInputError("memory_retention: needs generation metadata")
         block = txn.meta.turns[0].block
-        sl = _block_slice(block, block_len, dataset.feature_dim)
+        sl = block_slice(block, block_len, dataset.feature_dim)
         revealed = txn.queries[0][sl]
         sub = db.features[:, sl]
         if block not in block_norms:
@@ -728,7 +712,7 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
     for cc in cascade_configs:
         if cc.feature_dim != task.feature_dim:
             raise ValueError("timing_experiment: cascade feature_dim must match the task")
-        if loaded is not None and loaded.cfg.cascade == cc and loaded.cfg.model in ("cmntm", "vntm"):
+        if loaded is not None and loaded.cfg.cascade == cc and loaded.cfg.model == "cmntm":
             model = restore_model(loaded)
             recall = evaluate_model(model, dataset, seed=seed)["mean_r5_r8"]
         else:

@@ -148,8 +148,8 @@ class StageState:
 class NTMStage:
     """Controller, heads, and memory update for one cascade stage."""
 
-    def __init__(self, input_size: int, mem_locations: int, mem_width: int,
-                 hidden_size: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, input_size: int, mem_width: int, hidden_size: int,
+                 rng: np.random.Generator, dtype=np.float32):
         self.controller = LSTMCell(input_size, hidden_size, rng, dtype)
         self.read_head = HeadMLP(hidden_size, mem_width, write=False, rng=rng, dtype=dtype)
         self.write_head = HeadMLP(hidden_size, mem_width, write=True, rng=rng, dtype=dtype)

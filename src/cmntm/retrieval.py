@@ -153,7 +153,7 @@ def batch_loss(predictions: Tensor, targets: Tensor) -> Tensor:
 
 
 def transaction_loss(predictions: Sequence[Tensor], targets: Sequence[Tensor]) -> Tensor:
-    """Mean of the per-turn batch losses over a padded transaction."""
+    """Mean of the per-turn batch losses over a transaction."""
     if len(predictions) != len(targets):
         raise ShapeError("transaction_loss",
                          f"{len(predictions)} prediction turns for {len(targets)} target turns")

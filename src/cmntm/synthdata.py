@@ -63,8 +63,13 @@ class TaskConfig:
     def block_len(self) -> int:
         return self.feature_dim // self.blocks
 
-    def block_slice(self, block: int) -> slice:
-        return slice(block * self.block_len, (block + 1) * self.block_len)
+
+def block_slice(block: int, block_len: int, feature_dim: int) -> slice:
+    """The coordinates of ``block``; a block that ends past the feature raises."""
+    if (block + 1) * block_len > feature_dim:
+        raise DegenerateInputError(
+            f"block {block} of length {block_len} ends past feature dim {feature_dim}")
+    return slice(block * block_len, (block + 1) * block_len)
 
 
 @dataclass
@@ -85,26 +90,18 @@ class TransactionMeta:
 class Transaction:
     """One multi-turn retrieval episode of exactly the dataset's N_max turns.
 
-    ``original_len`` records how many leading turns are real; the file format
-    keeps it, though every generator fills all N_max turns.
+    A turn's ground-truth feature is the dataset db's row for its target id.
     """
 
-    queries: np.ndarray          # (N, D) float32 query feature per turn
-    target_ids: np.ndarray       # (N,) int64 per-turn ground-truth item id
-    target_features: np.ndarray  # (N, D) float32 features of the ground-truth items
-    original_len: int            # real turns; later ones repeat the last
+    queries: np.ndarray     # (N, D) float32 query feature per turn
+    target_ids: np.ndarray  # (N,) int64 per-turn ground-truth item id
     meta: TransactionMeta | None = None
 
     def __post_init__(self):
         self.queries = np.asarray(self.queries, dtype=np.float32)
         self.target_ids = np.asarray(self.target_ids, dtype=np.int64)
-        self.target_features = np.asarray(self.target_features, dtype=np.float32)
-        n = self.queries.shape[0]
-        if self.target_ids.shape != (n,) or self.target_features.shape != self.queries.shape:
+        if self.target_ids.shape != (self.queries.shape[0],):
             raise DegenerateInputError("Transaction: inconsistent turn counts")
-        if not (1 <= self.original_len <= n):
-            raise DegenerateInputError(
-                f"Transaction: original_len {self.original_len} out of range for {n} turns")
 
     @property
     def num_turns(self) -> int:
@@ -162,7 +159,7 @@ def _generate(config: TaskConfig, count: int, split: str,
                 noise = rng.normal(size=config.feature_dim)
                 query = noise / np.linalg.norm(noise)
             else:
-                sl = config.block_slice(block)
+                sl = block_slice(block, config.block_len, config.feature_dim)
                 query = db.feature_of(ref).astype(np.float64).copy()
                 query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, config.noise_std,
                                                                 size=config.block_len)
@@ -170,15 +167,11 @@ def _generate(config: TaskConfig, count: int, split: str,
             queries.append(query.astype(np.float32))
             target_ids.append(_nearest_id(db, features64, composite))
             metas.append(TurnMeta(block=block, distractor=is_distractor))
-        target_ids = np.asarray(target_ids, dtype=np.int64)
-        txn = Transaction(
+        transactions.append(Transaction(
             queries=np.stack(queries),
-            target_ids=target_ids,
-            target_features=np.stack([db.feature_of(i) for i in target_ids]),
-            original_len=config.max_turns,
+            target_ids=np.asarray(target_ids, dtype=np.int64),
             meta=TransactionMeta(reference_id=ref, turns=metas),
-        )
-        transactions.append(txn)
+        ))
     return SyntheticDataset(config.feature_dim, config.max_turns, db, transactions, split)
 
 
@@ -207,7 +200,7 @@ def oracle_features(txn: Transaction, db: CandidateDB,
     out = np.empty_like(txn.queries, dtype=np.float64)
     for n, turn_meta in enumerate(txn.meta.turns):
         if not turn_meta.distractor:
-            sl = slice(turn_meta.block * block_len, (turn_meta.block + 1) * block_len)
+            sl = block_slice(turn_meta.block, block_len, db.dim)
             composite[sl] = txn.queries[n][sl]
         out[n] = composite
     return out.astype(np.float32)
@@ -238,7 +231,8 @@ def save_dataset(dataset: SyntheticDataset, path: str) -> None:
             fh.write(json.dumps(item, separators=(",", ":")) + "\n")
         for txn in dataset.transactions:
             obj = {
-                "original_len": txn.original_len,
+                # the file format keeps this field; it always equals N_max
+                "original_len": dataset.max_turns,
                 "turns": [{"qry": _float_list(txn.queries[n]),
                            "target_id": int(txn.target_ids[n])}
                           for n in range(txn.num_turns)],
@@ -358,6 +352,8 @@ def load_dataset(path: str) -> SyntheticDataset:
             obj = _parse_line(path, line_no, line)
             turns = _require(obj, "turns", path, line_no)
             original_len = _int(obj, "original_len", path, line_no)
+            if original_len != max_turns:
+                raise DatasetFormatError(path, line_no, f"original_len must be N_max = {max_turns}")
             if not isinstance(turns, list) or len(turns) != max_turns:
                 raise DatasetFormatError(path, line_no, f"turns must be a list of N_max = {max_turns} turns")
             queries = np.empty((len(turns), feature_dim), dtype=np.float32)
@@ -382,17 +378,7 @@ def load_dataset(path: str) -> SyntheticDataset:
                 meta = TransactionMeta(
                     reference_id=_int(raw, "ref", path, line_no),
                     turns=[_turn_meta(t, feature_dim, path, line_no) for t in meta_turns])
-            try:
-                txn = Transaction(
-                    queries=queries,
-                    target_ids=np.asarray(target_ids, dtype=np.int64),
-                    target_features=np.stack([db.feature_of(t) for t in target_ids]),
-                    original_len=original_len,
-                    meta=meta,
-                )
-            except DegenerateInputError as e:
-                raise DatasetFormatError(path, line_no, str(e)) from None
-            transactions.append(txn)
+            transactions.append(Transaction(queries, np.asarray(target_ids, dtype=np.int64), meta))
     if not transactions:
         raise DatasetFormatError(path, line_no + 1, "file contains no transactions")
     return SyntheticDataset(feature_dim, max_turns, db, transactions, split)
@@ -407,18 +393,8 @@ def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:
     if len(a.transactions) != len(b.transactions):
         return False
     for ta, tb in zip(a.transactions, b.transactions):
-        if ta.original_len != tb.original_len:
-            return False
+        # the meta dataclasses compare field by field
         if not (np.array_equal(ta.queries, tb.queries)
-                and np.array_equal(ta.target_ids, tb.target_ids)):
+                and np.array_equal(ta.target_ids, tb.target_ids) and ta.meta == tb.meta):
             return False
-        ma, mb = ta.meta, tb.meta
-        if (ma is None) != (mb is None):
-            return False
-        if ma is not None:
-            if ma.reference_id != mb.reference_id or len(ma.turns) != len(mb.turns):
-                return False
-            for ua, ub in zip(ma.turns, mb.turns):
-                if (ua.block, ua.distractor) != (ub.block, ub.distractor):
-                    return False
     return True

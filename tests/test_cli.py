@@ -132,6 +132,30 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
+    def test_checkpoint_missing_a_buffer_is_a_clean_error(self, workspace, tmp_path, capsys):
+        entries = ckpt_io.load_entries(workspace["ckpt"])
+        del entries["buffer.derive0.bn.running_var"]
+        bad = str(tmp_path / "bad.bin")
+        ckpt_io.save_entries(bad, entries)
+        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: buffer mismatch: missing")
+
+    @pytest.mark.parametrize("argv", [
+        ["time", "--sizes", "16"],
+        ["time", "--sizes", "4x0"],
+        ["time", "--stages", "1,x"],
+        ["ablate-memories", "--stages", "0"],
+        ["gen-data", "--splits", "train,bogus"],
+    ], ids=["sizes-without-x", "sizes-zero-width", "stages-text", "stages-zero",
+            "one-bad-split"])
+    def test_malformed_list_flag_is_a_usage_error(self, workspace, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        rc = main(argv + ["--config", workspace["cfg"], "--out", str(out)])
+        assert rc == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_flag_changes_initialization(self, workspace, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["train", "--config", workspace["cfg"], "--data", workspace["data"],

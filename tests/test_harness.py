@@ -52,6 +52,27 @@ def tiny_val():
     return gen_block_reveal(TINY_TASK, count=8, split="val")
 
 
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A one-epoch tiny run's config and final checkpoint path."""
+    cfg = tiny_cfg(epochs=1)
+    out = tmp_path_factory.mktemp("trained")
+    return cfg, harness.train(cfg, out_dir=str(out)).checkpoint_path
+
+
+def _turn_targets(ds) -> list[Tensor]:
+    """Each turn's ground-truth features, gathered from the db as ``train`` does."""
+    rows = np.array([[ds.db.index_of(t) for t in txn.target_ids] for txn in ds.transactions])
+    return [Tensor(ds.db.features[rows[:, n]]) for n in range(rows.shape[1])]
+
+
+def _drop(*names):
+    def corrupt(entries):
+        for name in names:
+            del entries[name]
+    return corrupt
+
+
 # -------------------------------------------------------- checkpoint file fmt
 
 def _sample_entries():
@@ -154,7 +175,8 @@ class TestModelCheckpoints:
         cfg = tiny_cfg()
         model = harness.build_model(cfg)
         path = str(tmp_path / "m.bin")
-        harness.save_checkpoint(path, model, None, cfg, epoch=0)
+        harness.save_checkpoint(path, model, harness.Adam(model.parameters(), cfg.learning_rate),
+                                cfg, epoch=0)
         clone = harness.restore_model(harness.load_checkpoint(path))
         a = harness.predict_dataset(model, tiny_val, 8, seed=0)
         b = harness.predict_dataset(clone, tiny_val, 8, seed=0)
@@ -165,6 +187,34 @@ class TestModelCheckpoints:
         ckpt_io.save_entries(path, _sample_entries())
         with pytest.raises(CheckpointError, match="meta"):
             harness.load_checkpoint(path)
+
+    @pytest.mark.parametrize("corrupt, resume, message", [
+        (_drop("buffer.derive0.bn.running_mean", "buffer.derive0.bn.running_var"), False,
+         r"buffer mismatch: missing \['derive0.bn.running_mean', 'derive0.bn.running_var'\]"),
+        (_drop("buffer.derive0.bn.running_var"), False,
+         r"buffer mismatch: missing \['derive0.bn.running_var'\]"),
+        (lambda e: e.update({"buffer.derive0.bn.running_mean": np.zeros(1, np.float32)}), False,
+         r"buffer mismatch: .*mis-shaped \['derive0.bn.running_mean \(1,\) for \(8,\)'\]"),
+        (_drop("param.fusion.b"), False, r"parameter mismatch: missing \['fusion.b'\]"),
+        (lambda e: e.update({"param.extra": np.zeros(1, np.float32)}), False,
+         r"parameter mismatch: .*unexpected \['extra'\]"),
+        (_drop("adam.m.stage1.lstm.wx"), True, r"adam.m mismatch: missing \['stage1.lstm.wx'\]"),
+        (lambda e: e.update({"adam.v.fusion.w": np.zeros((8, 12), np.float32)}), True,
+         r"adam.v mismatch: .*mis-shaped \['fusion.w \(8, 12\) for \(12, 8\)'\]"),
+    ], ids=["all-buffers-dropped", "one-buffer-dropped", "buffer-shape-1", "param-dropped",
+            "param-extra", "adam-m-dropped", "adam-v-misshaped"])
+    def test_restore_requires_exactly_the_saved_names_and_shapes(self, trained_run, tmp_path,
+                                                                corrupt, resume, message):
+        cfg, path = trained_run
+        entries = ckpt_io.load_entries(path)
+        corrupt(entries)
+        bad = str(tmp_path / "bad.bin")
+        ckpt_io.save_entries(bad, entries)
+        with pytest.raises(CheckpointError, match=message):
+            if resume:
+                harness.train(cfg, resume_from=bad)
+            else:
+                harness.restore_model(harness.load_checkpoint(bad))
 
 
 # ------------------------------------------------------------------- training
@@ -238,8 +288,8 @@ class TestTraining:
         model = harness.build_model(cfg)
         model.set_training(True)
         ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-        queries, target_features = harness.stack_batch(ds.transactions, 2)
-        targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(2)]
+        queries = harness.stack_batch(ds.transactions, 2)
+        targets = _turn_targets(ds)
 
         def loss_once(record: bool):
             state = model.initial_state(
@@ -287,8 +337,8 @@ class TestTraining:
 def _model_step_tape(model, seed: int = 0):
     """Record one training forward of ``model`` on four tiny transactions."""
     ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-    queries, target_features = harness.stack_batch(ds.transactions, 2)
-    targets = [Tensor(np.ascontiguousarray(target_features[:, n])) for n in range(2)]
+    queries = harness.stack_batch(ds.transactions, 2)
+    targets = _turn_targets(ds)
     state = model.initial_state([np.random.default_rng(seed + i) for i in range(4)])
     with Tape() as tape:
         preds, _ = model.forward_transaction(queries, state)
@@ -386,14 +436,15 @@ class TestOptimizer:
             assert np.array_equal(opt.m[k], ref_m[k]), k
             assert np.array_equal(opt.v[k], ref_v[k]), k
 
-    def test_restored_optimizer_leaves_checkpoint_moments_alone(self, tmp_path):
-        cfg = tiny_cfg(epochs=1)
-        ckpt = harness.load_checkpoint(harness.train(cfg, out_dir=str(tmp_path)).checkpoint_path)
+    def test_restored_optimizer_leaves_checkpoint_moments_alone(self, trained_run):
+        cfg, path = trained_run
+        ckpt = harness.load_checkpoint(path)
         saved = {k: (ckpt.adam_m[k].copy(), ckpt.adam_v[k].copy()) for k in ckpt.adam_m}
         assert saved
         model = harness.restore_model(ckpt)
         opt = harness.Adam(model.parameters(), cfg.learning_rate)
-        harness._restore_optimizer(opt, ckpt)
+        harness._restore_arrays("adam.m", opt.m, ckpt.adam_m)
+        harness._restore_arrays("adam.v", opt.v, ckpt.adam_v)
         for p in model.parameters().values():
             p.grad = np.ones_like(p.data)
         opt.step()
@@ -444,8 +495,11 @@ class TestBuildModel:
         assert isinstance(harness.build_model(tiny_cfg(model="ewma")), EwmaModel)
         assert isinstance(harness.build_model(tiny_cfg(model="mean")), MeanModel)
 
-    def test_vntm_is_a_single_stage_cascade(self):
-        model = harness.build_model(tiny_cfg(model="vntm"))
+    def test_single_stage_cascade_is_num_stages_one(self):
+        with pytest.raises(ConfigError, match="unknown model kind 'vntm'"):
+            tiny_cfg(model="vntm")
+        model = harness.build_model(
+            tiny_cfg(cascade=dataclasses.replace(TINY_CASCADE, num_stages=1)))
         names = model.parameters()
         assert any(k.startswith("stage0.") for k in names)
         assert not any(k.startswith("stage1.") for k in names)
@@ -749,6 +803,15 @@ class TestExperiments:
         lines = open(tmp_path / "timing.csv").read().splitlines()
         assert lines[0] == "C,P,M,mean_r5_r8,ms_per_txn"
         assert len(lines) == 2
+
+    def test_timing_reports_recall_only_on_the_checkpoint_row(self, trained_run):
+        cfg, path = trained_run
+        one_stage = dataclasses.replace(TINY_CASCADE, num_stages=1)
+        rows = harness.timing_experiment([one_stage, TINY_CASCADE], TINY_TASK, txn_count=2,
+                                         warmup=0, seed=0, checkpoint_path=path)
+        assert [row["C"] for row in rows] == [1, 2]
+        assert rows[0]["mean_r5_r8"] is None
+        assert rows[1]["mean_r5_r8"] is not None
 
     def test_timing_rejects_mismatched_feature_dim(self):
         bad = dataclasses.replace(TINY_CASCADE, feature_dim=16)

@@ -304,7 +304,7 @@ def test_read_matches_naive_loop():
 
 def test_stage_step_deterministic():
     rng = np.random.default_rng(0)
-    stage = NTMStage(input_size=7, mem_locations=4, mem_width=3, hidden_size=5, rng=rng)
+    stage = NTMStage(input_size=7, mem_width=3, hidden_size=5, rng=rng)
     state = _fresh_state(np.random.default_rng(1), 2, 4, 3, 5)
     inp = Tensor(np.random.default_rng(2).standard_normal((2, 7)).astype(np.float32))
     r1, c1, s1 = stage.step(state, inp)
@@ -316,7 +316,7 @@ def test_stage_step_deterministic():
 
 def test_stage_step_does_not_mutate_inputs():
     rng = np.random.default_rng(3)
-    stage = NTMStage(input_size=7, mem_locations=4, mem_width=3, hidden_size=5, rng=rng)
+    stage = NTMStage(input_size=7, mem_width=3, hidden_size=5, rng=rng)
     state = _fresh_state(np.random.default_rng(4), 1, 4, 3, 5)
     snapshots = {name: t.data.copy() for name, t in vars(state).items()}
     inp = Tensor(rng.standard_normal((1, 7)).astype(np.float32))
@@ -330,7 +330,7 @@ def test_stage_step_does_not_mutate_inputs():
 def test_stage_step_matches_documented_pipeline():
     # write params -> write -> read params -> address on the UPDATED memory
     rng = np.random.default_rng(5)
-    stage = NTMStage(input_size=6, mem_locations=4, mem_width=3, hidden_size=5, rng=rng)
+    stage = NTMStage(input_size=6, mem_width=3, hidden_size=5, rng=rng)
     state = _fresh_state(np.random.default_rng(6), 2, 4, 3, 5)
     inp = Tensor(rng.standard_normal((2, 6)).astype(np.float32))
     r_out, ctrl_out, new_state = stage.step(state, inp)
@@ -353,7 +353,7 @@ def test_stage_step_matches_documented_pipeline():
 
 def test_stage_step_with_disabled_write_reads_original_memory():
     rng = np.random.default_rng(8)
-    stage = NTMStage(input_size=6, mem_locations=4, mem_width=3, hidden_size=5, rng=rng)
+    stage = NTMStage(input_size=6, mem_width=3, hidden_size=5, rng=rng)
     # force erase ~ 0 and add = 0 so the write is a no-op
     m = stage.write_head.mem_width
     stage.write_head.w2.data[:, m + 6:] = 0.0
@@ -366,7 +366,7 @@ def test_stage_step_with_disabled_write_reads_original_memory():
 
 
 def test_stage_parameters_are_namespaced():
-    stage = NTMStage(input_size=6, mem_locations=4, mem_width=3, hidden_size=5,
+    stage = NTMStage(input_size=6, mem_width=3, hidden_size=5,
                      rng=np.random.default_rng(0))
     names = set(stage.parameters())
     assert "lstm.wx" in names and "read_head.w2" in names and "write_head.b2" in names
@@ -375,7 +375,7 @@ def test_stage_parameters_are_namespaced():
 
 def test_stage_step_gradients_match_finite_differences():
     rng = np.random.default_rng(11)
-    stage = NTMStage(input_size=5, mem_locations=3, mem_width=2, hidden_size=4,
+    stage = NTMStage(input_size=5, mem_width=2, hidden_size=4,
                      rng=rng, dtype=np.float64)
     state = StageState(
         memory=Tensor(rng.normal(0, 0.5, (2, 3, 2)), dtype=np.float64),
@@ -480,7 +480,7 @@ def test_fused_stage_step_is_bit_identical_to_primitive_chain():
     # ops; values and parameter gradients must match exactly, not to a tolerance.
     # 16 locations, as at desk scale, put the row sums on numpy's pairwise path.
     rng = np.random.default_rng(21)
-    stage = NTMStage(input_size=9, mem_locations=16, mem_width=5, hidden_size=7, rng=rng)
+    stage = NTMStage(input_size=9, mem_width=5, hidden_size=7, rng=rng)
     start = _fresh_state(np.random.default_rng(22), 4, 16, 5, 7)
     inputs = [Tensor(rng.standard_normal((4, 9)).astype(np.float32)) for _ in range(3)]
     weights = Tensor(rng.standard_normal((4, 12)).astype(np.float32))

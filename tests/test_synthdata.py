@@ -14,8 +14,8 @@ from cmntm.retrieval import rank, recall_at_k, similarity_scores
 from cmntm.synthdata import (
     TaskConfig,
     Transaction,
-    TransactionMeta,
     TurnMeta,
+    block_slice,
     datasets_equal,
     gen_block_reveal,
     gen_distractor,
@@ -35,8 +35,10 @@ class TestTaskConfig:
     def test_block_geometry(self):
         cfg = TaskConfig(feature_dim=32, blocks=4)
         assert cfg.block_len == 8
-        assert cfg.block_slice(0) == slice(0, 8)
-        assert cfg.block_slice(3) == slice(24, 32)
+        assert block_slice(0, cfg.block_len, cfg.feature_dim) == slice(0, 8)
+        assert block_slice(3, cfg.block_len, cfg.feature_dim) == slice(24, 32)
+        with pytest.raises(DegenerateInputError, match="ends past feature dim 32"):
+            block_slice(4, cfg.block_len, cfg.feature_dim)
 
     @pytest.mark.parametrize("kwargs", [
         dict(blocks=3, max_turns=4),        # fewer blocks than turns
@@ -61,11 +63,7 @@ class TestGeneration:
         assert len(ds.transactions) == 6
         for txn in ds.transactions:
             assert txn.queries.shape == (4, 16) and txn.queries.dtype == np.float32
-            assert txn.target_ids.shape == (4,)
-            assert txn.original_len == 4
-            np.testing.assert_array_equal(
-                txn.target_features,
-                np.stack([ds.db.feature_of(i) for i in txn.target_ids]))
+            assert txn.target_ids.shape == (4,) and txn.target_ids.dtype == np.int64
 
     def test_db_rows_unit_norm(self):
         db = make_db(SMALL)
@@ -147,7 +145,7 @@ class TestOracle:
         txn = ds.transactions[0]
         feats = oracle_features(txn, ds.db, SMALL.block_len)
         ref = ds.db.feature_of(txn.meta.reference_id)
-        sl = SMALL.block_slice(txn.meta.turns[0].block)
+        sl = block_slice(txn.meta.turns[0].block, SMALL.block_len, SMALL.feature_dim)
         expected = ref.copy()
         expected[sl] = txn.queries[0][sl]
         np.testing.assert_allclose(feats[0], expected, atol=1e-7)
@@ -155,10 +153,18 @@ class TestOracle:
     def test_oracle_requires_metadata(self):
         ds = gen_block_reveal(SMALL, count=1)
         txn = ds.transactions[0]
-        bare = Transaction(txn.queries, txn.target_ids, txn.target_features,
-                           txn.original_len, meta=None)
+        bare = Transaction(txn.queries, txn.target_ids, meta=None)
         with pytest.raises(DegenerateInputError):
             oracle_features(bare, ds.db, SMALL.block_len)
+
+    def test_oracle_rejects_a_block_past_the_feature_end(self):
+        # D=16 holds blocks 0-3 of length 4; block 5 is inside [0, D) but
+        # ends past the feature
+        ds = gen_block_reveal(SMALL, count=1)
+        txn = ds.transactions[0]
+        txn.meta.turns[1].block = 5
+        with pytest.raises(DegenerateInputError, match="block 5 of length 4"):
+            oracle_features(txn, ds.db, SMALL.block_len)
 
 
 # ---------------------------------------------------------------- distractors
@@ -199,11 +205,9 @@ class TestPadding:
     def test_transaction_validates_turn_counts(self, rng):
         q = rng.normal(size=(2, 4)).astype(np.float32)
         with pytest.raises(DegenerateInputError):
-            Transaction(q, np.array([1]), q, original_len=2)
+            Transaction(q, np.array([1]))
         with pytest.raises(DegenerateInputError):
-            Transaction(q, np.array([1, 2]), q, original_len=3)
-        with pytest.raises(DegenerateInputError):
-            Transaction(q, np.array([1, 2]), q, original_len=0)
+            Transaction(q, np.array([1, 2, 3]))
 
 
 # -------------------------------------------------------------- serialization
@@ -228,20 +232,6 @@ class TestSerialization:
         loaded = load_dataset(path)
         for a, b in zip(ds.transactions, loaded.transactions):
             assert a.queries.tobytes() == b.queries.tobytes()
-
-    def test_padded_short_transactions_round_trip(self, rng, tmp_path):
-        ds = gen_block_reveal(SMALL, count=2)
-        # two real turns, the second repeated to fill N_max = 4
-        q = np.repeat(rng.normal(size=(2, SMALL.feature_dim)).astype(np.float32), [1, 3], axis=0)
-        ids = np.array([4, 5, 5, 5])
-        meta = TransactionMeta(reference_id=3, turns=[TurnMeta(0, False)] + [TurnMeta(2, False)] * 3)
-        ds.transactions.append(Transaction(q, ids, np.stack([ds.db.feature_of(i) for i in ids]),
-                                           original_len=2, meta=meta))
-        path = str(tmp_path / "mixed.jsonl")
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
-        assert loaded.transactions[-1].original_len == 2
-        assert datasets_equal(loaded, ds)
 
     def test_failed_save_keeps_the_existing_file(self, tmp_path):
         path = tmp_path / "ds.jsonl"
@@ -319,6 +309,7 @@ class TestSerialization:
         (34, lambda o: o["turns"][1]["qry"].__setitem__(3, "x")),
         (34, lambda o: o["turns"][2]["qry"].__setitem__(0, None)),
         (35, lambda o: o.update(original_len="x")),
+        (35, lambda o: o.update(original_len=2)),
         (35, lambda o: o.update(meta=5)),
         (36, lambda o: o["turns"][0].update(target_id=None)),
         (36, lambda o: o["meta"]["turns"].__setitem__(0, 5)),
@@ -330,7 +321,7 @@ class TestSerialization:
         (36, lambda o: o["meta"]["turns"][2].update(block=99)),
         (36, lambda o: o["meta"]["turns"][0].update(block=-1)),
     ], ids=["header-D", "negative-db-size", "feature-text", "feature-null", "db-id-huge",
-            "db-id-text", "duplicate-db-id", "qry-text", "qry-null", "original-len-text",
+            "db-id-text", "duplicate-db-id", "qry-text", "qry-null", "original-len-text", "original-len-short",
             "meta-number", "target-id-null", "meta-turn-number", "meta-turns-number",
             "short-turns", "distractor-text", "short-meta-turns", "block-past-D",
             "block-negative"])

@@ -15,12 +15,9 @@ A tape references its tensors and no tensor references its tape, so a tape
 and everything it recorded are freed by reference counting as soon as the
 caller drops them, without waiting for the cyclic garbage collector.
 
-The model's memory stage runs on fused primitives (``lstm_cell``,
-``head_mlp``, ``ntm_address``, ``erase_add`` and ``weighted_read``), each one
-tape node. The unfused primitives they fold together (``take_slice``,
-``sigmoid``, ``tanh``, ``softplus``, ``softmax``, ``clamp_min``,
-``circular_convolution`` and the elementwise ops) stay as the reference the
-fused ops are tested against, value for value and gradient for gradient.
+The module holds only the primitives the model and its loss run. The
+memory stage runs on fused primitives (``lstm_cell``, ``head_mlp``,
+``ntm_address``, ``erase_add`` and ``weighted_read``), each one tape node.
 
 Primitives take ``Tensor`` operands. The binary elementwise ops (``add``,
 ``sub``, ``mul``, ``div`` and ``power``) also take a Python scalar on either
@@ -83,11 +80,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ShapeError("item", f"expected a scalar, got shape {self.data.shape}")
-        return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
@@ -327,16 +319,6 @@ def _check_power_domain(op: str, bx: np.ndarray, ex: np.ndarray) -> None:
             raise DomainError(f"{op}: zero base with negative exponent")
 
 
-def clamp_min(t: Tensor, lo: float) -> Tensor:
-    """Elementwise maximum with a constant floor; gradient passes where ``t > lo``."""
-    out = np.maximum(t.data, np.asarray(lo, dtype=t.data.dtype))
-
-    def backward(g):
-        return (g * (t.data > lo),)
-
-    return _record((t,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -386,26 +368,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(ts, out, backward)
 
 
-def take_slice(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    """Contiguous slice ``[start:stop]`` along one axis."""
-    if axis < 0 or axis >= t.data.ndim:
-        raise ShapeError("take_slice", f"axis {axis} out of range for shape {t.data.shape}")
-    size = t.data.shape[axis]
-    if not (0 <= start <= stop <= size):
-        raise ShapeError("take_slice", f"bounds [{start}:{stop}] invalid for axis of size {size}")
-    idx = [slice(None)] * t.data.ndim
-    idx[axis] = slice(start, stop)
-    idx = tuple(idx)
-    out = t.data[idx].copy()
-
-    def backward(g):
-        gi = np.zeros_like(t.data)
-        gi[idx] = g
-        return (gi,)
-
-    return _record((t,), out, backward)
-
-
 def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
     out = t.data.sum(axis=axis, keepdims=keepdims)
 
@@ -439,50 +401,6 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function: 1/(1+e) or e/(1+e) with e = exp(-|x|)."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def sigmoid(t: Tensor) -> Tensor:
-    out = _sigmoid_values(t.data)
-
-    def backward(g):
-        return (g * out * (1.0 - out),)
-
-    return _record((t,), out, backward)
-
-
-def tanh(t: Tensor) -> Tensor:
-    out = np.tanh(t.data)
-
-    def backward(g):
-        return (g * (1.0 - out * out),)
-
-    return _record((t,), out, backward)
-
-
-def softplus(t: Tensor) -> Tensor:
-    x = t.data
-    # NaN inputs pass through; divergence is caught at the loss value
-    with np.errstate(invalid="ignore"):
-        out = np.logaddexp(np.asarray(0.0, dtype=x.dtype), x)
-
-    def backward(g):
-        return (g * _sigmoid_values(x),)
-
-    return _record((t,), out, backward)
-
-
-def softmax(t: Tensor, axis: int = -1) -> Tensor:
-    """Numerically stabilized softmax; output rows sum to 1."""
-    x = t.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return ((g - dot) * out,)
-
-    return _record((t,), out, backward)
 
 
 def log(t: Tensor) -> Tensor:
@@ -527,7 +445,7 @@ def l2norm(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor
 
 
 # ---------------------------------------------------------------------------
-# contraction / convolution
+# contraction
 
 
 # (forward, inverse) rows realizing np.roll along the last axis, one per offset
@@ -559,51 +477,12 @@ def weighted_read(w: Tensor, memory: Tensor) -> Tensor:
     return _record((w, memory), out, backward)
 
 
-def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
-    """Circularly shift weighting ``w`` by the kernel ``s``.
-
-    ``out[i] = sum_k s[k] * w[(i - offsets[k]) mod P]``, so a one-hot kernel at
-    offset +1 rotates the weighting forward by one slot. Works on vectors or
-    on batched rows (shift applied along the last axis). Callers guarantee
-    that ``w`` and ``s`` are simplex vectors; only shapes are checked here.
-    """
-    if w.data.ndim not in (1, 2) or s.data.ndim != w.data.ndim:
-        raise ShapeError("circular_convolution",
-                         f"expected matching 1-d or 2-d operands, got {w.data.shape} and {s.data.shape}")
-    if w.data.ndim == 2 and w.data.shape[0] != s.data.shape[0]:
-        raise ShapeError("circular_convolution",
-                         f"batch dims differ: {w.data.shape} and {s.data.shape}")
-    k = s.data.shape[-1]
-    if offsets is None:
-        if k % 2 == 0:
-            raise ShapeError("circular_convolution", "even kernel length needs explicit offsets")
-        half = k // 2
-        offsets = tuple(range(-half, half + 1))
-    offsets = tuple(int(o) for o in offsets)
-    if len(offsets) != k:
-        raise ShapeError("circular_convolution",
-                         f"kernel length {k} does not match {len(offsets)} offsets")
-    fwd, inv = _roll_indices(w.data.shape[-1], offsets)
-    out = np.zeros_like(w.data)
-    for i in range(k):
-        out += s.data[..., i:i + 1] * w.data[..., fwd[i]]
-
-    def backward(g):
-        gw = np.zeros_like(w.data)
-        gs = np.zeros_like(s.data)
-        for i in range(k):
-            gw += s.data[..., i:i + 1] * g[..., inv[i]]
-            gs[..., i] = (g * w.data[..., fwd[i]]).sum(axis=-1)
-        return gw, gs
-
-    return _record((w, s), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # fused memory-stage primitives
 #
-# Each op below does the work of a chain of the primitives above in one tape
-# node. The forward evaluates the chain's own numpy expressions in the chain's
+# Each op below does the work of a chain of unfused primitives in one tape
+# node; ``tests/reference_ops.py`` keeps those primitives as the reference.
+# The forward evaluates the chain's own numpy expressions in the chain's
 # order, and the backward replays the chain's per-op adjoints in reverse tape
 # order, so values and gradients are bit-identical to the chain's. An input
 # the chain uses more than once is listed once per use, in the order the tape
@@ -732,9 +611,9 @@ def ntm_address(memory: Tensor, key: Tensor, strength: Tensor, gate: Tensor, shi
     Content weights are ``softmax(strength * cosine(key, row))`` with cosine
     denominators floored at ``COSINE_EPS``; ``gate`` interpolates them with
     ``w_prev``; the result is circularly shifted by the kernel ``shift`` over
-    ``offsets`` (as ``circular_convolution``), raised to ``sharpen`` and
-    renormalized. ``key`` is (B, M); ``strength``, ``gate`` and ``sharpen``
-    are (B, 1); ``shift`` is (B, len(offsets)).
+    ``offsets`` (``out[i] = sum_k shift[k] * w[(i - offsets[k]) mod P]``),
+    raised to ``sharpen`` and renormalized. ``key`` is (B, M); ``strength``,
+    ``gate`` and ``sharpen`` are (B, 1); ``shift`` is (B, len(offsets)).
     """
     mem, k, wp = memory.data, key.data, w_prev.data
     st, gt, s, ex = strength.data, gate.data, shift.data, sharpen.data

@@ -61,9 +61,9 @@ class TrainConfig:
 
 _CASCADE_KEYS = {f.name for f in dataclasses.fields(CascadeConfig)}
 _TASK_KEYS = {f.name for f in dataclasses.fields(TaskConfig)}
-_TRAIN_KEYS = {"epochs", "batch_size", "eval_batch_size", "learning_rate",
-               "ewma_alpha", "grad_clip", "checkpoint_every", "train_count", "val_count"}
 _TOP_KEYS = {"model", "seed", "cascade", "task", "train"}
+# every other TrainConfig field lives in the "train" section
+_TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - _TOP_KEYS
 
 
 def _check_keys(section: dict, allowed: set[str], where: str) -> None:

@@ -25,7 +25,7 @@ from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, ConfigError, DegenerateInputError, DomainError,
                      ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
-from .retrieval import CandidateDB, similarity_scores, transaction_loss
+from .retrieval import rank_of, similarity_scores, top_k, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
 METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
@@ -168,39 +168,11 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
     return np.concatenate(chunks, axis=0)
 
 
-def _checked_scores(prediction: np.ndarray, db: CandidateDB) -> np.ndarray:
-    """``similarity_scores``, refusing NaN and inf as ``rank`` does."""
-    scores = similarity_scores(prediction, db)
-    if not np.all(np.isfinite(scores)):
-        raise DegenerateInputError("non-finite retrieval score")
-    return scores
-
-
-def _top_ids(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` ids of ``rank(scores, ids)`` without sorting every score.
-
-    Every score tied with the k-th best stays in the partial sort, so ties
-    still break by ascending id.
-    """
-    kth = -np.partition(-scores, k - 1)[k - 1]
-    top = np.flatnonzero(scores >= kth)
-    return ids[top[np.lexsort((ids[top], -scores[top]))][:k]]
-
-
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
-    """Final-turn recall@k over the whole db, one similarity row per prediction.
-
-    A target's 0-based place in ``rank``'s order is #(s > s_t) + #(s == s_t,
-    id < t), so counting gives each rank without sorting the db.
-    """
+    """Final-turn recall@k over the whole db, one similarity row per prediction."""
     db = dataset.db
-    ranks = []
-    for pred, txn in zip(final_preds, dataset.transactions, strict=True):
-        scores = _checked_scores(pred, db)
-        target = int(txn.target_ids[-1])
-        s_t = scores[db.index_of(target)]
-        ranks.append(int(np.count_nonzero(scores > s_t)
-                         + np.count_nonzero((scores == s_t) & (db.ids < target))))
+    ranks = [rank_of(similarity_scores(pred, db), db.ids, int(txn.target_ids[-1]))
+             for pred, txn in zip(final_preds, dataset.transactions, strict=True)]
     report = {"count": len(ranks)}
     for k in RECALL_KS:
         report[f"r{k}"] = sum(r < k for r in ranks) / len(ranks)
@@ -221,6 +193,7 @@ def evaluate_model(model, dataset: SyntheticDataset,
 
 @dataclass
 class Checkpoint:
+    path: str
     cfg: TrainConfig
     epoch: int
     adam_step: int
@@ -269,15 +242,17 @@ def load_checkpoint(path: str) -> Checkpoint:
             adam_m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v."):]] = arr
-    return Checkpoint(cfg, epoch, adam_step, params, buffers, adam_m, adam_v)
+    return Checkpoint(path, cfg, epoch, adam_step, params, buffers, adam_m, adam_v)
 
 
-def _restore_arrays(group: str, live: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
+def _restore_arrays(path: str, group: str, live: dict[str, np.ndarray],
+                    saved: dict[str, np.ndarray]) -> None:
     """Copy ``saved`` into the ``live`` arrays in place; names and shapes must match exactly."""
     misshaped = [f"{name} {saved[name].shape} for {arr.shape}" for name, arr in live.items()
                  if name in saved and saved[name].shape != arr.shape]
     if set(live) != set(saved) or misshaped:
-        raise CheckpointError(f"{group} mismatch: missing {sorted(set(live) - set(saved))}, "
+        raise CheckpointError(f"{path}: {group} mismatch: "
+                              f"missing {sorted(set(live) - set(saved))}, "
                               f"unexpected {sorted(set(saved) - set(live))}, mis-shaped {misshaped}")
     for name, arr in live.items():
         arr[...] = saved[name]
@@ -286,9 +261,9 @@ def _restore_arrays(group: str, live: dict[str, np.ndarray], saved: dict[str, np
 def restore_model(ckpt: Checkpoint):
     """Rebuild the checkpointed model and load its parameters and buffers."""
     model = build_model(ckpt.cfg)
-    _restore_arrays("parameter", {name: p.data for name, p in model.parameters().items()},
-                    ckpt.params)
-    _restore_arrays("buffer", model.buffers(), ckpt.buffers)
+    _restore_arrays(ckpt.path, "parameter",
+                    {name: p.data for name, p in model.parameters().items()}, ckpt.params)
+    _restore_arrays(ckpt.path, "buffer", model.buffers(), ckpt.buffers)
     return model
 
 
@@ -382,8 +357,8 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     start_epoch = 0
     if ckpt is not None:
         opt.step_count = ckpt.adam_step
-        _restore_arrays("adam.m", opt.m, ckpt.adam_m)
-        _restore_arrays("adam.v", opt.v, ckpt.adam_v)
+        _restore_arrays(ckpt.path, "adam.m", opt.m, ckpt.adam_m)
+        _restore_arrays(ckpt.path, "adam.v", opt.v, ckpt.adam_v)
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
     turns = train_ds.max_turns
@@ -618,8 +593,8 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     overlaps = []
     kept = retained = 0
     for i, txn in enumerate(txns):
-        top_orig = set(int(v) for v in _top_ids(_checked_scores(originals[i], db), db.ids, 5))
-        top_perm = set(int(v) for v in _top_ids(_checked_scores(permuted[i], db), db.ids, 5))
+        top_orig = set(int(v) for v in top_k(similarity_scores(originals[i], db), db.ids, 5))
+        top_perm = set(int(v) for v in top_k(similarity_scores(permuted[i], db), db.ids, 5))
         overlaps.append(len(top_orig & top_perm) / 5.0)
         target = int(txn.target_ids[-1])
         if target in top_orig:
@@ -666,7 +641,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
             block_norms[block] = np.linalg.norm(sub, axis=1)
         denom = np.maximum(block_norms[block] * max(np.linalg.norm(revealed), 1e-30), 1e-30)
         sims = sub @ revealed / denom
-        match_sets.append(set(int(v) for v in _top_ids(sims, db.ids, top_l)))
+        match_sets.append(set(int(v) for v in top_k(sims, db.ids, top_l)))
     stateful_preds = predict_dataset(model, dataset, eval_batch_size, seed)
     reset_preds = np.empty_like(stateful_preds)
     for turn in range(n):
@@ -678,7 +653,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
     def rates(preds: np.ndarray) -> list[float]:
         out = []
         for turn in range(n):
-            hits = [len(set(int(v) for v in _top_ids(_checked_scores(preds[i, turn], db), db.ids, 5))
+            hits = [len(set(int(v) for v in top_k(similarity_scores(preds[i, turn], db), db.ids, 5))
                         & match_sets[i]) / 5.0
                     for i in range(len(txns))]
             out.append(float(np.mean(hits)))
@@ -702,17 +677,24 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
     Each configuration runs ``warmup`` unmeasured transactions, then at least
     ``txn_count`` measured ones on a monotonic clock. If a checkpoint is
     given, the matching configuration's row also reports its recall on the
-    generated transactions.
+    generated transactions; a checkpoint that matches no row is an error.
     """
     if txn_count < 1:
         raise ValueError("timing_experiment: txn_count must be >= 1")
-    dataset = gen_distractor(task, max(txn_count, 32), split="val")
     loaded = load_checkpoint(checkpoint_path) if checkpoint_path else None
+    if loaded is not None:
+        if loaded.cfg.model != "cmntm":
+            raise CheckpointError(f"{checkpoint_path}: holds a {loaded.cfg.model!r} model; "
+                                  f"timing needs a 'cmntm' checkpoint")
+        if loaded.cfg.cascade not in cascade_configs:
+            raise CheckpointError(f"{checkpoint_path}: its cascade {loaded.cfg.cascade} "
+                                  f"matches no timed configuration")
+    dataset = gen_distractor(task, max(txn_count, 32), split="val")
     rows = []
     for cc in cascade_configs:
         if cc.feature_dim != task.feature_dim:
             raise ValueError("timing_experiment: cascade feature_dim must match the task")
-        if loaded is not None and loaded.cfg.cascade == cc and loaded.cfg.model == "cmntm":
+        if loaded is not None and loaded.cfg.cascade == cc:
             model = restore_model(loaded)
             recall = evaluate_model(model, dataset, seed=seed)["mean_r5_r8"]
         else:

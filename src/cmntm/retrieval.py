@@ -103,6 +103,37 @@ def rank(scores: np.ndarray, ids: np.ndarray | None = None) -> RankingResult:
     return RankingResult(ids=ids[order], scores=scores[order])
 
 
+def _check_finite(op: str, scores: np.ndarray) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise DegenerateInputError(f"{op}: non-finite score")
+
+
+def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
+    """The first ``k`` ids of ``rank(scores, ids)`` without sorting every score.
+
+    Every score tied with the k-th best stays in the partial sort, so ties
+    still break by ascending id.
+    """
+    _check_finite("top_k", scores)
+    kth = -np.partition(-scores, k - 1)[k - 1]
+    top = np.flatnonzero(scores >= kth)
+    return ids[top[np.lexsort((ids[top], -scores[top]))][:k]]
+
+
+def rank_of(scores: np.ndarray, ids: np.ndarray, target: int) -> int:
+    """0-based place of candidate ``target`` in ``rank(scores, ids)``.
+
+    The place is #(s > s_t) + #(s == s_t and id < t), so it is counted
+    without sorting.
+    """
+    _check_finite("rank_of", scores)
+    at = int(np.argmax(ids == target))
+    if ids[at] != target:
+        raise KeyError(f"rank_of: unknown candidate id {target}")
+    s_t = scores[at]
+    return int(np.count_nonzero(scores > s_t) + np.count_nonzero((scores == s_t) & (ids < target)))
+
+
 def recall_at_k(rankings: Sequence[RankingResult], targets: Sequence[int], k: int) -> float:
     """Fraction of rankings whose top-k contains the transaction's target id."""
     if k < 1:

@@ -1,0 +1,134 @@
+"""Unfused autodiff primitives: the reference the fused memory-stage ops are tested against.
+
+The model runs its memory stage on the fused ops of ``cmntm.autodiff``
+(``lstm_cell``, ``head_mlp``, ``ntm_address``, ``erase_add`` and
+``weighted_read``). The primitives here are the ones those ops fold
+together. Tests chain them to rebuild a stage step op by op, and compare
+values and gradients with the fused ops bit for bit. Each one records its node
+through ``autodiff._record`` and shares the engine's private numerics
+(``_sigmoid_values``, ``_roll_indices``), so a chain evaluates the same numpy
+expressions the fused ops replay.
+"""
+from __future__ import annotations
+
+from typing import Sequence
+
+import numpy as np
+
+from cmntm import autodiff as ad
+from cmntm.autodiff import Tensor
+from cmntm.errors import ShapeError
+
+
+def clamp_min(t: Tensor, lo: float) -> Tensor:
+    """Elementwise maximum with a constant floor; gradient passes where ``t > lo``."""
+    out = np.maximum(t.data, np.asarray(lo, dtype=t.data.dtype))
+
+    def backward(g):
+        return (g * (t.data > lo),)
+
+    return ad._record((t,), out, backward)
+
+
+def take_slice(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    """Contiguous slice ``[start:stop]`` along one axis."""
+    if axis < 0 or axis >= t.data.ndim:
+        raise ShapeError("take_slice", f"axis {axis} out of range for shape {t.data.shape}")
+    size = t.data.shape[axis]
+    if not (0 <= start <= stop <= size):
+        raise ShapeError("take_slice", f"bounds [{start}:{stop}] invalid for axis of size {size}")
+    idx = [slice(None)] * t.data.ndim
+    idx[axis] = slice(start, stop)
+    idx = tuple(idx)
+    out = t.data[idx].copy()
+
+    def backward(g):
+        gi = np.zeros_like(t.data)
+        gi[idx] = g
+        return (gi,)
+
+    return ad._record((t,), out, backward)
+
+
+def sigmoid(t: Tensor) -> Tensor:
+    out = ad._sigmoid_values(t.data)
+
+    def backward(g):
+        return (g * out * (1.0 - out),)
+
+    return ad._record((t,), out, backward)
+
+
+def tanh(t: Tensor) -> Tensor:
+    out = np.tanh(t.data)
+
+    def backward(g):
+        return (g * (1.0 - out * out),)
+
+    return ad._record((t,), out, backward)
+
+
+def softplus(t: Tensor) -> Tensor:
+    x = t.data
+    # NaN inputs pass through; divergence is caught at the loss value
+    with np.errstate(invalid="ignore"):
+        out = np.logaddexp(np.asarray(0.0, dtype=x.dtype), x)
+
+    def backward(g):
+        return (g * ad._sigmoid_values(x),)
+
+    return ad._record((t,), out, backward)
+
+
+def softmax(t: Tensor, axis: int = -1) -> Tensor:
+    """Numerically stabilized softmax; output rows sum to 1."""
+    x = t.data
+    shifted = x - x.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    out = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=axis, keepdims=True)
+        return ((g - dot) * out,)
+
+    return ad._record((t,), out, backward)
+
+
+def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = None) -> Tensor:
+    """Circularly shift weighting ``w`` by the kernel ``s``.
+
+    ``out[i] = sum_k s[k] * w[(i - offsets[k]) mod P]``, so a one-hot kernel at
+    offset +1 rotates the weighting forward by one slot. Works on vectors or
+    on batched rows (shift applied along the last axis). Callers guarantee
+    that ``w`` and ``s`` are simplex vectors; only shapes are checked here.
+    """
+    if w.data.ndim not in (1, 2) or s.data.ndim != w.data.ndim:
+        raise ShapeError("circular_convolution",
+                         f"expected matching 1-d or 2-d operands, got {w.data.shape} and {s.data.shape}")
+    if w.data.ndim == 2 and w.data.shape[0] != s.data.shape[0]:
+        raise ShapeError("circular_convolution",
+                         f"batch dims differ: {w.data.shape} and {s.data.shape}")
+    k = s.data.shape[-1]
+    if offsets is None:
+        if k % 2 == 0:
+            raise ShapeError("circular_convolution", "even kernel length needs explicit offsets")
+        half = k // 2
+        offsets = tuple(range(-half, half + 1))
+    offsets = tuple(int(o) for o in offsets)
+    if len(offsets) != k:
+        raise ShapeError("circular_convolution",
+                         f"kernel length {k} does not match {len(offsets)} offsets")
+    fwd, inv = ad._roll_indices(w.data.shape[-1], offsets)
+    out = np.zeros_like(w.data)
+    for i in range(k):
+        out += s.data[..., i:i + 1] * w.data[..., fwd[i]]
+
+    def backward(g):
+        gw = np.zeros_like(w.data)
+        gs = np.zeros_like(s.data)
+        for i in range(k):
+            gw += s.data[..., i:i + 1] * g[..., inv[i]]
+            gs[..., i] = (g * w.data[..., fwd[i]]).sum(axis=-1)
+        return gw, gs
+
+    return ad._record((w, s), out, backward)

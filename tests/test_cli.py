@@ -139,7 +139,17 @@ class TestCli:
         ckpt_io.save_entries(bad, entries)
         rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith("error: buffer mismatch: missing")
+        assert capsys.readouterr().err.startswith(f"error: {bad}: buffer mismatch: missing")
+
+    def test_time_with_a_checkpoint_that_matches_no_row_is_a_clean_error(self, workspace,
+                                                                         tmp_path, capsys):
+        out = tmp_path / "timing"
+        rc = main(["time", "--config", workspace["cfg"], "--stages", "1,2", "--sizes", "4x4",
+                   "--txns", "3", "--warmup", "1", "--checkpoint", workspace["baseline_ckpt"],
+                   "--no-check", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"error: {workspace['baseline_ckpt']}: ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ["time", "--sizes", "16"],

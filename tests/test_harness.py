@@ -443,8 +443,8 @@ class TestOptimizer:
         assert saved
         model = harness.restore_model(ckpt)
         opt = harness.Adam(model.parameters(), cfg.learning_rate)
-        harness._restore_arrays("adam.m", opt.m, ckpt.adam_m)
-        harness._restore_arrays("adam.v", opt.v, ckpt.adam_v)
+        harness._restore_arrays(ckpt.path, "adam.m", opt.m, ckpt.adam_m)
+        harness._restore_arrays(ckpt.path, "adam.v", opt.v, ckpt.adam_v)
         for p in model.parameters().values():
             p.grad = np.ones_like(p.data)
         opt.step()
@@ -519,8 +519,17 @@ class TestBuildModel:
 
 class TestConfig:
     def test_round_trip_through_dict(self):
-        cfg = tiny_cfg(model="lstm", learning_rate=5e-4, ewma_alpha=0.3)
-        again = config_from_dict(config_to_dict(cfg))
+        train = dict(epochs=3, batch_size=5, eval_batch_size=7, learning_rate=5e-4,
+                     ewma_alpha=0.3, grad_clip=2.5, checkpoint_every=2, train_count=11,
+                     val_count=9)
+        defaults = TrainConfig()
+        assert set(train) == set(config_to_dict(defaults)["train"])
+        assert all(value != getattr(defaults, name) for name, value in train.items())
+        cfg = tiny_cfg(model="lstm", seed=4, **train)
+        raw = config_to_dict(cfg)
+        assert raw["train"] == train
+        again = config_from_dict(raw)
+        assert again == cfg
         assert config_json(again) == config_json(cfg)
 
     def test_file_round_trip(self, tmp_path):
@@ -653,15 +662,6 @@ class TestEvaluation:
         for k in harness.RECALL_KS:
             assert report[f"r{k}"] == recall_at_k(rankings, targets, k)
         assert 0.0 < report["r1"] < report["r10"]  # neither all misses nor all hits
-
-    @pytest.mark.parametrize("k", [1, 5, 26, 256])
-    def test_top_ids_match_the_rank_prefix_under_ties(self, k):
-        rng = np.random.default_rng(k)
-        ids = rng.permutation(256)
-        for _ in range(20):
-            scores = (rng.integers(-3, 4, size=256) / 3).astype(np.float32)
-            assert (harness._top_ids(scores, ids, k).tolist()
-                    == rank(scores, ids).ids[:k].tolist())
 
     def test_non_finite_prediction_raises(self, tiny_val):
         preds = np.full((len(tiny_val.transactions), 8), np.nan, dtype=np.float32)
@@ -812,6 +812,23 @@ class TestExperiments:
         assert [row["C"] for row in rows] == [1, 2]
         assert rows[0]["mean_r5_r8"] is None
         assert rows[1]["mean_r5_r8"] is not None
+
+    @pytest.mark.parametrize("case", ["lstm-checkpoint", "no-matching-cascade"])
+    def test_timing_rejects_a_checkpoint_that_matches_no_row(self, trained_run, tmp_path, case):
+        one_stage = dataclasses.replace(TINY_CASCADE, num_stages=1)
+        if case == "lstm-checkpoint":
+            path = harness.train(tiny_cfg(model="lstm", epochs=1),
+                                 out_dir=str(tmp_path / "lstm")).checkpoint_path
+            configs, message = [one_stage, TINY_CASCADE], "'lstm' model"
+        else:
+            path = trained_run[1]
+            configs, message = [one_stage], "matches no timed configuration"
+        out = tmp_path / "timing"
+        with pytest.raises(CheckpointError, match=message) as e:
+            harness.timing_experiment(configs, TINY_TASK, txn_count=2, warmup=0, seed=0,
+                                      checkpoint_path=path, out_dir=str(out))
+        assert str(e.value).startswith(f"{path}: ")
+        assert not out.exists()
 
     def test_timing_rejects_mismatched_feature_dim(self):
         bad = dataclasses.replace(TINY_CASCADE, feature_dim=16)

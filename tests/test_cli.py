@@ -141,6 +141,19 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: buffer mismatch: missing")
 
+    def test_resume_with_a_different_config_names_the_file_and_key(self, workspace,
+                                                                   tmp_path, capsys):
+        raw = json.loads(open(workspace["cfg"]).read())
+        raw["train"]["epochs"] = 2
+        other = tmp_path / "epochs2.json"
+        other.write_text(json.dumps(raw))
+        rc = main(["train", "--config", str(other), "--data", workspace["data"],
+                   "--out", str(tmp_path / "run"), "--resume", workspace["ckpt"]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {workspace['ckpt']}: resume config does not match")
+        assert "differs in ['train.epochs']" in err
+
     def test_time_with_a_checkpoint_that_matches_no_row_is_a_clean_error(self, workspace,
                                                                          tmp_path, capsys):
         out = tmp_path / "timing"

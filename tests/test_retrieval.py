@@ -206,6 +206,39 @@ def test_top_k_and_rank_of_match_rank_under_ties(scores, k, seed, dtype, bad):
         rank_of(scores, ids, int(ids[0]))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rank_without_ties_matches_lexsort(dtype):
+    # 10k distinct scores under shuffled ids: the descending order is unique
+    rng = np.random.default_rng(4)
+    scores = rng.permutation(np.linspace(-1.0, 1.0, 10000)).astype(dtype)
+    assert len(np.unique(scores)) == len(scores)
+    ids = rng.permutation(10000)
+    order = np.lexsort((ids, -scores))
+    got = rank(scores, ids)
+    np.testing.assert_array_equal(got.ids, ids[order])
+    np.testing.assert_array_equal(got.scores, scores[order])
+
+
+@given(scores=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), min_size=1,
+                       max_size=300),
+       seed=st.integers(0, 2**32 - 1), dtype=st.sampled_from([np.float32, np.float64]))
+@settings(max_examples=100, deadline=None)
+def test_rank_under_ties_matches_lexsort(scores, seed, dtype):
+    # -0.0 and 0.0 compare equal, so they tie and keep their own bits
+    scores = np.asarray(scores, dtype=dtype)
+    ids = np.random.default_rng(seed).choice(10 * len(scores), size=len(scores), replace=False)
+    order = np.lexsort((ids, -scores))
+    got = rank(scores, ids)
+    np.testing.assert_array_equal(got.ids, ids[order])
+    assert got.scores.tobytes() == scores[order].tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 3])
+def test_top_k_rejects_k_outside_the_scores(k):
+    with pytest.raises(ValueError, match=f"top_k: k must be in \\[1, 2\\], got {k}"):
+        top_k(np.array([0.5, 0.25]), np.array([1, 2]), k)
+
+
 def test_rank_of_unknown_target_raises():
     with pytest.raises(KeyError, match="unknown candidate id 5"):
         rank_of(np.array([0.5, 0.25]), np.array([1, 2]), 5)

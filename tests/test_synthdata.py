@@ -9,8 +9,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from cmntm import synthdata
 from cmntm.errors import DatasetFormatError, DegenerateInputError
-from cmntm.retrieval import rank, recall_at_k, similarity_scores
+from cmntm.retrieval import CandidateDB, rank, recall_at_k, similarity_scores
 from cmntm.synthdata import (
     TaskConfig,
     Transaction,
@@ -27,6 +28,8 @@ from cmntm.synthdata import (
 
 
 SMALL = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32, seed=7)
+# a db this large makes generation resolve 8 transactions per GEMM
+CHUNKY = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=20000, seed=7)
 
 
 # ----------------------------------------------------------------- TaskConfig
@@ -87,11 +90,15 @@ class TestGeneration:
 
     def test_count_extension_is_a_prefix(self):
         # per-transaction seeding: asking for more data never rewrites
-        # earlier transactions
-        short = gen_block_reveal(SMALL, count=4)
-        long = gen_block_reveal(SMALL, count=9)
-        long.transactions = long.transactions[:4]
-        assert datasets_equal(short, long)
+        # earlier transactions, also when the longer run adds a chunk
+        chunk = synthdata._chunk_txns(CHUNKY)
+        assert chunk == 8
+        for cfg, short_count, long_count in [(SMALL, 4, 9), (CHUNKY, 4, 9),
+                                             (CHUNKY, chunk, chunk + 1), (CHUNKY, 7, 25)]:
+            short = gen_distractor(dataclasses.replace(cfg, distractor_prob=0.5), short_count)
+            long = gen_distractor(dataclasses.replace(cfg, distractor_prob=0.5), long_count)
+            long.transactions = long.transactions[:short_count]
+            assert datasets_equal(short, long), (cfg.db_size, short_count, long_count)
 
     def test_turn_blocks_are_disjoint(self):
         ds = gen_block_reveal(SMALL, count=20)
@@ -165,6 +172,84 @@ class TestOracle:
         txn.meta.turns[1].block = 5
         with pytest.raises(DegenerateInputError, match="block 5 of length 4"):
             oracle_features(txn, ds.db, SMALL.block_len)
+
+
+# ---------------------------------------------------------- chunked ground truth
+
+def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
+    """Queries and target ids drawn as generation draws them, with each
+    turn's target found by its own float64 GEMV over the db."""
+    db = make_db(cfg)
+    features64 = db.features.astype(np.float64)
+    queries, target_ids = [], []
+    for index in range(count):
+        rng = np.random.default_rng(np.random.SeedSequence(
+            [synthdata._TXN_TAG, cfg.seed, synthdata._SPLIT_TAGS["train"], index]))
+        ref, tgt = (int(v) for v in rng.choice(cfg.db_size, size=2, replace=False))
+        composite = db.feature_of(ref).astype(np.float64)
+        for block in rng.permutation(cfg.blocks)[:cfg.max_turns]:
+            if rng.random() < distractor_prob:
+                noise = rng.normal(size=cfg.feature_dim)
+                query = noise / np.linalg.norm(noise)
+            else:
+                sl = block_slice(int(block), cfg.block_len, cfg.feature_dim)
+                query = db.feature_of(ref).astype(np.float64)
+                query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, cfg.noise_std,
+                                                                size=cfg.block_len)
+                composite[sl] = db.feature_of(tgt)[sl]
+            queries.append(query.astype(np.float32))
+            norms = db.row_norms * max(np.linalg.norm(composite), 1e-30)
+            target_ids.append(int(db.ids[np.argmax(features64 @ composite / norms)]))
+    return np.stack(queries), target_ids
+
+
+def _assert_matches_gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
+    ds = gen_distractor(dataclasses.replace(cfg, distractor_prob=distractor_prob), count)
+    queries, target_ids = _gemv_reference(cfg, count, distractor_prob)
+    np.testing.assert_array_equal(np.concatenate([t.queries for t in ds.transactions]), queries)
+    assert [int(i) for t in ds.transactions for i in t.target_ids] == target_ids
+
+
+class TestChunkedGroundTruth:
+    @pytest.mark.parametrize("distractor_prob", [0.0, 0.5])
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 25])  # chunk 8: c-1, c, c+1, 3c+1
+    def test_target_ids_equal_one_gemv_per_turn(self, count, distractor_prob):
+        _assert_matches_gemv_reference(CHUNKY, count, distractor_prob)
+
+    def test_scale_preset_past_one_chunk_equals_one_gemv_per_turn(self):
+        cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3)
+        chunk = synthdata._chunk_txns(cfg)
+        assert chunk == 16
+        _assert_matches_gemv_reference(cfg, chunk + 1, distractor_prob=0.3)
+
+    def test_rows_equal_nearest_id_on_a_db_of_unequal_norms(self):
+        # generated dbs are unit-norm; this one makes the row norms matter
+        rng = np.random.default_rng(5)
+        feats = rng.normal(size=(300, 16)) * rng.uniform(0.1, 10.0, size=(300, 1))
+        db = CandidateDB(np.arange(300), feats.astype(np.float32))
+        features64 = db.features.astype(np.float64)
+        composites = rng.normal(size=(40, 16))
+        norms = [max(np.linalg.norm(c), 1e-30) for c in composites]
+        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [
+            synthdata._nearest_id(db, features64, c) for c in composites]
+
+    def test_near_tie_keeps_the_lower_row_via_the_gemv(self, monkeypatch):
+        # rows 2 and 5 are the same feature under ids 50 and 10: np.argmax
+        # picks the lower row, so the id is 50, whichever way the GEMM rounds
+        feats = np.random.default_rng(3).normal(size=(8, 16))
+        feats[5] = feats[2]
+        db = CandidateDB(np.array([0, 1, 50, 3, 4, 10, 6, 7]), feats.astype(np.float32))
+        features64 = db.features.astype(np.float64)
+        composites = features64[[2, 6]]
+        norms = [max(np.linalg.norm(c), 1e-30) for c in composites]
+        fallbacks = []
+        gemv = synthdata._nearest_id
+        monkeypatch.setattr(synthdata, "_nearest_id",
+                            lambda *args: fallbacks.append(args[2]) or gemv(*args))
+        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [50, 6]
+        # only the tied composite is searched again
+        assert len(fallbacks) == 1
+        np.testing.assert_array_equal(fallbacks[0], composites[0])
 
 
 # ---------------------------------------------------------------- distractors

@@ -57,10 +57,7 @@ class CascadeState:
 class CMNTM:
     """Cascade of memory stages producing a modified query feature per turn."""
 
-    def __init__(self, config: CascadeConfig, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, config: CascadeConfig, rng: np.random.Generator, dtype=np.float32):
         self.config = config
         self.dtype = dtype
         c, d = config.num_stages, config.feature_dim
@@ -231,10 +228,8 @@ class EwmaModel(_AggregatorModel):
 class LstmBaseline:
     """Single-layer LSTM over turn features with a linear read-out to D."""
 
-    def __init__(self, feature_dim: int, hidden_size: int,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator,
+                 dtype=np.float32):
         self.feature_dim = feature_dim
         self.hidden_size = hidden_size
         self.dtype = dtype

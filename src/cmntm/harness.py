@@ -22,8 +22,8 @@ from . import checkpoint as ckpt_io
 from .autodiff import Tape, Tensor, no_grad
 from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .config import TrainConfig, config_from_dict, config_json
-from .errors import (CheckpointError, ConfigError, DegenerateInputError, DomainError,
-                     ShapeError, TimingMonotonicityError, TrainingDivergedError)
+from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
+                     DomainError, ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
 from .retrieval import rank_of, similarity_scores, top_k, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
@@ -46,9 +46,14 @@ def _rngs(tag: int, seed: int, indices: Sequence[int], extra: int | None = None)
             for i in indices]
 
 
+def _model_rng(seed: int) -> np.random.Generator:
+    """The stream every model's parameter initialization draws from."""
+    return np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, seed]))
+
+
 def build_model(cfg: TrainConfig):
     """Instantiate the configured model kind with seed-derived initialization."""
-    rng = np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, cfg.seed]))
+    rng = _model_rng(cfg.seed)
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
     if cfg.model == "lstm":
@@ -171,7 +176,7 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
     """Final-turn recall@k over the whole db, one similarity row per prediction."""
     db = dataset.db
-    ranks = [rank_of(similarity_scores(pred, db), db.ids, int(txn.target_ids[-1]))
+    ranks = [rank_of(similarity_scores(pred, db), db.ids, db.index_of(txn.target_ids[-1]))
              for pred, txn in zip(final_preds, dataset.transactions, strict=True)]
     report = {"count": len(ranks)}
     for k in RECALL_KS:
@@ -197,34 +202,33 @@ class Checkpoint:
     cfg: TrainConfig
     epoch: int
     adam_step: int
-    params: dict[str, np.ndarray]
-    buffers: dict[str, np.ndarray]
-    adam_m: dict[str, np.ndarray]
-    adam_v: dict[str, np.ndarray]
+    arrays: dict[str, np.ndarray]  # every entry but meta.*, by its full name
+
+
+def _state(model, opt: Adam | None = None) -> dict[str, np.ndarray]:
+    """The live arrays a checkpoint holds, by entry name, in file order."""
+    state = {f"param.{name}": p.data for name, p in model.parameters().items()}
+    state.update({f"buffer.{name}": b for name, b in model.buffers().items()})
+    if opt is not None:
+        for name in model.parameters():
+            state[f"adam.m.{name}"] = opt.m[name]
+            state[f"adam.v.{name}"] = opt.v[name]
+    return state
 
 
 def save_checkpoint(path: str, model, opt: Adam, cfg: TrainConfig, epoch: int) -> None:
-    entries: dict[str, np.ndarray] = {}
-    config_data, config_len = ckpt_io.pack_text(config_json(cfg))
-    entries["meta.config"] = config_data
-    entries["meta.config_len"] = config_len
-    entries["meta.epoch"] = np.asarray([float(epoch)], dtype=np.float32)
-    entries["meta.adam_step"] = np.asarray([float(opt.step_count)], dtype=np.float32)
-    for name, p in model.parameters().items():
-        entries[f"param.{name}"] = p.data
-    for name, b in model.buffers().items():
-        entries[f"buffer.{name}"] = b
-    for name in model.parameters():
-        entries[f"adam.m.{name}"] = opt.m[name]
-        entries[f"adam.v.{name}"] = opt.v[name]
-    ckpt_io.save_entries(path, entries)
+    ckpt_io.save_entries(path, {
+        "meta.config": np.frombuffer(config_json(cfg).encode("utf-8"), dtype=np.uint8),
+        "meta.epoch": np.asarray([epoch], dtype=np.int64),
+        "meta.adam_step": np.asarray([opt.step_count], dtype=np.int64),
+        **_state(model, opt)})
 
 
 def load_checkpoint(path: str) -> Checkpoint:
     entries = ckpt_io.load_entries(path)
     try:
-        cfg = config_from_dict(json.loads(
-            ckpt_io.unpack_text(entries["meta.config"], entries["meta.config_len"])))
+        # a version-1 file holds the config as NUL-padded float32; JSON text holds no NUL
+        cfg = config_from_dict(json.loads(entries["meta.config"].tobytes().rstrip(b"\0")))
         epoch = int(entries["meta.epoch"].reshape(-1)[0])
         adam_step = int(entries["meta.adam_step"].reshape(-1)[0])
     except KeyError as e:
@@ -232,28 +236,21 @@ def load_checkpoint(path: str) -> Checkpoint:
     except (IndexError, ValueError, OverflowError, ConfigError) as e:
         # ValueError covers text that is not UTF-8 or not JSON
         raise CheckpointError(f"{path}: corrupt meta entry: {e}") from None
-    params, buffers, adam_m, adam_v = {}, {}, {}, {}
-    for name, arr in entries.items():
-        if name.startswith("param."):
-            params[name[len("param."):]] = arr
-        elif name.startswith("buffer."):
-            buffers[name[len("buffer."):]] = arr
-        elif name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = arr
-    return Checkpoint(path, cfg, epoch, adam_step, params, buffers, adam_m, adam_v)
+    arrays = {name: arr for name, arr in entries.items() if not name.startswith("meta.")}
+    return Checkpoint(path, cfg, epoch, adam_step, arrays)
 
 
-def _restore_arrays(path: str, group: str, live: dict[str, np.ndarray],
-                    saved: dict[str, np.ndarray]) -> None:
-    """Copy ``saved`` into the ``live`` arrays in place; names and shapes must match exactly."""
+def _copy_state(path: str, live: dict[str, np.ndarray], saved: dict[str, np.ndarray]) -> None:
+    """Copy ``saved`` into the ``live`` arrays in place; names, shapes and dtypes must match."""
     misshaped = [f"{name} {saved[name].shape} for {arr.shape}" for name, arr in live.items()
                  if name in saved and saved[name].shape != arr.shape]
-    if set(live) != set(saved) or misshaped:
-        raise CheckpointError(f"{path}: {group} mismatch: "
+    mistyped = [f"{name} {saved[name].dtype} for {arr.dtype}" for name, arr in live.items()
+                if name in saved and saved[name].dtype != arr.dtype]
+    if set(live) != set(saved) or misshaped or mistyped:
+        raise CheckpointError(f"{path}: state mismatch: "
                               f"missing {sorted(set(live) - set(saved))}, "
-                              f"unexpected {sorted(set(saved) - set(live))}, mis-shaped {misshaped}")
+                              f"unexpected {sorted(set(saved) - set(live))}, "
+                              f"mis-shaped {misshaped}, mis-typed {mistyped}")
     for name, arr in live.items():
         arr[...] = saved[name]
 
@@ -261,9 +258,8 @@ def _restore_arrays(path: str, group: str, live: dict[str, np.ndarray],
 def restore_model(ckpt: Checkpoint):
     """Rebuild the checkpointed model and load its parameters and buffers."""
     model = build_model(ckpt.cfg)
-    _restore_arrays(ckpt.path, "parameter",
-                    {name: p.data for name, p in model.parameters().items()}, ckpt.params)
-    _restore_arrays(ckpt.path, "buffer", model.buffers(), ckpt.buffers)
+    _copy_state(ckpt.path, _state(model),
+                {name: arr for name, arr in ckpt.arrays.items() if not name.startswith("adam.")})
     return model
 
 
@@ -279,10 +275,15 @@ class TrainResult:
     metrics_path: str | None
 
 
-def default_datasets(cfg: TrainConfig) -> tuple[SyntheticDataset, SyntheticDataset]:
-    """Generate the train/val splits the config describes (shared candidate db)."""
-    train_ds = gen_distractor(cfg.task, cfg.train_count, split="train")
-    val_ds = gen_distractor(cfg.task, cfg.val_count, split="val")
+def default_datasets(cfg: TrainConfig, train_ds: SyntheticDataset | None = None,
+                     val_ds: SyntheticDataset | None = None
+                     ) -> tuple[SyntheticDataset, SyntheticDataset]:
+    """The given splits, generating each missing one as the config describes
+    (every split shares the config's candidate db)."""
+    if train_ds is None:
+        train_ds = gen_distractor(cfg.task, cfg.train_count, split="train")
+    if val_ds is None:
+        val_ds = gen_distractor(cfg.task, cfg.val_count, split="val")
     return train_ds, val_ds
 
 
@@ -300,17 +301,21 @@ def write_metrics_csv(rows: list[dict], path: str) -> None:
 
 def _read_metrics_csv(path: str) -> list[dict]:
     """Rows of a file ``write_metrics_csv`` wrote; they format back to the same text."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="replace") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
-        raise ValueError(f"{path}: expected metrics header {METRICS_HEADER!r}")
+        raise CmntmError(f"{path}:1: expected metrics header {METRICS_HEADER!r}")
     keys = METRICS_HEADER.split(",")
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         values = line.split(",")
-        if len(values) != len(keys):
-            raise ValueError(f"{path}:{line_no}: expected {len(keys)} fields, got {len(values)}")
-        rows.append({"epoch": int(values[0]), **{k: float(v) for k, v in zip(keys[1:], values[1:])}})
+        try:
+            if len(values) != len(keys):
+                raise ValueError(f"expected {len(keys)} fields, got {len(values)}")
+            rows.append({"epoch": int(values[0]),
+                         **{k: float(v) for k, v in zip(keys[1:], values[1:])}})
+        except ValueError as e:
+            raise CmntmError(f"{path}:{line_no}: {e}") from None
     return rows
 
 
@@ -354,10 +359,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     checkpoint's epoch, so the file ends as an uninterrupted run's would;
     the returned ``metrics`` hold only the epochs this call trained.
     """
-    if train_ds is None or val_ds is None:
-        gen_train, gen_val = default_datasets(cfg)
-        train_ds = train_ds or gen_train
-        val_ds = val_ds or gen_val
+    train_ds, val_ds = default_datasets(cfg, train_ds, val_ds)
     ckpt = None
     if resume_from is not None:
         ckpt = load_checkpoint(resume_from)
@@ -366,14 +368,13 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             differs = _differing_keys(json.loads(saved), json.loads(wanted))
             raise CheckpointError(f"{resume_from}: resume config does not match checkpoint "
                                   f"config; differs in {differs}")
-    model = build_model(cfg) if ckpt is None else restore_model(ckpt)
+    model = build_model(cfg)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
     start_epoch = 0
     if ckpt is not None:
+        _copy_state(ckpt.path, _state(model, opt), ckpt.arrays)
         opt.step_count = ckpt.adam_step
-        _restore_arrays(ckpt.path, "adam.m", opt.m, ckpt.adam_m)
-        _restore_arrays(ckpt.path, "adam.v", opt.v, ckpt.adam_v)
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
     turns = train_ds.max_turns
@@ -468,8 +469,7 @@ def full_model_gradient_check(num_stages: int = 2, mem_locations: int = 4, mem_w
 
     cc = CascadeConfig(num_stages=num_stages, mem_locations=mem_locations,
                        mem_width=mem_width, hidden_size=hidden_size, feature_dim=feature_dim)
-    rng = np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, seed]))
-    model = CMNTM(cc, rng, dtype=np.float64)
+    model = CMNTM(cc, _model_rng(seed), dtype=np.float64)
     data_rng = np.random.default_rng(np.random.SeedSequence([_TIMING_TAG, seed]))
     queries = data_rng.normal(size=(batch, turns, feature_dim))
     raw_targets = data_rng.normal(size=(turns, batch, feature_dim))
@@ -496,10 +496,7 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
     """
     if not stage_counts:
         raise ValueError("ablate_num_memories: need at least one stage count")
-    if train_ds is None or val_ds is None:
-        gen_train, gen_val = default_datasets(cfg)
-        train_ds = train_ds or gen_train
-        val_ds = val_ds or gen_val
+    train_ds, val_ds = default_datasets(cfg, train_ds, val_ds)
     rows = []
     for c in stage_counts:
         cfg_c = dataclasses.replace(cfg, model="cmntm",
@@ -713,8 +710,7 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
             model = restore_model(loaded)
             recall = evaluate_model(model, dataset, seed=seed)["mean_r5_r8"]
         else:
-            rng = np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, seed]))
-            model = CMNTM(cc, rng)
+            model = CMNTM(cc, _model_rng(seed))
             recall = None
         model.set_training(False)
         txns = dataset.transactions

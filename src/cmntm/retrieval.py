@@ -130,18 +130,15 @@ def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
     return ids[top[np.lexsort((ids[top], -scores[top]))][:k]]
 
 
-def rank_of(scores: np.ndarray, ids: np.ndarray, target: int) -> int:
-    """0-based place of candidate ``target`` in ``rank(scores, ids)``.
+def rank_of(scores: np.ndarray, ids: np.ndarray, row: int) -> int:
+    """0-based place of the candidate at ``row`` in ``rank(scores, ids)``.
 
-    The place is #(s > s_t) + #(s == s_t and id < t), so it is counted
-    without sorting.
+    With s = scores[row], the place is #(scores > s) + #(scores == s and
+    id < ids[row]), so it is counted without sorting.
     """
     _check_finite("rank_of", scores)
-    at = int(np.argmax(ids == target))
-    if ids[at] != target:
-        raise KeyError(f"rank_of: unknown candidate id {target}")
-    s_t = scores[at]
-    return int(np.count_nonzero(scores > s_t) + np.count_nonzero((scores == s_t) & (ids < target)))
+    s = scores[row]
+    return int(np.count_nonzero(scores > s) + np.count_nonzero((scores == s) & (ids < ids[row])))
 
 
 def recall_at_k(rankings: Sequence[RankingResult], targets: Sequence[int], k: int) -> float:

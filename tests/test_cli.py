@@ -114,12 +114,10 @@ class TestCli:
 
     @pytest.mark.parametrize("corrupt", [
         # config bytes that are not UTF-8
-        lambda e: e.update({"meta.config": np.frombuffer(b"\xff\xfe\xfd\xfc", dtype="<f4"),
-                            "meta.config_len": np.array([4.0], dtype=np.float32)}),
-        lambda e: e.update({"meta.epoch": np.zeros(0, dtype=np.float32)}),
-        lambda e: e.update(zip(("meta.config", "meta.config_len"),
-                               ckpt_io.pack_text("not json"))),
-        lambda e: e.update(zip(("meta.config", "meta.config_len"), ckpt_io.pack_text("[1]"))),
+        lambda e: e.update({"meta.config": np.frombuffer(b"\xff\xfe\xfd\xfc", dtype=np.uint8)}),
+        lambda e: e.update({"meta.epoch": np.zeros(0, dtype=np.int64)}),
+        lambda e: e.update({"meta.config": np.frombuffer(b"not json", dtype=np.uint8)}),
+        lambda e: e.update({"meta.config": np.frombuffer(b"[1]", dtype=np.uint8)}),
         lambda e: e.update({"meta.adam_step": np.array([np.nan], dtype=np.float32)}),
     ], ids=["config-not-utf8", "empty-epoch", "config-not-json", "config-not-object",
             "nan-adam-step"])
@@ -139,7 +137,19 @@ class TestCli:
         ckpt_io.save_entries(bad, entries)
         rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
         assert rc == 2
-        assert capsys.readouterr().err.startswith(f"error: {bad}: buffer mismatch: missing")
+        assert capsys.readouterr().err.startswith(
+            f"error: {bad}: state mismatch: missing ['buffer.derive0.bn.running_var']")
+
+    def test_resume_over_a_malformed_metrics_file_is_a_clean_error(self, workspace,
+                                                                   tmp_path, capsys):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text("garbage\n")
+        rc = main(["train", "--config", workspace["cfg"], "--data", workspace["data"],
+                   "--out", str(run), "--resume", workspace["ckpt"]])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {run}/metrics.csv:1: expected metrics header")
 
     def test_resume_with_a_different_config_names_the_file_and_key(self, workspace,
                                                                    tmp_path, capsys):

@@ -23,6 +23,7 @@ from cmntm.config import (
 )
 from cmntm.errors import (
     CheckpointError,
+    CmntmError,
     ConfigError,
     DegenerateInputError,
     ShapeError,
@@ -39,6 +40,10 @@ from cmntm.retrieval import (
 )
 from cmntm.synthdata import TaskConfig, TransactionMeta, TurnMeta, gen_block_reveal
 
+
+# Epoch 1 of the CI smoke run (its tiny.json config and generated data, one
+# BLAS thread), written in the float32-only checkpoint version 1.
+V1_CHECKPOINT = os.path.join(os.path.dirname(__file__), "data", "tiny_v1_epoch1.bin")
 
 TINY_TASK = TaskConfig(feature_dim=8, blocks=4, max_turns=2, db_size=16,
                        noise_std=0.05, seed=0)
@@ -84,7 +89,9 @@ def _drop(*names):
 
 def _sample_entries():
     return {"a.w": np.arange(6, dtype=np.float32).reshape(2, 3),
-            "b": np.array([1.5], dtype=np.float32)}
+            "b": np.array([1.5], dtype=np.float32),
+            "c": np.array([[2**62 + 1, -(2**40)]], dtype=np.int64),
+            "d": np.frombuffer(b'{"a": 1}', dtype=np.uint8)}
 
 
 class TestCheckpointFormat:
@@ -97,6 +104,7 @@ class TestCheckpointFormat:
         for name in entries:
             assert loaded[name].tobytes() == entries[name].tobytes()
             assert loaded[name].shape == entries[name].shape
+            assert loaded[name].dtype == entries[name].dtype
 
     def test_same_entries_same_bytes(self, tmp_path):
         p1, p2 = str(tmp_path / "1.bin"), str(tmp_path / "2.bin")
@@ -104,9 +112,19 @@ class TestCheckpointFormat:
         ckpt_io.save_entries(p2, _sample_entries())
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
-    def test_rejects_non_float32(self, tmp_path):
-        with pytest.raises(CheckpointError, match="float32"):
-            ckpt_io.save_entries(str(tmp_path / "c.bin"), {"x": np.arange(3)})
+    @pytest.mark.parametrize("dtype", [np.float64, np.int32], ids=["float64", "int32"])
+    def test_rejects_dtypes_without_a_code(self, tmp_path, dtype):
+        with pytest.raises(CheckpointError, match=f"int64 or uint8, got {np.dtype(dtype)}"):
+            ckpt_io.save_entries(str(tmp_path / "c.bin"), {"x": np.arange(3, dtype=dtype)})
+
+    def test_unknown_dtype_code_rejected(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        ckpt_io.save_entries(path, {"x": np.zeros(2, dtype=np.float32)})
+        blob = bytearray(open(path, "rb").read())
+        blob[17:21] = struct.pack("<I", 3)  # after magic, version, count, name length, name "x"
+        open(path, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointError, match=r"c\.bin: entry 'x' has unknown dtype code 3"):
+            ckpt_io.load_entries(path)
 
     def test_bad_magic(self, tmp_path):
         path = str(tmp_path / "c.bin")
@@ -174,9 +192,19 @@ class TestModelCheckpoints:
         assert ckpt.adam_step == 0
         assert config_json(ckpt.cfg) == config_json(cfg)
         for name, p in model.parameters().items():
-            assert ckpt.params[name].tobytes() == p.data.tobytes()
+            assert ckpt.arrays[f"param.{name}"].tobytes() == p.data.tobytes()
         for name, b in model.buffers().items():
-            assert ckpt.buffers[name].tobytes() == b.tobytes()
+            assert ckpt.arrays[f"buffer.{name}"].tobytes() == b.tobytes()
+
+    def test_counters_past_float32_precision_round_trip(self, tmp_path):
+        cfg = tiny_cfg()
+        model = harness.build_model(cfg)
+        opt = harness.Adam(model.parameters(), cfg.learning_rate)
+        opt.step_count = 2**24 + 1
+        path = str(tmp_path / "m.bin")
+        harness.save_checkpoint(path, model, opt, cfg, epoch=2**31 + 3)
+        ckpt = harness.load_checkpoint(path)
+        assert (ckpt.epoch, ckpt.adam_step) == (2**31 + 3, 2**24 + 1)
 
     def test_restored_model_predicts_identically(self, tmp_path, tiny_val):
         cfg = tiny_cfg()
@@ -189,6 +217,27 @@ class TestModelCheckpoints:
         b = harness.predict_dataset(clone, tiny_val, 8, seed=0)
         assert a.tobytes() == b.tobytes()
 
+    def test_version_1_checkpoint_loads_restores_and_resumes(self, tmp_path):
+        ckpt = harness.load_checkpoint(V1_CHECKPOINT)
+        assert (ckpt.epoch, ckpt.adam_step) == (1, 2)
+        assert {arr.dtype for arr in ckpt.arrays.values()} == {np.dtype(np.float32)}
+        cfg = ckpt.cfg
+        full = str(tmp_path / "full")
+        harness.train(cfg, out_dir=full)
+        # the version-2 file of the same epoch holds the same entries and bits
+        fresh = harness.load_checkpoint(f"{full}/checkpoint_epoch1.bin")
+        assert (fresh.epoch, fresh.adam_step) == (ckpt.epoch, ckpt.adam_step)
+        assert list(fresh.arrays) == list(ckpt.arrays)
+        for name, arr in fresh.arrays.items():
+            assert ckpt.arrays[name].tobytes() == arr.tobytes(), name
+        model = harness.restore_model(ckpt)
+        for name, p in model.parameters().items():
+            assert p.data.tobytes() == ckpt.arrays[f"param.{name}"].tobytes(), name
+        resumed = str(tmp_path / "resumed")
+        harness.train(cfg, out_dir=resumed, resume_from=V1_CHECKPOINT)
+        assert (open(f"{full}/checkpoint.bin", "rb").read()
+                == open(f"{resumed}/checkpoint.bin", "rb").read())
+
     def test_missing_meta_rejected(self, tmp_path):
         path = str(tmp_path / "m.bin")
         ckpt_io.save_entries(path, _sample_entries())
@@ -197,19 +246,23 @@ class TestModelCheckpoints:
 
     @pytest.mark.parametrize("corrupt, resume, message", [
         (_drop("buffer.derive0.bn.running_mean", "buffer.derive0.bn.running_var"), False,
-         r"buffer mismatch: missing \['derive0.bn.running_mean', 'derive0.bn.running_var'\]"),
+         r"state mismatch: missing \['buffer.derive0.bn.running_mean', "
+         r"'buffer.derive0.bn.running_var'\]"),
         (_drop("buffer.derive0.bn.running_var"), False,
-         r"buffer mismatch: missing \['derive0.bn.running_var'\]"),
+         r"state mismatch: missing \['buffer.derive0.bn.running_var'\]"),
         (lambda e: e.update({"buffer.derive0.bn.running_mean": np.zeros(1, np.float32)}), False,
-         r"buffer mismatch: .*mis-shaped \['derive0.bn.running_mean \(1,\) for \(8,\)'\]"),
-        (_drop("param.fusion.b"), False, r"parameter mismatch: missing \['fusion.b'\]"),
+         r"state mismatch: .*mis-shaped \['buffer.derive0.bn.running_mean \(1,\) for \(8,\)'\]"),
+        (_drop("param.fusion.b"), False, r"state mismatch: missing \['param.fusion.b'\]"),
         (lambda e: e.update({"param.extra": np.zeros(1, np.float32)}), False,
-         r"parameter mismatch: .*unexpected \['extra'\]"),
-        (_drop("adam.m.stage1.lstm.wx"), True, r"adam.m mismatch: missing \['stage1.lstm.wx'\]"),
+         r"state mismatch: .*unexpected \['param.extra'\]"),
+        (lambda e: e.update({"param.fusion.b": e["param.fusion.b"].astype(np.int64)}), False,
+         r"state mismatch: .*mis-typed \['param.fusion.b int64 for float32'\]"),
+        (_drop("adam.m.stage1.lstm.wx"), True,
+         r"state mismatch: missing \['adam.m.stage1.lstm.wx'\]"),
         (lambda e: e.update({"adam.v.fusion.w": np.zeros((8, 12), np.float32)}), True,
-         r"adam.v mismatch: .*mis-shaped \['fusion.w \(8, 12\) for \(12, 8\)'\]"),
+         r"state mismatch: .*mis-shaped \['adam.v.fusion.w \(8, 12\) for \(12, 8\)'\]"),
     ], ids=["all-buffers-dropped", "one-buffer-dropped", "buffer-shape-1", "param-dropped",
-            "param-extra", "adam-m-dropped", "adam-v-misshaped"])
+            "param-extra", "param-mistyped", "adam-m-dropped", "adam-v-misshaped"])
     def test_restore_requires_exactly_the_saved_names_and_shapes(self, trained_run, tmp_path,
                                                                 corrupt, resume, message):
         cfg, path = trained_run
@@ -286,7 +339,7 @@ class TestTraining:
         ckpt = harness.load_checkpoint(f"{out}/checkpoint.bin")
         fresh = harness.build_model(cfg)
         for name, p in fresh.parameters().items():
-            assert ckpt.params[name].tobytes() == p.data.tobytes()
+            assert ckpt.arrays[f"param.{name}"].tobytes() == p.data.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_one_adam_step_reduces_batch_loss(self, seed):
@@ -446,18 +499,16 @@ class TestOptimizer:
     def test_restored_optimizer_leaves_checkpoint_moments_alone(self, trained_run):
         cfg, path = trained_run
         ckpt = harness.load_checkpoint(path)
-        saved = {k: (ckpt.adam_m[k].copy(), ckpt.adam_v[k].copy()) for k in ckpt.adam_m}
+        saved = {k: arr.copy() for k, arr in ckpt.arrays.items() if k.startswith("adam.")}
         assert saved
-        model = harness.restore_model(ckpt)
+        model = harness.build_model(cfg)
         opt = harness.Adam(model.parameters(), cfg.learning_rate)
-        harness._restore_arrays(ckpt.path, "adam.m", opt.m, ckpt.adam_m)
-        harness._restore_arrays(ckpt.path, "adam.v", opt.v, ckpt.adam_v)
+        harness._copy_state(ckpt.path, harness._state(model, opt), ckpt.arrays)
         for p in model.parameters().values():
             p.grad = np.ones_like(p.data)
         opt.step()
-        for k, (m, v) in saved.items():
-            assert np.array_equal(ckpt.adam_m[k], m), k
-            assert np.array_equal(ckpt.adam_v[k], v), k
+        for k, arr in saved.items():
+            assert np.array_equal(ckpt.arrays[k], arr), k
 
     def test_none_grads_leave_parameters_alone(self):
         p = Tensor(np.ones(3, dtype=np.float32), requires_grad=True)
@@ -596,7 +647,18 @@ class TestMetrics:
     def test_read_rejects_a_file_without_the_header(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("epoch,loss\n1,0.5\n")
-        with pytest.raises(ValueError, match="header"):
+        with pytest.raises(CmntmError, match=r"m\.csv:1: expected metrics header"):
+            harness._read_metrics_csv(str(path))
+
+    @pytest.mark.parametrize("row, detail", [
+        ("1,0.5", "expected 7 fields, got 2"),
+        ("one,0.5,0.1,0.2,0.3,0.4,0.25", "invalid literal for int"),
+        ("1,0.5,0.1,0.2,0.3,0.4,x", "could not convert string to float"),
+    ])
+    def test_read_names_the_line_of_a_malformed_row(self, tmp_path, row, detail):
+        path = tmp_path / "m.csv"
+        path.write_text(f"{harness.METRICS_HEADER}\n1,0.5,0.1,0.2,0.3,0.4,0.25\n{row}\n")
+        with pytest.raises(CmntmError, match=rf"m\.csv:3: {detail}"):
             harness._read_metrics_csv(str(path))
 
     def test_train_emits_one_row_per_epoch(self, tmp_path):

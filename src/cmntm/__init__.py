@@ -7,7 +7,7 @@ reverse-mode autodiff engine, memory-less baselines, synthetic multi-turn
 task generators, and a reproducible training and experiment harness.
 """
 from .autodiff import (BatchNorm, Tape, Tensor, gradient_check, no_grad)
-from .cascade import CMNTM, CascadeConfig, CascadeState, EwmaModel, LstmBaseline, MeanModel
+from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .checkpoint import load_entries, save_entries
 from .config import TrainConfig, config_from_dict, config_json, config_to_dict, load_config
 from .errors import (CheckpointError, CmntmError, ConfigError, DatasetFormatError,
@@ -26,7 +26,7 @@ from .synthdata import (SyntheticDataset, TaskConfig, Transaction, datasets_equa
 __version__ = "0.1.0"
 
 __all__ = [
-    "Adam", "BatchNorm", "CMNTM", "CandidateDB", "CascadeConfig", "CascadeState",
+    "Adam", "BatchNorm", "CMNTM", "CandidateDB", "CascadeConfig",
     "CheckpointError", "CmntmError", "ConfigError", "DatasetFormatError",
     "DegenerateInputError", "DomainError", "EwmaModel", "HeadParams", "LstmBaseline",
     "MeanModel", "NTMStage", "RankingResult", "ShapeError", "StageState",

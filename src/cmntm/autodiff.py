@@ -713,20 +713,21 @@ def erase_add(memory: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
 # ---------------------------------------------------------------------------
 # batch normalization
 
+# the variance floor, and the weight of each batch in the running statistics
+BN_EPS, BN_MOMENTUM = 1e-5, 0.1
+
 
 class BatchNorm:
     """Per-feature batch normalization with learnable scale and shift.
 
     Train mode normalizes by batch statistics (biased variance) and updates
-    running statistics with the given momentum; eval mode normalizes by the
-    running statistics. Train mode needs a batch of at least 2 rows, since a
-    single row has no variance to normalize by.
+    running statistics with momentum ``BN_MOMENTUM``; eval mode normalizes by
+    the running statistics. Train mode needs a batch of at least 2 rows, since
+    a single row has no variance to normalize by.
     """
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1, dtype=np.float32):
+    def __init__(self, dim: int, dtype=np.float32):
         self.dim = dim
-        self.eps = eps
-        self.momentum = momentum
         self.scale = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.shift = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(dim, dtype=dtype)
@@ -748,13 +749,13 @@ class BatchNorm:
             mean = reduce_mean(x, axis=0, keepdims=True)
             centered = sub(x, mean)
             var = reduce_mean(mul(centered, centered), axis=0, keepdims=True)
-            m = self.momentum
+            m = BN_MOMENTUM
             self.running_mean = ((1.0 - m) * self.running_mean + m * mean.data[0]).astype(self.running_mean.dtype)
             self.running_var = ((1.0 - m) * self.running_var + m * var.data[0]).astype(self.running_var.dtype)
-            inv = power(add(var, self.eps), -0.5)
+            inv = power(add(var, BN_EPS), -0.5)
             normalized = mul(centered, inv)
         else:
-            inv = 1.0 / np.sqrt(self.running_var.astype(x.data.dtype) + self.eps)
+            inv = 1.0 / np.sqrt(self.running_var.astype(x.data.dtype) + BN_EPS)
             normalized = mul(sub(x, Tensor(self.running_mean.astype(x.data.dtype))),
                              Tensor(inv))
         return add(mul(normalized, self.scale), self.shift)

@@ -45,15 +45,6 @@ class CascadeConfig:
         return 2 * self.mem_width + self.feature_dim
 
 
-@dataclass
-class CascadeState:
-    """Per-transaction recurrent state: one StageState per stage plus the
-    cross-turn carry (the last stage's read vector from the previous turn)."""
-
-    stages: list[StageState]
-    carry: Tensor  # (B, M)
-
-
 class CMNTM:
     """Cascade of memory stages producing a modified query feature per turn."""
 
@@ -100,28 +91,26 @@ class CMNTM:
 
     # -- state ---------------------------------------------------------------
 
-    def initial_state(self, rngs: Sequence[np.random.Generator]) -> CascadeState:
-        """Fresh per-transaction state for a batch of ``len(rngs)`` transactions.
+    def initial_state(self, rngs: Sequence[np.random.Generator]) -> list[StageState]:
+        """One fresh StageState per stage for a batch of ``len(rngs)`` transactions.
 
         Each transaction's generator draws its own memory block, so state
         initialization is reproducible per transaction regardless of batch
-        composition. Memory entries are Normal(0, 0.05^2); read vectors,
-        controller state, and the carry start at zero; head weightings start
-        uniform.
+        composition. Memory entries are Normal(0, 0.05^2); read vectors and
+        controller state start at zero; head weightings start uniform.
         """
         cfg = self.config
         b, c, p, m, h = len(rngs), cfg.num_stages, cfg.mem_locations, cfg.mem_width, cfg.hidden_size
         mem = np.stack([rng.normal(0.0, MEMORY_INIT_STD, size=(c, p, m)) for rng in rngs])
         mem = mem.astype(self.dtype)
         uniform = np.full((b, p), 1.0 / p, dtype=self.dtype)
-        stages = [StageState(memory=Tensor(mem[:, i]),
-                             hidden=Tensor(np.zeros((b, h), dtype=self.dtype)),
-                             cell=Tensor(np.zeros((b, h), dtype=self.dtype)),
-                             prev_read=Tensor(np.zeros((b, m), dtype=self.dtype)),
-                             read_weights=Tensor(uniform.copy()),
-                             write_weights=Tensor(uniform.copy()))
-                  for i in range(c)]
-        return CascadeState(stages, carry=Tensor(np.zeros((b, m), dtype=self.dtype)))
+        return [StageState(memory=Tensor(mem[:, i]),
+                           hidden=Tensor(np.zeros((b, h), dtype=self.dtype)),
+                           cell=Tensor(np.zeros((b, h), dtype=self.dtype)),
+                           prev_read=Tensor(np.zeros((b, m), dtype=self.dtype)),
+                           read_weights=Tensor(uniform.copy()),
+                           write_weights=Tensor(uniform.copy()))
+                for i in range(c)]
 
     # -- forward -------------------------------------------------------------
 
@@ -129,27 +118,23 @@ class CMNTM:
         """Stage-specific views of the query for stages 1..C-1 (empty for C=1)."""
         return [bn(fc(query)) for fc, bn in zip(self.derive_fc, self.derive_bn)]
 
-    def cascade_turn(self, state: CascadeState, query: Tensor) -> tuple[Tensor, CascadeState]:
+    def cascade_turn(self, state: list[StageState], query: Tensor) -> tuple[Tensor, list[StageState]]:
         """Process one turn's query through every stage; returns (prediction, new state)."""
         if query.data.ndim != 2 or query.data.shape[1] != self.config.feature_dim:
             raise ShapeError("cascade_turn",
                              f"expected (batch, {self.config.feature_dim}) query, got {query.data.shape}")
-        derived = self.derive_features(query)
-        carry = state.carry
-        new_stages: list[StageState] = []
-        r_out = ctrl_out = None
-        last = len(self.stages) - 1
-        for c, stage in enumerate(self.stages):
-            feat = query if c == last else derived[c]
-            inp = ad.concat([carry, feat, state.stages[c].prev_read], axis=1)
-            r_out, ctrl_out, new_stage = stage.step(state.stages[c], inp)
-            new_stages.append(new_stage)
-            carry = r_out
-        prediction = self.fusion(ad.concat([ctrl_out, r_out], axis=1))
-        return prediction, CascadeState(new_stages, carry=r_out)
+        features = self.derive_features(query) + [query]  # the last stage sees the raw query
+        new_state: list[StageState] = []
+        carry = state[-1].prev_read  # the last stage's read on the previous turn
+        for stage, old, feat in zip(self.stages, state, features, strict=True):
+            new = stage.step(old, ad.concat([carry, feat, old.prev_read], axis=1))
+            new_state.append(new)
+            carry = new.prev_read
+        prediction = self.fusion(ad.concat([new.hidden, new.prev_read], axis=1))
+        return prediction, new_state
 
     def forward_transaction(self, queries: np.ndarray,
-                            state: CascadeState) -> tuple[list[Tensor], CascadeState]:
+                            state: list[StageState]) -> tuple[list[Tensor], list[StageState]]:
         """Run all turns of a transaction batch.
 
         ``queries`` has shape (B, N, D); returns the per-turn predictions and
@@ -230,7 +215,6 @@ class LstmBaseline:
 
     def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator,
                  dtype=np.float32):
-        self.feature_dim = feature_dim
         self.hidden_size = hidden_size
         self.dtype = dtype
         self.cell = LSTMCell(feature_dim, hidden_size, rng, dtype)

@@ -9,6 +9,7 @@ counts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -46,6 +47,17 @@ def _comma_list(pattern: str, what: str, convert=int):
     return parse
 
 
+def _checked(convert, ok, what: str):
+    """An argparse ``type``: ``convert(text)``, which must satisfy ``ok``."""
+    def parse(text: str):
+        with contextlib.suppress(ValueError):
+            if ok(value := convert(text)):
+                return value
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
 _POSITIVE = r"\d*[1-9]\d*"
 _SPLITS = _comma_list("|".join(_SPLIT_COUNTS), "train, val, test", str)
 _STAGES = _comma_list(_POSITIVE, "positive integers")
@@ -172,11 +184,10 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="cascaded memory retrieval models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_default=None, out_required=False):
+    def common(p, out_required=False):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--seed", type=int, help="override the run seed")
-        p.add_argument("--out", default=out_default, required=out_required,
-                       help="output directory")
+        p.add_argument("--out", required=out_required, help="output directory")
 
     p = sub.add_parser("gen-data", help="generate synthetic datasets")
     common(p, out_required=True)
@@ -196,14 +207,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a small full model")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stages", type=int, default=2)
-    p.add_argument("--locations", type=int, default=4)
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--feature-dim", type=int, default=8)
-    p.add_argument("--hidden", type=int, default=16)
-    p.add_argument("--turns", type=int, default=3)
-    p.add_argument("--batch", type=int, default=2)
-    p.add_argument("--h", type=float, default=1e-4)
+    p.add_argument("--stages", type=_COUNT, default=2)
+    p.add_argument("--locations", type=_COUNT, default=4)
+    p.add_argument("--width", type=_COUNT, default=8)
+    p.add_argument("--feature-dim", type=_COUNT, default=8)
+    p.add_argument("--hidden", type=_COUNT, default=16)
+    p.add_argument("--turns", type=_COUNT, default=3)
+    p.add_argument("--batch", default=2, type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
+    p.add_argument("--h", default=1e-4,
+                   type=_checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0"))
     p.add_argument("--tol", type=float, default=1e-3)
     p.set_defaults(func=_cmd_gradcheck)
 
@@ -223,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", help="dataset file")
-    p.add_argument("--count", type=int, default=500)
+    p.add_argument("--count", type=_COUNT, default=500)
     p.set_defaults(func=_cmd_turn_order)
 
     p = sub.add_parser("memory-retention", help="turn-1 information in later retrievals")
@@ -236,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--stages", default="1,2,4,8", type=_STAGES, help="comma list of stage counts")
     p.add_argument("--sizes", default="16x32", type=_SIZES, help="comma list of PxM memory sizes")
-    p.add_argument("--txns", type=int, default=100)
-    p.add_argument("--warmup", type=int, default=10)
+    p.add_argument("--txns", type=_COUNT, default=100)
+    p.add_argument("--warmup", default=10, type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
     p.add_argument("--checkpoint", help="report this checkpoint's recall alongside timings")
     p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
                    help="fail if median time decreases with stage count")

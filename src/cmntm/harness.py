@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from . import checkpoint as ckpt_io
-from .autodiff import Tape, Tensor, no_grad
+from .autodiff import Tape, Tensor, gradient_check, no_grad
 from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
@@ -30,6 +30,9 @@ from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, g
 
 METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
 RECALL_KS = (1, 5, 8, 10)
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+# the share by which a median time may drop with one more stage and still pass
+TIMING_REL_TOL = 0.05
 
 # Seed-derivation tags; one per independent random stream.
 _MODEL_TAG = 201
@@ -40,20 +43,14 @@ _TIMING_TAG = 205
 _ORDER_TAG = 206
 
 
-def _rngs(tag: int, seed: int, indices: Sequence[int], extra: int | None = None) -> list:
-    entropy = [tag, seed] + ([extra] if extra is not None else [])
-    return [np.random.default_rng(np.random.SeedSequence(entropy + [int(i)]))
-            for i in indices]
-
-
-def _model_rng(seed: int) -> np.random.Generator:
-    """The stream every model's parameter initialization draws from."""
-    return np.random.default_rng(np.random.SeedSequence([_MODEL_TAG, seed]))
+def _rng(*key: int) -> np.random.Generator:
+    """The stream keyed by content: a tag, the seed, then indices such as the epoch."""
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
 
 
 def build_model(cfg: TrainConfig):
     """Instantiate the configured model kind with seed-derived initialization."""
-    rng = _model_rng(cfg.seed)
+    rng = _rng(_MODEL_TAG, cfg.seed)
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
     if cfg.model == "lstm":
@@ -81,13 +78,9 @@ def stack_batch(transactions: Sequence[Transaction], expected_turns: int) -> np.
 class Adam:
     """Adam with bias correction; moments are float32 like the parameters."""
 
-    def __init__(self, params: dict[str, Tensor], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
         self.step_count = 0
@@ -99,8 +92,8 @@ class Adam:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAM_BETA1 ** t
+        bc2 = 1.0 - ADAM_BETA2 ** t
         for k, p in self.params.items():
             g = p.grad
             if g is None:
@@ -108,15 +101,15 @@ class Adam:
             # in place, but each expression and its order as in
             # m = b1 * m + (1 - b1) * g; p -= lr * m_hat / (sqrt(v_hat) + eps)
             m, v = self.m[k], self.v[k]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
             step = m / bc1
             step *= self.lr
             denom = v / bc2
             np.sqrt(denom, out=denom)
-            denom += self.eps
+            denom += ADAM_EPS
             step /= denom
             p.data -= step
 
@@ -164,7 +157,7 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed
                 queries = queries_override[idx[0]:idx[-1] + 1]
             else:
                 queries = stack_batch([txns[i] for i in idx], dataset.max_turns)
-            state = model.initial_state(_rngs(_EVAL_MEM_TAG, seed, idx))
+            state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in idx])
             with no_grad():
                 preds, _ = model.forward_transaction(queries, state)
             chunks.append(np.stack([p.data for p in preds], axis=1))
@@ -391,8 +384,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
                             if row["epoch"] <= start_epoch]
         write_metrics_csv(earlier_rows, metrics_path)
     for epoch in range(start_epoch + 1, cfg.epochs + 1):
-        order = np.random.default_rng(
-            np.random.SeedSequence([_SHUFFLE_TAG, cfg.seed, epoch])).permutation(count)
+        order = _rng(_SHUFFLE_TAG, cfg.seed, epoch).permutation(count)
         model.set_training(True)
         loss_sum, loss_batches = 0.0, 0
         for batch_index, start in enumerate(range(0, count, cfg.batch_size)):
@@ -401,7 +393,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
                 continue
             batch = [train_ds.transactions[i] for i in idx]
             queries = stack_batch(batch, turns)
-            state = model.initial_state(_rngs(_TRAIN_MEM_TAG, cfg.seed, idx, extra=epoch))
+            state = model.initial_state([_rng(_TRAIN_MEM_TAG, cfg.seed, epoch, i) for i in idx])
             targets = [Tensor(db.features[[db.index_of(t.target_ids[n]) for t in batch]])
                        for n in range(turns)]
             try:
@@ -465,17 +457,15 @@ def full_model_gradient_check(num_stages: int = 2, mem_locations: int = 4, mem_w
     Returns the maximum relative error over every parameter coordinate of a
     small but complete model (all stages, heads, batch norm, fusion, loss).
     """
-    from .autodiff import gradient_check
-
     cc = CascadeConfig(num_stages=num_stages, mem_locations=mem_locations,
                        mem_width=mem_width, hidden_size=hidden_size, feature_dim=feature_dim)
-    model = CMNTM(cc, _model_rng(seed), dtype=np.float64)
-    data_rng = np.random.default_rng(np.random.SeedSequence([_TIMING_TAG, seed]))
+    model = CMNTM(cc, _rng(_MODEL_TAG, seed), dtype=np.float64)
+    data_rng = _rng(_TIMING_TAG, seed)
     queries = data_rng.normal(size=(batch, turns, feature_dim))
     raw_targets = data_rng.normal(size=(turns, batch, feature_dim))
     raw_targets /= np.linalg.norm(raw_targets, axis=2, keepdims=True)
     targets = [Tensor(raw_targets[n]) for n in range(turns)]
-    state = model.initial_state(_rngs(_EVAL_MEM_TAG, seed, range(batch)))
+    state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(batch)])
 
     def f() -> Tensor:
         preds, _ = model.forward_transaction(queries, state)
@@ -591,15 +581,15 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     retention rate: of the transactions whose original-order top-5 contains
     the target, the fraction that still contain it after permutation.
     """
+    if count < 1:
+        raise ValueError("turn_order_experiment: count must be >= 1")
     txns = dataset.transactions[:count]
     db = dataset.db
-    subset = SyntheticDataset(dataset.feature_dim, dataset.max_turns, dataset.db,
-                              list(txns), dataset.split)
+    subset = SyntheticDataset(dataset.max_turns, dataset.db, list(txns), dataset.split)
     originals = predict_dataset(model, subset, eval_batch_size, seed)[:, -1]
     permuted_queries = []
     for i, txn in enumerate(txns):
-        perm_rng = np.random.default_rng(np.random.SeedSequence([_ORDER_TAG, seed, i]))
-        permuted_queries.append(txn.queries[perm_rng.permutation(txn.num_turns)])
+        permuted_queries.append(txn.queries[_rng(_ORDER_TAG, seed, i).permutation(txn.num_turns)])
     permuted = predict_dataset(model, subset, eval_batch_size, seed,
                                queries_override=np.stack(permuted_queries))[:, -1]
     overlaps = []
@@ -710,14 +700,14 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
             model = restore_model(loaded)
             recall = evaluate_model(model, dataset, seed=seed)["mean_r5_r8"]
         else:
-            model = CMNTM(cc, _model_rng(seed))
+            model = CMNTM(cc, _rng(_MODEL_TAG, seed))
             recall = None
         model.set_training(False)
         txns = dataset.transactions
         times_ms = []
         for i in range(warmup + txn_count):
             txn = txns[i % len(txns)]
-            state = model.initial_state(_rngs(_TIMING_TAG, seed, [i]))
+            state = model.initial_state([_rng(_TIMING_TAG, seed, i)])
             queries = txn.queries[np.newaxis]
             start = time.perf_counter()
             with no_grad():
@@ -737,7 +727,7 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
     return rows
 
 
-def check_timing_monotone(rows: Sequence[dict], rel_tol: float = 0.05) -> None:
+def check_timing_monotone(rows: Sequence[dict]) -> None:
     """Verify median time is non-decreasing in stage count at fixed memory size.
 
     A small relative tolerance absorbs timer jitter; a genuine decrease
@@ -749,7 +739,7 @@ def check_timing_monotone(rows: Sequence[dict], rel_tol: float = 0.05) -> None:
     for (p, m), group in groups.items():
         group = sorted(group, key=lambda r: r["C"])
         for prev, cur in zip(group, group[1:]):
-            floor = prev["ms_per_txn"] * (1.0 - rel_tol)
+            floor = prev["ms_per_txn"] * (1.0 - TIMING_REL_TOL)
             if cur["ms_per_txn"] < floor:
                 raise TimingMonotonicityError(
                     f"P={p}, M={m}: median time dropped from {prev['ms_per_txn']:.4f} ms "

@@ -11,7 +11,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ShapeError
 
 # Shift kernel offsets for location addressing: one slot back, stay, one forward.
 SHIFT_OFFSETS = (-1, 0, 1)
@@ -45,8 +44,6 @@ class LSTMCell:
     """
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32):
-        self.input_size = input_size
-        self.hidden_size = hidden_size
         self.wx = uniform_init(rng, input_size, (input_size, 4 * hidden_size), dtype)
         self.wh = uniform_init(rng, hidden_size, (hidden_size, 4 * hidden_size), dtype)
         bias = np.zeros(4 * hidden_size, dtype=dtype)
@@ -58,8 +55,6 @@ class LSTMCell:
 
     def step(self, x: Tensor, hidden: Tensor, cell: Tensor) -> tuple[Tensor, Tensor]:
         """One recurrence step; returns (new_hidden, new_cell)."""
-        if x.data.ndim != 2 or x.data.shape[1] != self.input_size:
-            raise ShapeError("lstm_step", f"expected (batch, {self.input_size}) input, got {x.data.shape}")
         return ad.lstm_cell(x, self.wx, hidden, self.wh, self.bias, cell)
 
 
@@ -163,10 +158,11 @@ class NTMStage:
                 out[f"{prefix}.{name}"] = p
         return out
 
-    def step(self, state: StageState, inp: Tensor) -> tuple[Tensor, Tensor, StageState]:
+    def step(self, state: StageState, inp: Tensor) -> StageState:
         """Advance one turn: write first, then read from the updated memory.
 
-        Returns (read_vector, controller_output, new_state).
+        Returns the new state; its ``prev_read`` is this turn's read vector
+        and its ``hidden`` the controller output.
         """
         ctrl_out, cell = self.controller.step(inp, state.hidden, state.cell)
         write_params = self.write_head(ctrl_out)
@@ -174,6 +170,4 @@ class NTMStage:
         memory = memory_write(state.memory, write_w, write_params.erase, write_params.add)
         read_params = self.read_head(ctrl_out)
         read_w = address(memory, read_params, state.read_weights)
-        r_out = memory_read(memory, read_w)
-        new_state = StageState(memory, ctrl_out, cell, r_out, read_w, write_w)
-        return r_out, ctrl_out, new_state
+        return StageState(memory, ctrl_out, cell, memory_read(memory, read_w), read_w, write_w)

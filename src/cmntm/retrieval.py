@@ -173,15 +173,15 @@ def batch_loss(predictions: Tensor, targets: Tensor) -> Tensor:
         raise ShapeError("batch_loss",
                          f"shape mismatch: {predictions.data.shape} vs {targets.data.shape}")
     b = predictions.data.shape[0]
-    pred_norms = np.linalg.norm(predictions.data, axis=1)
-    tar_norms = np.linalg.norm(targets.data, axis=1)
-    if np.any(pred_norms <= COSINE_EPS) or np.any(tar_norms <= COSINE_EPS):
+    pred_norms = ad.l2norm(predictions, axis=1, keepdims=True)
+    tar_norms = ad.l2norm(targets, axis=1, keepdims=True)
+    if np.any(pred_norms.data <= COSINE_EPS) or np.any(tar_norms.data <= COSINE_EPS):
         raise DegenerateInputError("batch_loss: zero-norm row")
     if b == 1:
         return Tensor(np.zeros((), dtype=predictions.data.dtype))
     # the guard above makes every norm exceed COSINE_EPS, so no floor is needed
-    pn = ad.div(predictions, ad.l2norm(predictions, axis=1, keepdims=True))
-    tn = ad.div(targets, ad.l2norm(targets, axis=1, keepdims=True))
+    pn = ad.div(predictions, pred_norms)
+    tn = ad.div(targets, tar_norms)
     sims = ad.matmul(pn, ad.transpose(tn))
     exp_sims = ad.exp(sims)
     log_denom = ad.log(ad.reduce_sum(exp_sims, axis=1))

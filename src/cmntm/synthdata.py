@@ -119,11 +119,14 @@ class Transaction:
 
 @dataclass
 class SyntheticDataset:
-    feature_dim: int
     max_turns: int
     db: CandidateDB
     transactions: list[Transaction]
     split: str = "train"
+
+    @property
+    def feature_dim(self) -> int:
+        return self.db.dim
 
 
 def make_db(config: TaskConfig) -> CandidateDB:
@@ -232,7 +235,7 @@ def _generate(config: TaskConfig, count: int, split: str,
             transactions.append(Transaction(queries=queries,
                                             target_ids=target_ids[k * turns:(k + 1) * turns],
                                             meta=meta))
-    return SyntheticDataset(config.feature_dim, config.max_turns, db, transactions, split)
+    return SyntheticDataset(config.max_turns, db, transactions, split)
 
 
 def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
@@ -441,12 +444,12 @@ def load_dataset(path: str) -> SyntheticDataset:
             transactions.append(Transaction(queries, np.asarray(target_ids, dtype=np.int64), meta))
     if not transactions:
         raise DatasetFormatError(path, line_no + 1, "file contains no transactions")
-    return SyntheticDataset(feature_dim, max_turns, db, transactions, split)
+    return SyntheticDataset(max_turns, db, transactions, split)
 
 
 def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:
     """Structural equality over everything that serialization preserves."""
-    if (a.feature_dim, a.max_turns, a.split) != (b.feature_dim, b.max_turns, b.split):
+    if (a.max_turns, a.split) != (b.max_turns, b.split):
         return False
     if not (np.array_equal(a.db.ids, b.db.ids) and np.array_equal(a.db.features, b.db.features)):
         return False

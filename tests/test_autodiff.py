@@ -20,6 +20,7 @@ from reference_ops import (
 
 from cmntm import autodiff
 from cmntm.autodiff import (
+    BN_MOMENTUM,
     BatchNorm,
     Tape,
     Tensor,
@@ -158,13 +159,17 @@ def test_batchnorm_rejects_single_row_in_train_mode():
 
 
 def test_batchnorm_eval_uses_running_stats():
-    bn = BatchNorm(2, momentum=1.0)
+    bn = BatchNorm(2)
     x = np.array([[0.0, 10.0], [2.0, 14.0]], dtype=np.float32)
     bn(Tensor(x))
-    assert np.allclose(bn.running_mean, [1.0, 12.0], atol=1e-5)
+    # one batch (mean [1, 12], biased variance [1, 4]) moves the running
+    # statistics from mean 0, variance 1 by BN_MOMENTUM of the way
+    m = BN_MOMENTUM
+    mean, var = m * np.array([1.0, 12.0]), (1.0 - m) + m * np.array([1.0, 4.0])
+    assert np.allclose(bn.running_mean, mean, atol=1e-5)
     bn.training = False
-    out = bn(Tensor([[1.0, 12.0]]))  # singleton batch is fine in eval mode
-    assert np.allclose(out.data, 0.0, atol=1e-5)
+    out = bn(Tensor([mean + np.sqrt(var)]))  # singleton batch is fine in eval mode
+    assert np.allclose(out.data, 1.0, atol=1e-5)
 
 
 def test_batchnorm_zero_scale_outputs_shift():

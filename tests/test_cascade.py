@@ -67,7 +67,7 @@ def test_three_stage_model_has_two_derived_projections():
 
 def test_every_stage_consumes_the_same_input_width():
     model = CMNTM(_tiny_config(num_stages=3), np.random.default_rng(0))
-    widths = {s.controller.input_size for s in model.stages}
+    widths = {s.controller.wx.shape[0] for s in model.stages}
     assert widths == {model.config.stage_input_size}
 
 
@@ -102,21 +102,20 @@ def test_initial_state_is_deterministic_per_rng_seed():
     model = CMNTM(_tiny_config(), np.random.default_rng(0))
     a = model.initial_state(_rngs(3, seed=7))
     b = model.initial_state(_rngs(3, seed=7))
-    for sa, sb in zip(a.stages, b.stages):
+    for sa, sb in zip(a, b):
         assert np.array_equal(sa.memory.data, sb.memory.data)
 
 
 def test_initial_state_shapes_and_weights():
     model = CMNTM(_tiny_config(), np.random.default_rng(0))
     state = model.initial_state(_rngs(2))
-    assert len(state.stages) == 2
-    for s in state.stages:
+    assert len(state) == 2
+    for s in state:
         assert s.memory.shape == (2, 4, 3)
         assert np.allclose(s.read_weights.data, 0.25, atol=1e-7)
         assert np.allclose(s.write_weights.data, 0.25, atol=1e-7)
         assert np.array_equal(s.prev_read.data, np.zeros((2, 3), dtype=np.float32))
         assert np.array_equal(s.hidden.data, np.zeros((2, 5), dtype=np.float32))
-    assert np.array_equal(state.carry.data, np.zeros((2, 3), dtype=np.float32))
 
 
 def test_initial_memory_sample_statistics():
@@ -126,7 +125,7 @@ def test_initial_memory_sample_statistics():
     tol = 3.0 * MEMORY_INIT_STD / np.sqrt(n)
     for seed in range(5):
         state = model.initial_state(_rngs(1, seed=seed))
-        for s in state.stages:
+        for s in state:
             assert abs(float(s.memory.data.mean())) <= tol
             assert abs(float(s.memory.data.std()) - MEMORY_INIT_STD) <= 0.2 * MEMORY_INIT_STD
 
@@ -135,7 +134,7 @@ def test_per_transaction_memory_independent_of_batch_composition():
     model = CMNTM(_tiny_config(), np.random.default_rng(0))
     solo = model.initial_state([np.random.default_rng([9, 1])])
     batch = model.initial_state([np.random.default_rng([9, 0]), np.random.default_rng([9, 1])])
-    assert np.array_equal(solo.stages[0].memory.data[0], batch.stages[0].memory.data[1])
+    assert np.array_equal(solo[0].memory.data[0], batch[0].memory.data[1])
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +151,7 @@ def test_forward_output_shapes():
             _queries(np.random.default_rng(1), 3, 4, 6), state)
         assert len(preds) == 4
         assert all(pr.shape == (3, 6) for pr in preds)
-        assert len(out_state.stages) == c
+        assert len(out_state) == c
 
 
 def test_forward_is_deterministic():
@@ -208,13 +207,25 @@ def test_identity_projection_of_identical_rows_is_zero():
 
 
 def test_carry_crosses_turn_boundary():
-    """First stage's input carry at turn n+1 is the last stage's read at turn n."""
+    """Stage 0's hand-forward input at turn n+1 is the last stage's read at turn n;
+    stage 1's is stage 0's read at the same turn."""
     model = CMNTM(_tiny_config(num_stages=2), np.random.default_rng(5))
     model.set_training(False)
-    state = model.initial_state(_rngs(1))
-    q = _queries(np.random.default_rng(6), 1, 1, 6)
-    _, next_state = model.forward_transaction(q, state)
-    assert np.array_equal(next_state.carry.data, next_state.stages[-1].prev_read.data)
+    inputs = {0: [], 1: []}
+    for c, stage in enumerate(model.stages):
+        def capturing(state, inp, c=c, original=stage.step):
+            inputs[c].append(inp.data.copy())
+            return original(state, inp)
+        stage.step = capturing
+    q = _queries(np.random.default_rng(6), 1, 2, 6)
+    _, turn1 = model.cascade_turn(model.initial_state(_rngs(1)), Tensor(q[:, 0]))
+    _, turn2 = model.cascade_turn(turn1, Tensor(q[:, 1]))
+    m = model.config.mem_width
+    assert not np.array_equal(turn1[0].prev_read.data, turn1[1].prev_read.data)
+    assert np.array_equal(inputs[0][0][:, :m], np.zeros((1, m), dtype=np.float32))
+    assert np.array_equal(inputs[0][1][:, :m], turn1[1].prev_read.data)
+    assert np.array_equal(inputs[1][0][:, :m], turn1[0].prev_read.data)
+    assert np.array_equal(inputs[1][1][:, :m], turn2[0].prev_read.data)
 
 
 def test_training_flag_propagates_to_batchnorm():

@@ -189,6 +189,26 @@ class TestCli:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, expected", [
+        (["turn-order", "--count", "0"], "an integer >= 1"),
+        (["turn-order", "--count", "-5"], "an integer >= 1"),
+        (["time", "--txns", "0"], "an integer >= 1"),
+        (["gradcheck", "--stages", "0"], "an integer >= 1"),
+        (["time", "--warmup", "-2"], "an integer >= 0"),
+        (["gradcheck", "--batch", "1"], "an integer >= 2"),
+        (["gradcheck", "--h", "0"], "a finite number > 0"),
+        (["gradcheck", "--h", "nan"], "a finite number > 0"),
+        (["gradcheck", "--h", "inf"], "a finite number > 0"),
+    ], ids=["count-zero", "count-negative", "txns-zero", "gradcheck-size-zero",
+            "warmup-negative", "batch-one", "step-zero", "step-nan", "step-inf"])
+    def test_out_of_range_flag_is_a_usage_error(self, workspace, capsys, argv, expected):
+        if argv[0] == "turn-order":
+            argv = argv + ["--checkpoint", workspace["ckpt"],
+                           "--data", f"{workspace['data']}/val.jsonl"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"expected {expected}, got '{argv[2]}'" in err
+
     def test_seed_flag_changes_initialization(self, workspace, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")
         assert main(["train", "--config", workspace["cfg"], "--data", workspace["data"],

@@ -478,7 +478,7 @@ class TestOptimizer:
         ref_p = {k: p.data.copy() for k, p in params.items()}
         ref_m = {k: np.zeros_like(v) for k, v in ref_p.items()}
         ref_v = {k: np.zeros_like(v) for k, v in ref_p.items()}
-        b1, b2 = opt.beta1, opt.beta2
+        b1, b2 = harness.ADAM_BETA1, harness.ADAM_BETA2
         for t in range(1, 6):
             grads = {k: rng.standard_normal(s).astype(np.float32) for k, s in shapes.items()}
             for k, p in params.items():
@@ -489,7 +489,7 @@ class TestOptimizer:
                 ref_v[k] = b2 * ref_v[k] + (1.0 - b2) * (g * g)
                 m_hat = ref_m[k] / (1.0 - b1 ** t)
                 v_hat = ref_v[k] / (1.0 - b2 ** t)
-                ref_p[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+                ref_p[k] -= opt.lr * m_hat / (np.sqrt(v_hat) + harness.ADAM_EPS)
         for k, p in params.items():
             assert p.data.dtype == np.float32
             assert np.array_equal(p.data, ref_p[k]), k
@@ -845,6 +845,12 @@ class TestExperiments:
         report = harness.turn_order_experiment(model, ds, count=6, eval_batch_size=8, seed=0)
         assert report["mean_top5_overlap"] == 1.0
         assert report["count"] == 6
+
+    @pytest.mark.parametrize("count", [0, -5])
+    def test_turn_order_rejects_a_count_below_one(self, tiny_val, count):
+        model = harness.build_model(tiny_cfg())
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            harness.turn_order_experiment(model, tiny_val, count=count, eval_batch_size=8)
 
     def test_turn_order_report_shape(self, tmp_path, tiny_val):
         model = harness.build_model(tiny_cfg())

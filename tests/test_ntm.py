@@ -308,10 +308,10 @@ def test_stage_step_deterministic():
     stage = NTMStage(input_size=7, mem_width=3, hidden_size=5, rng=rng)
     state = _fresh_state(np.random.default_rng(1), 2, 4, 3, 5)
     inp = Tensor(np.random.default_rng(2).standard_normal((2, 7)).astype(np.float32))
-    r1, c1, s1 = stage.step(state, inp)
-    r2, c2, s2 = stage.step(state, inp)
-    assert np.array_equal(r1.data, r2.data)
-    assert np.array_equal(c1.data, c2.data)
+    s1 = stage.step(state, inp)
+    s2 = stage.step(state, inp)
+    assert np.array_equal(s1.prev_read.data, s2.prev_read.data)
+    assert np.array_equal(s1.hidden.data, s2.hidden.data)
     assert np.array_equal(s1.memory.data, s2.memory.data)
 
 
@@ -334,7 +334,7 @@ def test_stage_step_matches_documented_pipeline():
     stage = NTMStage(input_size=6, mem_width=3, hidden_size=5, rng=rng)
     state = _fresh_state(np.random.default_rng(6), 2, 4, 3, 5)
     inp = Tensor(rng.standard_normal((2, 6)).astype(np.float32))
-    r_out, ctrl_out, new_state = stage.step(state, inp)
+    new_state = stage.step(state, inp)
 
     h, c = stage.controller.step(inp, state.hidden, state.cell)
     wp = stage.write_head(h)
@@ -344,12 +344,12 @@ def test_stage_step_matches_documented_pipeline():
     w_r = address(mem, rp, state.read_weights)
     expected_r = memory_read(mem, w_r)
 
-    assert np.array_equal(ctrl_out.data, h.data)
+    assert np.array_equal(new_state.hidden.data, h.data)
+    assert np.array_equal(new_state.cell.data, c.data)
     assert np.array_equal(new_state.memory.data, mem.data)
     assert np.array_equal(new_state.read_weights.data, w_r.data)
     assert np.array_equal(new_state.write_weights.data, w_w.data)
-    assert np.array_equal(r_out.data, expected_r.data)
-    assert np.array_equal(new_state.prev_read.data, r_out.data)
+    assert np.array_equal(new_state.prev_read.data, expected_r.data)
 
 
 def test_stage_step_with_disabled_write_reads_original_memory():
@@ -360,10 +360,10 @@ def test_stage_step_with_disabled_write_reads_original_memory():
     stage.write_head.w2.data[:, m + 6:] = 0.0
     stage.write_head.b2.data[m + 6:2 * m + 6] = -30.0
     state = _fresh_state(np.random.default_rng(9), 1, 4, 3, 5)
-    r_out, _, new_state = stage.step(state, Tensor(rng.standard_normal((1, 6)).astype(np.float32)))
+    new_state = stage.step(state, Tensor(rng.standard_normal((1, 6)).astype(np.float32)))
     assert np.allclose(new_state.memory.data, state.memory.data, atol=1e-6)
-    assert np.allclose(r_out.data, memory_read(state.memory, new_state.read_weights).data,
-                       atol=1e-6)
+    assert np.allclose(new_state.prev_read.data,
+                       memory_read(state.memory, new_state.read_weights).data, atol=1e-6)
 
 
 def test_stage_parameters_are_namespaced():
@@ -390,7 +390,7 @@ def test_stage_step_gradients_match_finite_differences():
     w = rng.standard_normal((2, 2))
 
     def f():
-        r_out, _, _ = stage.step(state, inp)
+        r_out = stage.step(state, inp).prev_read
         return ad.reduce_sum(ad.mul(r_out, Tensor(w, dtype=np.float64)))
 
     err = gradient_check(f, list(stage.parameters().values()))
@@ -402,7 +402,7 @@ def test_stage_step_gradients_match_finite_differences():
 
 
 def _chain_lstm(lstm, x, hidden, cell):
-    h = lstm.hidden_size
+    h = lstm.wh.shape[0]
     gates = ad.add(ad.add(ad.matmul(x, lstm.wx), ad.matmul(hidden, lstm.wh)), lstm.bias)
     i_gate = ref.sigmoid(ref.take_slice(gates, 1, 0, h))
     f_gate = ref.sigmoid(ref.take_slice(gates, 1, h, 2 * h))
@@ -472,8 +472,7 @@ def _chain_step(stage, state, inp):
     write_w = _chain_address(state.memory, wp, state.write_weights)
     memory = _chain_write(state.memory, write_w, wp.erase, wp.add)
     read_w = _chain_address(memory, _chain_head(stage.read_head, ctrl_out), state.read_weights)
-    r_out = memory_read(memory, read_w)
-    return r_out, ctrl_out, StageState(memory, ctrl_out, cell, r_out, read_w, write_w)
+    return StageState(memory, ctrl_out, cell, memory_read(memory, read_w), read_w, write_w)
 
 
 def test_fused_stage_step_is_bit_identical_to_primitive_chain():
@@ -491,9 +490,9 @@ def test_fused_stage_step_is_bit_identical_to_primitive_chain():
         state, outs = start, []
         with ad.Tape() as tape:
             for inp in inputs:
-                r_out, ctrl_out, state = step(stage, state, inp)
-                outs += [r_out.data, ctrl_out.data, state.memory.data]
-            last = ad.concat([r_out, ctrl_out], axis=1)
+                state = step(stage, state, inp)
+                outs += [state.prev_read.data, state.hidden.data, state.memory.data]
+            last = ad.concat([state.prev_read, state.hidden], axis=1)
             loss = ad.reduce_sum(ad.mul(last, weights))
         for p in params.values():
             p.grad = None

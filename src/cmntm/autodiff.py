@@ -727,7 +727,6 @@ class BatchNorm:
     """
 
     def __init__(self, dim: int, dtype=np.float32):
-        self.dim = dim
         self.scale = Tensor(np.ones(dim, dtype=dtype), requires_grad=True)
         self.shift = Tensor(np.zeros(dim, dtype=dtype), requires_grad=True)
         self.running_mean = np.zeros(dim, dtype=dtype)
@@ -741,8 +740,9 @@ class BatchNorm:
         return {"running_mean": self.running_mean, "running_var": self.running_var}
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.data.ndim != 2 or x.data.shape[1] != self.dim:
-            raise ShapeError("batch_norm", f"expected (batch, {self.dim}) input, got {x.data.shape}")
+        dim = self.scale.data.shape[0]
+        if x.data.ndim != 2 or x.data.shape[1] != dim:
+            raise ShapeError("batch_norm", f"expected (batch, {dim}) input, got {x.data.shape}")
         if self.training:
             if x.data.shape[0] < 2:
                 raise DomainError("batch_norm: train mode needs a batch of at least 2 rows")

@@ -48,7 +48,8 @@ class CascadeConfig:
 class CMNTM:
     """Cascade of memory stages producing a modified query feature per turn."""
 
-    def __init__(self, config: CascadeConfig, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, config: CascadeConfig, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self.config = config
         self.dtype = dtype
         c, d = config.num_stages, config.feature_dim
@@ -213,9 +214,8 @@ class EwmaModel(_AggregatorModel):
 class LstmBaseline:
     """Single-layer LSTM over turn features with a linear read-out to D."""
 
-    def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator,
+    def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator | None,
                  dtype=np.float32):
-        self.hidden_size = hidden_size
         self.dtype = dtype
         self.cell = LSTMCell(feature_dim, hidden_size, rng, dtype)
         self.proj = Linear(hidden_size, feature_dim, rng, dtype)
@@ -234,7 +234,7 @@ class LstmBaseline:
 
     def initial_state(self, rngs) -> tuple[Tensor, Tensor]:
         b = len(rngs)
-        zeros = np.zeros((b, self.hidden_size), dtype=self.dtype)
+        zeros = np.zeros((b, self.cell.wh.data.shape[0]), dtype=self.dtype)
         return Tensor(zeros.copy()), Tensor(zeros.copy())
 
     def forward_transaction(self, queries: np.ndarray, state) -> tuple[list[Tensor], tuple]:

@@ -50,7 +50,12 @@ def _rng(*key: int) -> np.random.Generator:
 
 def build_model(cfg: TrainConfig):
     """Instantiate the configured model kind with seed-derived initialization."""
-    rng = _rng(_MODEL_TAG, cfg.seed)
+    return _new_model(cfg, _rng(_MODEL_TAG, cfg.seed))
+
+
+def _new_model(cfg: TrainConfig, rng: np.random.Generator | None):
+    """The configured model kind; without ``rng`` its weights are zero, for a restore
+    or a resume, which overwrite them all."""
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
     if cfg.model == "lstm":
@@ -249,8 +254,11 @@ def _copy_state(path: str, live: dict[str, np.ndarray], saved: dict[str, np.ndar
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild the checkpointed model and load its parameters and buffers."""
-    model = build_model(ckpt.cfg)
+    """Rebuild the checkpointed model and load its parameters and buffers.
+
+    The copy overwrites every weight, so the model is built without drawing one.
+    """
+    model = _new_model(ckpt.cfg, None)
     _copy_state(ckpt.path, _state(model),
                 {name: arr for name, arr in ckpt.arrays.items() if not name.startswith("adam.")})
     return model
@@ -361,7 +369,8 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             differs = _differing_keys(json.loads(saved), json.loads(wanted))
             raise CheckpointError(f"{resume_from}: resume config does not match checkpoint "
                                   f"config; differs in {differs}")
-    model = build_model(cfg)
+    # a resume overwrites every weight, so it draws none
+    model = build_model(cfg) if ckpt is None else _new_model(cfg, None)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
     start_epoch = 0

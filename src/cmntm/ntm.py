@@ -16,8 +16,14 @@ from .autodiff import Tensor
 SHIFT_OFFSETS = (-1, 0, 1)
 
 
-def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) -> Tensor:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight initialization."""
+def uniform_init(rng: np.random.Generator | None, fan_in: int, shape: tuple, dtype) -> Tensor:
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight initialization.
+
+    Without ``rng`` the weight is left zero, for a model whose every weight a
+    checkpoint is about to overwrite.
+    """
+    if rng is None:
+        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
 
@@ -25,7 +31,8 @@ def uniform_init(rng: np.random.Generator, fan_in: int, shape: tuple, dtype) -> 
 class Linear:
     """Affine map ``x @ w + b`` with zero-initialized bias."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self.w = uniform_init(rng, in_dim, (in_dim, out_dim), dtype)
         self.b = Tensor(np.zeros(out_dim, dtype=dtype), requires_grad=True)
 
@@ -43,7 +50,8 @@ class LSTMCell:
     cell state.
     """
 
-    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator | None,
+                 dtype=np.float32):
         self.wx = uniform_init(rng, input_size, (input_size, 4 * hidden_size), dtype)
         self.wh = uniform_init(rng, hidden_size, (hidden_size, 4 * hidden_size), dtype)
         bias = np.zeros(4 * hidden_size, dtype=dtype)
@@ -88,9 +96,8 @@ class HeadMLP:
     """
 
     def __init__(self, hidden_size: int, mem_width: int, write: bool,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator | None, dtype=np.float32):
         self.write = write
-        self.mem_width = mem_width
         out_dim = mem_width + 6 + (2 * mem_width if write else 0)
         self.w1 = uniform_init(rng, hidden_size, (hidden_size, hidden_size), dtype)
         self.b1 = Tensor(np.zeros(hidden_size, dtype=dtype), requires_grad=True)
@@ -99,6 +106,11 @@ class HeadMLP:
 
     def parameters(self) -> dict[str, Tensor]:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
+
+    @property
+    def mem_width(self) -> int:
+        """M, from the read-out width: M + 6 for a read head, 3M + 6 for a write head."""
+        return (self.w2.data.shape[1] - 6) // (3 if self.write else 1)
 
     def __call__(self, ctrl_out: Tensor) -> HeadParams:
         return HeadParams(*ad.head_mlp(ctrl_out, self.w1, self.b1, self.w2, self.b2,
@@ -144,7 +156,7 @@ class NTMStage:
     """Controller, heads, and memory update for one cascade stage."""
 
     def __init__(self, input_size: int, mem_width: int, hidden_size: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator | None, dtype=np.float32):
         self.controller = LSTMCell(input_size, hidden_size, rng, dtype)
         self.read_head = HeadMLP(hidden_size, mem_width, write=False, rng=rng, dtype=dtype)
         self.write_head = HeadMLP(hidden_size, mem_width, write=True, rng=rng, dtype=dtype)

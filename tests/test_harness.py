@@ -94,6 +94,17 @@ def _sample_entries():
             "d": np.frombuffer(b'{"a": 1}', dtype=np.uint8)}
 
 
+def _two_entry_file(tmp_path, keep: int) -> str:
+    """The first ``keep`` of the 88 bytes of a checkpoint of {"a": (1,), "w.b": (2, 3)}."""
+    path = str(tmp_path / "c.bin")
+    ckpt_io.save_entries(path, {"a": np.zeros(1, dtype=np.float32),
+                                "w.b": np.zeros((2, 3), dtype=np.float32)})
+    blob = open(path, "rb").read()
+    assert len(blob) == 88
+    open(path, "wb").write(blob[:keep])
+    return path
+
+
 class TestCheckpointFormat:
     def test_round_trip_preserves_arrays_and_order(self, tmp_path):
         path = str(tmp_path / "c.bin")
@@ -143,13 +154,66 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="version"):
             ckpt_io.load_entries(path)
 
-    def test_truncation_detected(self, tmp_path):
-        path = str(tmp_path / "c.bin")
-        ckpt_io.save_entries(path, _sample_entries())
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-12])
-        with pytest.raises(CheckpointError):
+    # Entry 1 of {"a": (1,), "w.b": (2, 3)} float32: name length at 33, name at 37,
+    # dtype code at 40, ndim at 44, dims at 48 and 52, payload at 56, length field at 80.
+    @pytest.mark.parametrize("keep, message", [
+        (2, "file too short to be a checkpoint"),
+        (6, "file too short to be a checkpoint"),
+        (10, "file too short to be a checkpoint"),
+        (35, "truncated while reading entry 1 name length (need 4 bytes at offset 33)"),
+        (38, "truncated while reading entry 1 name (need 3 bytes at offset 37)"),
+        (42, "truncated while reading entry 'w.b' dtype code (need 4 bytes at offset 40)"),
+        (46, "truncated while reading entry 'w.b' ndim (need 4 bytes at offset 44)"),
+        (54, "truncated while reading entry 'w.b' dim 1 (need 4 bytes at offset 52)"),
+        (70, "truncated while reading entry 'w.b' payload (need 24 bytes at offset 56)"),
+        (84, "truncated while reading length field (need 8 bytes at offset 80)"),
+    ], ids=["magic", "version", "count", "name-length", "name", "dtype-code", "ndim", "dim",
+            "payload", "length-field"])
+    def test_truncation_detected(self, tmp_path, keep, message):
+        path = _two_entry_file(tmp_path, keep)
+        with pytest.raises(CheckpointError) as excinfo:
             ckpt_io.load_entries(path)
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("keep, message", [
+        (42, "truncated while reading entry 'w.b' dtype code (need 4 bytes at offset 40)"),
+        (70, "truncated while reading entry 'w.b' payload (need 24 bytes at offset 56)"),
+    ], ids=["header", "payload"])
+    def test_file_shorter_than_its_stated_size_is_truncated(self, tmp_path, monkeypatch,
+                                                            keep, message):
+        # a file cut after the loader took its size: the read itself comes up short
+        path = _two_entry_file(tmp_path, keep)
+        full_size = os.stat_result((0,) * 6 + (88,) + (0,) * 3)  # st_size is field 6
+        monkeypatch.setattr(ckpt_io.os, "fstat", lambda fd: full_size)
+        with pytest.raises(CheckpointError) as excinfo:
+            ckpt_io.load_entries(path)
+        monkeypatch.undo()
+        assert str(excinfo.value) == f"{path}: {message}"
+
+    def test_dims_whose_product_passes_int64_are_truncated(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        body = (ckpt_io.MAGIC + struct.pack("<III", 2, 1, 1) + b"x"
+                + struct.pack("<4I", 0, 2, 2**32 - 1, 2**32 - 1))
+        open(path, "wb").write(body + struct.pack("<Q", len(body)))
+        with pytest.raises(CheckpointError) as excinfo:
+            ckpt_io.load_entries(path)
+        assert str(excinfo.value) == (f"{path}: truncated while reading entry 'x' payload "
+                                      f"(need {4 * (2**32 - 1) ** 2} bytes at offset 33)")
+
+    def test_loaded_arrays_are_separate_writable_buffers(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        entries = _sample_entries()
+        ckpt_io.save_entries(path, entries)
+        loaded = ckpt_io.load_entries(path)
+        arrays = list(loaded.values())
+        for arr in arrays:
+            assert arr.flags.writeable and arr.flags.aligned and arr.flags.c_contiguous
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+        loaded["a.w"][...] = -1
+        for name in ("b", "c", "d"):
+            assert loaded[name].tobytes() == entries[name].tobytes()
 
     def test_trailing_bytes_detected(self, tmp_path):
         path = str(tmp_path / "c.bin")
@@ -180,7 +244,48 @@ class TestCheckpointFormat:
 
 # -------------------------------------------------------- model checkpointing
 
+class _NoUniform(np.random.Generator):
+    """A generator whose uniform draw fails, so a test sees any weight initialization."""
+
+    def uniform(self, *args, **kwargs):
+        raise AssertionError("drew uniform numbers")
+
+
+def _forbid_uniform(monkeypatch):
+    """Make every ``default_rng`` stream refuse ``uniform``; other draws are unchanged."""
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda seed=None: _NoUniform(np.random.PCG64(seed)))
+    with pytest.raises(AssertionError, match="drew uniform"):
+        harness.build_model(tiny_cfg())
+
+
+def _assert_same_state(model, other) -> None:
+    for name, p in model.parameters().items():
+        assert p.data.tobytes() == other.parameters()[name].data.tobytes(), name
+    for name, b in model.buffers().items():
+        assert b.tobytes() == other.buffers()[name].tobytes(), name
+
+
 class TestModelCheckpoints:
+    @pytest.mark.parametrize("kind", ["cmntm", "lstm"])
+    def test_restore_draws_no_initial_weights(self, tmp_path, monkeypatch, kind):
+        trained = harness.train(tiny_cfg(model=kind, epochs=1), out_dir=str(tmp_path))
+        ckpt = harness.load_checkpoint(trained.checkpoint_path)
+        _forbid_uniform(monkeypatch)
+        _assert_same_state(trained.model, harness.restore_model(ckpt))
+
+    def test_resume_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg(epochs=2, checkpoint_every=1)
+        train_ds, val_ds = harness.default_datasets(cfg)
+        full_dir, resumed_dir = str(tmp_path / "full"), str(tmp_path / "resumed")
+        full = harness.train(cfg, out_dir=full_dir, train_ds=train_ds, val_ds=val_ds)
+        _forbid_uniform(monkeypatch)
+        resumed = harness.train(cfg, out_dir=resumed_dir, train_ds=train_ds, val_ds=val_ds,
+                                resume_from=f"{full_dir}/checkpoint_epoch1.bin")
+        _assert_same_state(full.model, resumed.model)
+        assert (open(f"{full_dir}/checkpoint.bin", "rb").read()
+                == open(f"{resumed_dir}/checkpoint.bin", "rb").read())
+
     def test_save_load_round_trip(self, tmp_path, tiny_val):
         cfg = tiny_cfg()
         model = harness.build_model(cfg)

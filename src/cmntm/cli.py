@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand takes ``--config`` (JSON, see ``config.py``) plus ``--seed``
-to override the run seed without editing the file. Artifacts land under
-``--out``. Set OMP_NUM_THREADS=1 (and the BLAS equivalents) before invoking
-if you need bit-identical outputs across machines with different thread
-counts.
+``gen-data``, ``train``, ``ablate-memories`` and ``time`` read ``--config``
+(JSON, see ``config.py``); all but ``gen-data`` take ``--seed`` to override
+the run seed. ``eval`` and the checkpoint experiments use the checkpoint's
+config. Artifacts land under ``--out``. Set OMP_NUM_THREADS=1 (and the BLAS
+equivalents) before invoking if you need bit-identical outputs across
+machines with different thread counts.
 """
 from __future__ import annotations
 
@@ -95,14 +96,19 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_eval_dataset(args: argparse.Namespace, cfg: TrainConfig):
-    if getattr(args, "data", None):
+    if args.data:
         return load_dataset(args.data)
     return gen_distractor(cfg.task, cfg.val_count, split="val")
 
 
+def _restored(path: str):
+    """The checkpoint at ``path`` and the model it holds."""
+    ckpt = harness.load_checkpoint(path)
+    return ckpt, harness.restore_model(ckpt)
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    model = harness.restore_model(ckpt)
+    ckpt, model = _restored(args.checkpoint)
     dataset = _load_eval_dataset(args, ckpt.cfg)
     report = harness.evaluate_model(model, dataset, ckpt.cfg.eval_batch_size, ckpt.cfg.seed)
     _print_json(report)
@@ -113,7 +119,7 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     err = harness.full_model_gradient_check(
         num_stages=args.stages, mem_locations=args.locations, mem_width=args.width,
         feature_dim=args.feature_dim, hidden_size=args.hidden, turns=args.turns,
-        batch=args.batch, h=args.h, seed=args.seed or 0)
+        batch=args.batch, h=args.h, seed=args.seed)
     ok = err <= args.tol
     print(f"max relative error {err:.3e} (tolerance {args.tol:.1e}): "
           f"{'PASS' if ok else 'FAIL'}")
@@ -130,10 +136,8 @@ def _cmd_ablate_memories(args: argparse.Namespace) -> int:
 
 
 def _cmd_turn_importance(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    model = harness.restore_model(ckpt)
-    base_ckpt = harness.load_checkpoint(args.baseline_checkpoint)
-    baseline = harness.restore_model(base_ckpt)
+    ckpt, model = _restored(args.checkpoint)
+    _, baseline = _restored(args.baseline_checkpoint)
     dataset = _load_eval_dataset(args, ckpt.cfg)
     summary = harness.turn_importance(model, baseline, dataset, ckpt.cfg.task.block_len,
                                       ckpt.cfg.eval_batch_size, ckpt.cfg.seed,
@@ -143,8 +147,7 @@ def _cmd_turn_importance(args: argparse.Namespace) -> int:
 
 
 def _cmd_turn_order(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    model = harness.restore_model(ckpt)
+    ckpt, model = _restored(args.checkpoint)
     dataset = _load_eval_dataset(args, ckpt.cfg)
     report = harness.turn_order_experiment(model, dataset, count=args.count,
                                            eval_batch_size=ckpt.cfg.eval_batch_size,
@@ -154,8 +157,7 @@ def _cmd_turn_order(args: argparse.Namespace) -> int:
 
 
 def _cmd_memory_retention(args: argparse.Namespace) -> int:
-    ckpt = harness.load_checkpoint(args.checkpoint)
-    model = harness.restore_model(ckpt)
+    ckpt, model = _restored(args.checkpoint)
     dataset = _load_eval_dataset(args, ckpt.cfg)
     report = harness.memory_retention_experiment(model, dataset, ckpt.cfg.task.block_len,
                                                  ckpt.cfg.eval_batch_size, ckpt.cfg.seed,
@@ -189,8 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, help="override the run seed")
         p.add_argument("--out", required=out_required, help="output directory")
 
+    data_help = "dataset file (defaults to the val split generated from the checkpoint's config)"
+
     p = sub.add_parser("gen-data", help="generate synthetic datasets")
-    common(p, out_required=True)
+    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--splits", default="train,val", type=_SPLITS, help="comma list: train,val,test")
     p.set_defaults(func=_cmd_gen_data)
 
@@ -202,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset file (defaults to the checkpoint's val split)")
+    p.add_argument("--data", help=data_help)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a small full model")
@@ -225,23 +230,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_ablate_memories)
 
     p = sub.add_parser("turn-importance", help="recall vs history length")
-    common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--checkpoint", required=True, help="memory model checkpoint")
     p.add_argument("--baseline-checkpoint", required=True, help="memory-less checkpoint")
-    p.add_argument("--data", help="dataset file (defaults to the checkpoint's val split)")
+    p.add_argument("--data", help=data_help)
     p.set_defaults(func=_cmd_turn_importance)
 
     p = sub.add_parser("turn-order", help="stability under permuted turn order")
-    common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset file")
+    p.add_argument("--data", help=data_help)
     p.add_argument("--count", type=_COUNT, default=500)
     p.set_defaults(func=_cmd_turn_order)
 
     p = sub.add_parser("memory-retention", help="turn-1 information in later retrievals")
-    common(p)
+    p.add_argument("--out", help="output directory")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--data", help="dataset file")
+    p.add_argument("--data", help=data_help)
     p.set_defaults(func=_cmd_memory_retention)
 
     p = sub.add_parser("time", help="median inference time per transaction")

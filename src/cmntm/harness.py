@@ -25,7 +25,7 @@ from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
                      DomainError, ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
-from .retrieval import rank_of, similarity_scores, top_k, transaction_loss
+from .retrieval import CandidateDB, rank_of, similarity_scores, top_k, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
 METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
@@ -138,37 +138,32 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 # prediction / evaluation
 
 
-def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int, seed: int,
-                    queries_override: np.ndarray | None = None) -> np.ndarray:
-    """Eval-mode per-turn predictions for every transaction, shape (T, N, D).
+def _predict(model, queries: np.ndarray, eval_batch_size: int, seed: int) -> np.ndarray:
+    """Eval-mode per-turn predictions for (T, N, D) queries, shape (T, N, D).
 
-    ``queries_override`` replaces the stored queries (same leading dimension,
-    any turn count); per-transaction state initialization depends only on
-    (seed, transaction index), so subsets and overrides stay comparable with a
-    standard evaluation pass.
+    Row ``i``'s state is drawn from (seed, i) alone, so a prefix of the rows, a
+    slice of the turns or rebuilt queries stay comparable with a full pass.
     """
-    txns = dataset.transactions
-    count = len(txns)
-    if queries_override is not None and queries_override.shape[0] != count:
-        raise ShapeError("predict_dataset",
-                         f"override has {queries_override.shape[0]} rows for {count} transactions")
     was_training = getattr(model, "training", False)
     model.set_training(False)
     chunks = []
     try:
-        for start in range(0, count, eval_batch_size):
-            idx = list(range(start, min(start + eval_batch_size, count)))
-            if queries_override is not None:
-                queries = queries_override[idx[0]:idx[-1] + 1]
-            else:
-                queries = stack_batch([txns[i] for i in idx], dataset.max_turns)
-            state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in idx])
+        for start in range(0, len(queries), eval_batch_size):
+            stop = min(start + eval_batch_size, len(queries))
+            state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(start, stop)])
             with no_grad():
-                preds, _ = model.forward_transaction(queries, state)
+                preds, _ = model.forward_transaction(queries[start:stop], state)
             chunks.append(np.stack([p.data for p in preds], axis=1))
     finally:
         model.set_training(was_training)
     return np.concatenate(chunks, axis=0)
+
+
+def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int,
+                    seed: int) -> np.ndarray:
+    """Eval-mode per-turn predictions for every transaction, shape (T, N, D)."""
+    return _predict(model, stack_batch(dataset.transactions, dataset.max_turns),
+                    eval_batch_size, seed)
 
 
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
@@ -447,8 +442,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
 # experiments
 
 
-def _write_artifact(out_dir: str, name: str, content: str | dict) -> None:
-    """Replace ``out_dir/name`` atomically with ``content``; a dict goes as JSON."""
+def _write_artifact(out_dir: str | None, name: str, content: str | dict) -> None:
+    """Replace ``out_dir/name`` atomically with ``content``; a dict goes as JSON.
+    Without ``out_dir`` nothing is written."""
+    if out_dir is None:
+        return
     os.makedirs(out_dir, exist_ok=True)
     with atomic_open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
         if isinstance(content, str):
@@ -508,13 +506,17 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
     for row in rows:
         row["pct_change_vs_first"] = (0.0 if base == 0
                                       else (row["mean_r5_r8"] - base) / base * 100.0)
-    if out_dir is not None:
-        lines = ["C,r5,r8,mean_r5_r8,pct_change_vs_first"]
-        for row in rows:
-            lines.append(f"{row['C']},{row['r5']:.6f},{row['r8']:.6f},"
-                         f"{row['mean_r5_r8']:.6f},{row['pct_change_vs_first']:.2f}")
-        _write_artifact(out_dir, "ablate_memories.csv", "\n".join(lines) + "\n")
+    lines = ["C,r5,r8,mean_r5_r8,pct_change_vs_first"]
+    for row in rows:
+        lines.append(f"{row['C']},{row['r5']:.6f},{row['r8']:.6f},"
+                     f"{row['mean_r5_r8']:.6f},{row['pct_change_vs_first']:.2f}")
+    _write_artifact(out_dir, "ablate_memories.csv", "\n".join(lines) + "\n")
     return rows
+
+
+def _top5(pred: np.ndarray, db: CandidateDB) -> set[int]:
+    """The ids of the five candidates in ``db`` that score best against ``pred``."""
+    return {int(v) for v in top_k(similarity_scores(pred, db), db.ids, 5)}
 
 
 TURN_IMPORTANCE_PROTOCOL = (
@@ -560,15 +562,14 @@ def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len:
     plus each model's spread (max - min over k).
     """
     n = dataset.max_turns
+    # history length k enters at turn n - 1 - k
+    suffixes = [_suffix_queries(dataset, n - 1 - k, block_len) for k in range(n)]
     rows = []
     spreads = {}
     for label, mdl in (("memory", model), ("memoryless", baseline_model)):
         values = []
-        for k in range(n):
-            entry_turn = n - 1 - k
-            override = _suffix_queries(dataset, entry_turn, block_len)
-            preds = predict_dataset(mdl, dataset, eval_batch_size, seed,
-                                    queries_override=override)
+        for k, queries in enumerate(suffixes):
+            preds = _predict(mdl, queries, eval_batch_size, seed)
             report = _recall_report(preds[:, -1], dataset)
             rows.append({"model": label, "history_turns": k,
                          "r5": report["r5"], "r8": report["r8"],
@@ -576,8 +577,7 @@ def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len:
             values.append(report["mean_r5_r8"])
         spreads[label] = max(values) - min(values)
     summary = {"protocol": TURN_IMPORTANCE_PROTOCOL, "rows": rows, "spread": spreads}
-    if out_dir is not None:
-        _write_artifact(out_dir, "turn_importance.json", summary)
+    _write_artifact(out_dir, "turn_importance.json", summary)
     return summary
 
 
@@ -593,19 +593,16 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     if count < 1:
         raise ValueError("turn_order_experiment: count must be >= 1")
     txns = dataset.transactions[:count]
-    db = dataset.db
-    subset = SyntheticDataset(dataset.max_turns, dataset.db, list(txns), dataset.split)
-    originals = predict_dataset(model, subset, eval_batch_size, seed)[:, -1]
-    permuted_queries = []
-    for i, txn in enumerate(txns):
-        permuted_queries.append(txn.queries[_rng(_ORDER_TAG, seed, i).permutation(txn.num_turns)])
-    permuted = predict_dataset(model, subset, eval_batch_size, seed,
-                               queries_override=np.stack(permuted_queries))[:, -1]
+    queries = stack_batch(txns, dataset.max_turns)
+    originals = _predict(model, queries, eval_batch_size, seed)[:, -1]
+    permuted_queries = np.stack([q[_rng(_ORDER_TAG, seed, i).permutation(len(q))]
+                                 for i, q in enumerate(queries)])
+    permuted = _predict(model, permuted_queries, eval_batch_size, seed)[:, -1]
     overlaps = []
     kept = retained = 0
     for i, txn in enumerate(txns):
-        top_orig = set(int(v) for v in top_k(similarity_scores(originals[i], db), db.ids, 5))
-        top_perm = set(int(v) for v in top_k(similarity_scores(permuted[i], db), db.ids, 5))
+        top_orig = _top5(originals[i], dataset.db)
+        top_perm = _top5(permuted[i], dataset.db)
         overlaps.append(len(top_orig & top_perm) / 5.0)
         target = int(txn.target_ids[-1])
         if target in top_orig:
@@ -615,8 +612,7 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
     report = {"count": len(txns),
               "mean_top5_overlap": float(np.mean(overlaps)),
               "target_retention": (retained / kept) if kept else None}
-    if out_dir is not None:
-        _write_artifact(out_dir, "turn_order.json", report)
+    _write_artifact(out_dir, "turn_order.json", report)
     return report
 
 
@@ -653,19 +649,15 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
         denom = np.maximum(block_norms[block] * max(np.linalg.norm(revealed), 1e-30), 1e-30)
         sims = sub @ revealed / denom
         match_sets.append(set(int(v) for v in top_k(sims, db.ids, top_l)))
-    stateful_preds = predict_dataset(model, dataset, eval_batch_size, seed)
-    reset_preds = np.empty_like(stateful_preds)
-    for turn in range(n):
-        single = predict_dataset(model, dataset, eval_batch_size, seed,
-                                 queries_override=np.stack(
-                                     [t.queries[turn:turn + 1] for t in txns]))
-        reset_preds[:, turn] = single[:, 0]
+    queries = stack_batch(txns, n)
+    stateful_preds = _predict(model, queries, eval_batch_size, seed)
+    reset_preds = np.concatenate([_predict(model, queries[:, turn:turn + 1], eval_batch_size, seed)
+                                  for turn in range(n)], axis=1)
 
     def rates(preds: np.ndarray) -> list[float]:
         out = []
         for turn in range(n):
-            hits = [len(set(int(v) for v in top_k(similarity_scores(preds[i, turn], db), db.ids, 5))
-                        & match_sets[i]) / 5.0
+            hits = [len(_top5(preds[i, turn], db) & match_sets[i]) / 5.0
                     for i in range(len(txns))]
             out.append(float(np.mean(hits)))
         return out
@@ -674,8 +666,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
               "chance_rate": top_l / len(db),
               "stateful": rates(stateful_preds),
               "state_reset": rates(reset_preds)}
-    if out_dir is not None:
-        _write_artifact(out_dir, "memory_retention.json", report)
+    _write_artifact(out_dir, "memory_retention.json", report)
     return report
 
 
@@ -727,12 +718,11 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
         rows.append({"C": cc.num_stages, "P": cc.mem_locations, "M": cc.mem_width,
                      "mean_r5_r8": recall,
                      "ms_per_txn": float(statistics.median(times_ms))})
-    if out_dir is not None:
-        lines = ["C,P,M,mean_r5_r8,ms_per_txn"]
-        for row in rows:
-            recall_text = "" if row["mean_r5_r8"] is None else f"{row['mean_r5_r8']:.6f}"
-            lines.append(f"{row['C']},{row['P']},{row['M']},{recall_text},{row['ms_per_txn']:.6f}")
-        _write_artifact(out_dir, "timing.csv", "\n".join(lines) + "\n")
+    lines = ["C,P,M,mean_r5_r8,ms_per_txn"]
+    for row in rows:
+        recall_text = "" if row["mean_r5_r8"] is None else f"{row['mean_r5_r8']:.6f}"
+        lines.append(f"{row['C']},{row['P']},{row['M']},{recall_text},{row['ms_per_txn']:.6f}")
+    _write_artifact(out_dir, "timing.csv", "\n".join(lines) + "\n")
     return rows
 
 

@@ -86,13 +86,17 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
     return np.clip(db.features @ query / denom, -1.0, 1.0)
 
 
+def _check_finite(op: str, scores: np.ndarray) -> None:
+    if not np.all(np.isfinite(scores)):
+        raise DegenerateInputError(f"{op}: non-finite score")
+
+
 def rank(scores: np.ndarray, ids: np.ndarray | None = None) -> RankingResult:
     """Stable descending sort of scores; ties break by ascending candidate id."""
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise ShapeError("rank", f"expected 1-d scores, got {scores.shape}")
-    if not np.all(np.isfinite(scores)):
-        raise DegenerateInputError("rank: non-finite score")
+    _check_finite("rank", scores)
     if ids is None:
         ids = np.arange(scores.shape[0], dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
@@ -109,11 +113,6 @@ def rank(scores: np.ndarray, ids: np.ndarray | None = None) -> RankingResult:
         run = order[tied]
         order[tied] = run[np.lexsort((ids[run], -ranked[tied]))]
     return RankingResult(ids=ids[order], scores=scores[order])
-
-
-def _check_finite(op: str, scores: np.ndarray) -> None:
-    if not np.all(np.isfinite(scores)):
-        raise DegenerateInputError(f"{op}: non-finite score")
 
 
 def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:

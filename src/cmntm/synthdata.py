@@ -24,6 +24,7 @@ losslessly and are byte-identical for a given seed.
 """
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 from dataclasses import dataclass
@@ -190,8 +191,7 @@ def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray
     return ids
 
 
-def _generate(config: TaskConfig, count: int, split: str,
-              distractor_prob: float) -> SyntheticDataset:
+def _generate(config: TaskConfig, count: int, split: str) -> SyntheticDataset:
     if split not in _SPLIT_TAGS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_TAGS)}")
     if count < 1:
@@ -215,7 +215,7 @@ def _generate(config: TaskConfig, count: int, split: str,
             composite = db.feature_of(ref).astype(np.float64)
             queries, metas = [], []
             for block in block_order:
-                is_distractor = rng.random() < distractor_prob
+                is_distractor = rng.random() < config.distractor_prob
                 if is_distractor:
                     noise = rng.normal(size=config.feature_dim)
                     query = noise / np.linalg.norm(noise)
@@ -240,13 +240,13 @@ def _generate(config: TaskConfig, count: int, split: str,
 
 def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Progressive block-reveal transactions with no distractor turns."""
-    return _generate(config, count, split, distractor_prob=0.0)
+    return _generate(dataclasses.replace(config, distractor_prob=0.0), count, split)
 
 
 def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Block-reveal transactions where turns become pure noise with
     probability ``config.distractor_prob``; ground truth ignores such turns."""
-    return _generate(config, count, split, distractor_prob=config.distractor_prob)
+    return _generate(config, count, split)
 
 
 def oracle_features(txn: Transaction, db: CandidateDB,

@@ -84,18 +84,22 @@ class TestCli:
         assert "spread" in summary and set(summary["spread"]) == {"memory", "memoryless"}
         assert os.path.exists(f"{out_dir}/turn_importance.json")
 
-    def test_turn_order_command(self, workspace, capsys):
+    def test_turn_order_command(self, workspace, tmp_path, capsys):
         rc = main(["turn-order", "--checkpoint", workspace["ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl", "--count", "4"])
+                   "--data", f"{workspace['data']}/val.jsonl", "--count", "4",
+                   "--out", str(tmp_path)])
         assert rc == 0
-        assert "mean_top5_overlap" in json.loads(capsys.readouterr().out)
+        printed = capsys.readouterr().out
+        assert "mean_top5_overlap" in json.loads(printed)
+        assert (tmp_path / "turn_order.json").read_text() == printed
 
-    def test_memory_retention_command(self, workspace, capsys):
+    def test_memory_retention_command(self, workspace, tmp_path, capsys):
         rc = main(["memory-retention", "--checkpoint", workspace["ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl"])
+                   "--data", f"{workspace['data']}/val.jsonl", "--out", str(tmp_path)])
         assert rc == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["stateful"]) == 2
+        printed = capsys.readouterr().out
+        assert len(json.loads(printed)["stateful"]) == 2
+        assert (tmp_path / "memory_retention.json").read_text() == printed
 
     def test_time_command(self, workspace, capsys):
         out_dir = str(workspace["root"] / "timing")
@@ -208,6 +212,29 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"expected {expected}, got '{argv[2]}'" in err
+
+    # options that no code would read: the experiments run on the checkpoint's
+    # config, and generated data follow task.seed
+    @pytest.mark.parametrize("command, option", [
+        ("gen-data", "--seed"),
+        ("turn-importance", "--config"),
+        ("turn-importance", "--seed"),
+        ("turn-order", "--config"),
+        ("turn-order", "--seed"),
+        ("memory-retention", "--config"),
+        ("memory-retention", "--seed"),
+    ])
+    def test_unread_option_is_a_usage_error(self, workspace, tmp_path, capsys, command, option):
+        val = f"{workspace['data']}/val.jsonl"
+        argv = {"gen-data": ["--out", str(tmp_path / "data")],
+                "turn-importance": ["--checkpoint", workspace["ckpt"], "--data", val,
+                                    "--baseline-checkpoint", workspace["baseline_ckpt"]],
+                "turn-order": ["--checkpoint", workspace["ckpt"], "--data", val],
+                "memory-retention": ["--checkpoint", workspace["ckpt"], "--data", val]}[command]
+        value = workspace["cfg"] if option == "--config" else "1"
+        assert main([command, *argv, option, value]) == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not (tmp_path / "data").exists()
 
     def test_seed_flag_changes_initialization(self, workspace, tmp_path):
         d1, d2 = str(tmp_path / "a"), str(tmp_path / "b")

@@ -804,12 +804,6 @@ class TestEvaluation:
         b = harness.predict_dataset(model, tiny_val, 64, seed=0)
         assert a.tobytes() == b.tobytes()
 
-    def test_override_row_count_checked(self, tiny_val):
-        model = harness.build_model(tiny_cfg())
-        with pytest.raises(ShapeError):
-            harness.predict_dataset(model, tiny_val, 8, seed=0,
-                                    queries_override=np.zeros((3, 2, 8), dtype=np.float32))
-
     @pytest.mark.parametrize("seed", range(6))
     def test_recall_report_matches_rank_and_recall_at_k(self, seed):
         # desk-sized db (256 x 32). Odd seeds use ternary rows, each twice,

@@ -153,11 +153,12 @@ class CMNTM:
 # baselines
 
 
-class _AggregatorModel:
-    """Shared plumbing for the parameter-free turn aggregators.
+class _Baseline:
+    """The memory-less models: no mode and no buffers.
 
-    Each keeps a running aggregate across the turns of a transaction, so a
-    transaction of N turns costs O(N) updates.
+    The defaults suit the parameter-free turn aggregators, each of which keeps
+    a running aggregate across the turns of a transaction, so a transaction of
+    N turns costs O(N) updates.
     """
 
     def set_training(self, flag: bool) -> None:
@@ -180,7 +181,7 @@ class _AggregatorModel:
         return [Tensor(agg.astype(np.float32)) for agg in self._scan(queries)], None
 
 
-class MeanModel(_AggregatorModel):
+class MeanModel(_Baseline):
     """Prediction at turn n is the mean of query features 1..n."""
 
     def _scan(self, queries):
@@ -191,7 +192,7 @@ class MeanModel(_AggregatorModel):
             yield total / (n + 1)
 
 
-class EwmaModel(_AggregatorModel):
+class EwmaModel(_Baseline):
     """Prediction at turn n is the EWMA of query features 1..n.
 
     The first turn seeds the average; each later turn n updates it as
@@ -211,7 +212,7 @@ class EwmaModel(_AggregatorModel):
             yield acc
 
 
-class LstmBaseline:
+class LstmBaseline(_Baseline):
     """Single-layer LSTM over turn features with a linear read-out to D."""
 
     def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator | None,
@@ -219,18 +220,11 @@ class LstmBaseline:
         self.dtype = dtype
         self.cell = LSTMCell(feature_dim, hidden_size, rng, dtype)
         self.proj = Linear(hidden_size, feature_dim, rng, dtype)
-        self.training = True
-
-    def set_training(self, flag: bool) -> None:
-        self.training = flag
 
     def parameters(self) -> dict[str, Tensor]:
         out = {f"lstm.{k}": v for k, v in self.cell.parameters().items()}
         out.update({f"proj.{k}": v for k, v in self.proj.parameters().items()})
         return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
 
     def initial_state(self, rngs) -> tuple[Tensor, Tensor]:
         b = len(rngs)

@@ -15,9 +15,7 @@ dtype code; every one of its entries is float32, and it still loads.
 Both directions stream. A save writes each header and each array's buffer
 straight into the file, counting bytes for the length field. A load reads
 each payload once, from the file into the array it returns; every field is
-checked against the file's size before it is read. A restore or a resume
-copies these arrays over every weight of the model, so ``harness`` builds
-that model without drawing its initial weights.
+checked against the file's size before it is read.
 """
 from __future__ import annotations
 

@@ -28,8 +28,10 @@ from .fileio import atomic_open
 from .retrieval import CandidateDB, rank_of, similarity_scores, top_k, transaction_loss
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
-METRICS_HEADER = "epoch,train_loss,r1,r5,r8,r10,mean_r5_r8"
 RECALL_KS = (1, 5, 8, 10)
+# the columns of metrics.csv after the epoch
+_METRICS_COLUMNS = ("train_loss", *(f"r{k}" for k in RECALL_KS), "mean_r5_r8")
+METRICS_HEADER = ",".join(("epoch",) + _METRICS_COLUMNS)
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 # the share by which a median time may drop with one more stage and still pass
 TIMING_REL_TOL = 0.05
@@ -54,17 +56,18 @@ def build_model(cfg: TrainConfig):
 
 
 def _new_model(cfg: TrainConfig, rng: np.random.Generator | None):
-    """The configured model kind; without ``rng`` its weights are zero, for a restore
-    or a resume, which overwrite them all."""
+    """The configured model kind, one of the four ``TrainConfig`` admits.
+
+    Without ``rng`` every weight is zero: a restore or a resume copies a
+    checkpoint over all of them, so drawing initial weights would be wasted.
+    """
     if cfg.model == "cmntm":
         return CMNTM(cfg.cascade, rng)
     if cfg.model == "lstm":
         return LstmBaseline(cfg.cascade.feature_dim, cfg.cascade.hidden_size, rng)
     if cfg.model == "ewma":
         return EwmaModel(cfg.ewma_alpha)
-    if cfg.model == "mean":
-        return MeanModel()
-    raise ValueError(f"unknown model kind {cfg.model!r}")
+    return MeanModel()
 
 
 def stack_batch(transactions: Sequence[Transaction], expected_turns: int) -> np.ndarray:
@@ -249,10 +252,7 @@ def _copy_state(path: str, live: dict[str, np.ndarray], saved: dict[str, np.ndar
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild the checkpointed model and load its parameters and buffers.
-
-    The copy overwrites every weight, so the model is built without drawing one.
-    """
+    """Rebuild the checkpointed model and load its parameters and buffers."""
     model = _new_model(ckpt.cfg, None)
     _copy_state(ckpt.path, _state(model),
                 {name: arr for name, arr in ckpt.arrays.items() if not name.startswith("adam.")})
@@ -284,8 +284,7 @@ def default_datasets(cfg: TrainConfig, train_ds: SyntheticDataset | None = None,
 
 
 def _metrics_row_text(row: dict) -> str:
-    return (f"{row['epoch']},{row['train_loss']:.6f},{row['r1']:.6f},{row['r5']:.6f},"
-            f"{row['r8']:.6f},{row['r10']:.6f},{row['mean_r5_r8']:.6f}")
+    return ",".join([str(row["epoch"])] + [f"{row[k]:.6f}" for k in _METRICS_COLUMNS])
 
 
 def write_metrics_csv(rows: list[dict], path: str) -> None:
@@ -301,15 +300,15 @@ def _read_metrics_csv(path: str) -> list[dict]:
         lines = fh.read().splitlines()
     if not lines or lines[0] != METRICS_HEADER:
         raise CmntmError(f"{path}:1: expected metrics header {METRICS_HEADER!r}")
-    keys = METRICS_HEADER.split(",")
+    fields = 1 + len(_METRICS_COLUMNS)
     rows = []
     for line_no, line in enumerate(lines[1:], start=2):
         values = line.split(",")
         try:
-            if len(values) != len(keys):
-                raise ValueError(f"expected {len(keys)} fields, got {len(values)}")
+            if len(values) != fields:
+                raise ValueError(f"expected {fields} fields, got {len(values)}")
             rows.append({"epoch": int(values[0]),
-                         **{k: float(v) for k, v in zip(keys[1:], values[1:])}})
+                         **{k: float(v) for k, v in zip(_METRICS_COLUMNS, values[1:])}})
         except ValueError as e:
             raise CmntmError(f"{path}:{line_no}: {e}") from None
     return rows
@@ -364,7 +363,6 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             differs = _differing_keys(json.loads(saved), json.loads(wanted))
             raise CheckpointError(f"{resume_from}: resume config does not match checkpoint "
                                   f"config; differs in {differs}")
-    # a resume overwrites every weight, so it draws none
     model = build_model(cfg) if ckpt is None else _new_model(cfg, None)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)
@@ -421,8 +419,8 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             loss_batches += 1
         train_loss = loss_sum / max(loss_batches, 1)
         report = evaluate_model(model, val_ds, cfg.eval_batch_size, cfg.seed)
-        row = {"epoch": epoch, "train_loss": train_loss, **{f"r{k}": report[f"r{k}"] for k in RECALL_KS},
-               "mean_r5_r8": report["mean_r5_r8"]}
+        row = {"epoch": epoch, "train_loss": train_loss,
+               **{k: report[k] for k in _METRICS_COLUMNS[1:]}}
         metrics_rows.append(row)
         if metrics_path is not None:
             write_metrics_csv(earlier_rows + metrics_rows, metrics_path)
@@ -679,7 +677,9 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
     Each configuration runs ``warmup`` unmeasured transactions, then at least
     ``txn_count`` measured ones on a monotonic clock. If a checkpoint is
     given, the matching configuration's row also reports its recall on the
-    generated transactions; a checkpoint that matches no row is an error.
+    generated transactions, scored as ``evaluate_model`` scores it with the
+    checkpoint's eval batch size and seed; a checkpoint trained on another
+    task, or one that matches no row, is an error.
     """
     if txn_count < 1:
         raise ValueError("timing_experiment: txn_count must be >= 1")
@@ -691,6 +691,10 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
         if loaded.cfg.cascade not in cascade_configs:
             raise CheckpointError(f"{checkpoint_path}: its cascade {loaded.cfg.cascade} "
                                   f"matches no timed configuration")
+        if loaded.cfg.task != task:
+            differs = _differing_keys(dataclasses.asdict(loaded.cfg.task), dataclasses.asdict(task))
+            raise CheckpointError(f"{checkpoint_path}: its task differs from the timed task "
+                                  f"in {differs}")
     dataset = gen_distractor(task, max(txn_count, 32), split="val")
     rows = []
     for cc in cascade_configs:
@@ -698,7 +702,8 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
             raise ValueError("timing_experiment: cascade feature_dim must match the task")
         if loaded is not None and loaded.cfg.cascade == cc:
             model = restore_model(loaded)
-            recall = evaluate_model(model, dataset, seed=seed)["mean_r5_r8"]
+            recall = evaluate_model(model, dataset, loaded.cfg.eval_batch_size,
+                                    loaded.cfg.seed)["mean_r5_r8"]
         else:
             model = CMNTM(cc, _rng(_MODEL_TAG, seed))
             recall = None

@@ -17,11 +17,7 @@ SHIFT_OFFSETS = (-1, 0, 1)
 
 
 def uniform_init(rng: np.random.Generator | None, fan_in: int, shape: tuple, dtype) -> Tensor:
-    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight initialization.
-
-    Without ``rng`` the weight is left zero, for a model whose every weight a
-    checkpoint is about to overwrite.
-    """
+    """Uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight initialization; zeros without ``rng``."""
     if rng is None:
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
     bound = 1.0 / np.sqrt(fan_in)

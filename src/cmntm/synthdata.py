@@ -8,7 +8,7 @@ database item nearest (by cosine) to the clean composite of everything
 revealed through turn n. Memory is therefore required: no single turn
 identifies the final target on its own.
 
-``_generate`` draws each transaction from its own seeded generator, then
+``gen_distractor`` draws each transaction from its own seeded generator, then
 finds the ground truth of a chunk of transactions at once: the chunk's
 composites fill one float64 block, one GEMM scores it against the db, and
 each turn takes its row's argmax. GEMM and GEMV round differently, so a turn
@@ -191,7 +191,9 @@ def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray
     return ids
 
 
-def _generate(config: TaskConfig, count: int, split: str) -> SyntheticDataset:
+def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
+    """Block-reveal transactions where turns become pure noise with
+    probability ``config.distractor_prob``; ground truth ignores such turns."""
     if split not in _SPLIT_TAGS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_TAGS)}")
     if count < 1:
@@ -240,13 +242,7 @@ def _generate(config: TaskConfig, count: int, split: str) -> SyntheticDataset:
 
 def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Progressive block-reveal transactions with no distractor turns."""
-    return _generate(dataclasses.replace(config, distractor_prob=0.0), count, split)
-
-
-def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
-    """Block-reveal transactions where turns become pure noise with
-    probability ``config.distractor_prob``; ground truth ignores such turns."""
-    return _generate(config, count, split)
+    return gen_distractor(dataclasses.replace(config, distractor_prob=0.0), count, split)
 
 
 def oracle_features(txn: Transaction, db: CandidateDB,
@@ -429,8 +425,11 @@ def load_dataset(path: str) -> SyntheticDataset:
             if not np.isfinite(queries).all():
                 raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} finite numbers")
             for t in target_ids:
-                if t not in db._index:
-                    raise DatasetFormatError(path, line_no, f"target_id {t} not in the candidate db")
+                try:
+                    db.index_of(t)
+                except KeyError:
+                    raise DatasetFormatError(path, line_no,
+                                             f"target_id {t} not in the candidate db") from None
             meta = None
             if "meta" in obj:
                 raw = obj["meta"]

@@ -990,25 +990,35 @@ class TestExperiments:
     def test_timing_reports_recall_only_on_the_checkpoint_row(self, trained_run):
         cfg, path = trained_run
         one_stage = dataclasses.replace(TINY_CASCADE, num_stages=1)
+        # timed at another seed, the recall is still scored as the checkpoint's own eval does
         rows = harness.timing_experiment([one_stage, TINY_CASCADE], TINY_TASK, txn_count=2,
-                                         warmup=0, seed=0, checkpoint_path=path)
+                                         warmup=0, seed=cfg.seed + 7, checkpoint_path=path)
         assert [row["C"] for row in rows] == [1, 2]
         assert rows[0]["mean_r5_r8"] is None
-        assert rows[1]["mean_r5_r8"] is not None
+        restored = harness.restore_model(harness.load_checkpoint(path))
+        dataset = gen_block_reveal(TINY_TASK, count=32, split="val")  # the transactions timed
+        expected = harness.evaluate_model(restored, dataset, cfg.eval_batch_size, cfg.seed)
+        assert rows[1]["mean_r5_r8"] == expected["mean_r5_r8"]
 
-    @pytest.mark.parametrize("case", ["lstm-checkpoint", "no-matching-cascade"])
+    @pytest.mark.parametrize("case", ["lstm-checkpoint", "no-matching-cascade", "other-task"])
     def test_timing_rejects_a_checkpoint_that_matches_no_row(self, trained_run, tmp_path, case):
         one_stage = dataclasses.replace(TINY_CASCADE, num_stages=1)
+        task = TINY_TASK
         if case == "lstm-checkpoint":
             path = harness.train(tiny_cfg(model="lstm", epochs=1),
                                  out_dir=str(tmp_path / "lstm")).checkpoint_path
             configs, message = [one_stage, TINY_CASCADE], "'lstm' model"
-        else:
+        elif case == "no-matching-cascade":
             path = trained_run[1]
             configs, message = [one_stage], "matches no timed configuration"
+        else:
+            # the same cascade, timed on a db the checkpoint never saw
+            path = trained_run[1]
+            task = dataclasses.replace(TINY_TASK, seed=3)
+            configs, message = [one_stage, TINY_CASCADE], r"timed task in \['seed'\]"
         out = tmp_path / "timing"
         with pytest.raises(CheckpointError, match=message) as e:
-            harness.timing_experiment(configs, TINY_TASK, txn_count=2, warmup=0, seed=0,
+            harness.timing_experiment(configs, task, txn_count=2, warmup=0, seed=0,
                                       checkpoint_path=path, out_dir=str(out))
         assert str(e.value).startswith(f"{path}: ")
         assert not out.exists()

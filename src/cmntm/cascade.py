@@ -59,12 +59,10 @@ class CMNTM:
                                 config.hidden_size, rng, dtype)
                        for _ in range(c)]
         self.fusion = Linear(config.hidden_size + config.mem_width, d, rng, dtype)
-        self.training = True
 
     # -- bookkeeping ---------------------------------------------------------
 
     def set_training(self, flag: bool) -> None:
-        self.training = flag
         for bn in self.derive_bn:
             bn.training = flag
 

@@ -59,6 +59,7 @@ def _checked(convert, ok, what: str):
 
 
 _COUNT = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_NON_NEGATIVE = _checked(int, lambda v: v >= 0, "an integer >= 0")
 _POSITIVE = r"\d*[1-9]\d*"
 _SPLITS = _comma_list("|".join(_SPLIT_COUNTS), "train, val, test", str)
 _STAGES = _comma_list(_POSITIVE, "positive integers")
@@ -211,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of a small full model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_NON_NEGATIVE, default=0)
     p.add_argument("--stages", type=_COUNT, default=2)
     p.add_argument("--locations", type=_COUNT, default=4)
     p.add_argument("--width", type=_COUNT, default=8)
@@ -254,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stages", default="1,2,4,8", type=_STAGES, help="comma list of stage counts")
     p.add_argument("--sizes", default="16x32", type=_SIZES, help="comma list of PxM memory sizes")
     p.add_argument("--txns", type=_COUNT, default=100)
-    p.add_argument("--warmup", default=10, type=_checked(int, lambda v: v >= 0, "an integer >= 0"))
+    p.add_argument("--warmup", type=_NON_NEGATIVE, default=10)
     p.add_argument("--checkpoint", help="report this checkpoint's recall alongside timings")
     p.add_argument("--check", action=argparse.BooleanOptionalAction, default=True,
                    help="fail if median time decreases with stage count")

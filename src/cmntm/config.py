@@ -37,6 +37,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"unknown model kind {self.model!r}; expected one of {MODEL_KINDS}")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
         if self.batch_size < 2:
@@ -66,34 +68,38 @@ _TOP_KEYS = {"model", "seed", "cascade", "task", "train"}
 _TRAIN_KEYS = {f.name for f in dataclasses.fields(TrainConfig)} - _TOP_KEYS
 
 
-def _check_keys(section: dict, allowed: set[str], where: str) -> None:
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _section(section, cls, allowed: set[str], where: str) -> dict:
+    """``section`` once it is an object of ``allowed`` keys whose values have
+    the type of their ``cls`` field's default: an int field takes an integer
+    (not a bool), a float field any number."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(section) - allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-
-
-def _check_section(value, where: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    return value
+    for f in dataclasses.fields(cls):
+        if f.name not in section or f.default is dataclasses.MISSING:
+            continue  # absent, or a section checked on its own
+        kind = type(f.default)
+        if type(section[f.name]) not in ((int, float) if kind is float else (kind,)):
+            raise ConfigError(f"{where}.{f.name} must be {_TYPE_NAMES[kind]}, "
+                              f"got {json.dumps(section[f.name])}")
+    return section
 
 
 def config_from_dict(raw: dict) -> TrainConfig:
-    raw = _check_section(raw, "config")
-    _check_keys(raw, _TOP_KEYS, "config")
-    cascade_raw = _check_section(raw.get("cascade", {}), "config.cascade")
-    _check_keys(cascade_raw, _CASCADE_KEYS, "config.cascade")
-    task_raw = _check_section(raw.get("task", {}), "config.task")
-    _check_keys(task_raw, _TASK_KEYS, "config.task")
-    train_raw = _check_section(raw.get("train", {}), "config.train")
-    _check_keys(train_raw, _TRAIN_KEYS, "config.train")
+    raw = _section(raw, TrainConfig, _TOP_KEYS, "config")
+    cascade = _section(raw.get("cascade", {}), CascadeConfig, _CASCADE_KEYS, "config.cascade")
+    task = _section(raw.get("task", {}), TaskConfig, _TASK_KEYS, "config.task")
+    train = _section(raw.get("train", {}), TrainConfig, _TRAIN_KEYS, "config.train")
+    top = {key: raw[key] for key in ("model", "seed") if key in raw}
     try:
-        cascade = CascadeConfig(**cascade_raw)
-        task = TaskConfig(**task_raw)
-        return TrainConfig(model=raw.get("model", "cmntm"),
-                           seed=int(raw.get("seed", 0)),
-                           cascade=cascade, task=task, **train_raw)
-    except (ValueError, TypeError) as e:
+        return TrainConfig(cascade=CascadeConfig(**cascade), task=TaskConfig(**task),
+                           **top, **train)
+    except ValueError as e:
         raise ConfigError(str(e)) from None
 
 

@@ -144,21 +144,18 @@ def clip_gradients(params: dict[str, Tensor], max_norm: float) -> float:
 def _predict(model, queries: np.ndarray, eval_batch_size: int, seed: int) -> np.ndarray:
     """Eval-mode per-turn predictions for (T, N, D) queries, shape (T, N, D).
 
-    Row ``i``'s state is drawn from (seed, i) alone, so a prefix of the rows, a
-    slice of the turns or rebuilt queries stay comparable with a full pass.
+    The model is left in eval mode. Row ``i``'s state is drawn from (seed, i)
+    alone, so a prefix of the rows, a slice of the turns or rebuilt queries
+    stay comparable with a full pass.
     """
-    was_training = getattr(model, "training", False)
     model.set_training(False)
     chunks = []
-    try:
-        for start in range(0, len(queries), eval_batch_size):
-            stop = min(start + eval_batch_size, len(queries))
-            state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(start, stop)])
-            with no_grad():
-                preds, _ = model.forward_transaction(queries[start:stop], state)
-            chunks.append(np.stack([p.data for p in preds], axis=1))
-    finally:
-        model.set_training(was_training)
+    for start in range(0, len(queries), eval_batch_size):
+        stop = min(start + eval_batch_size, len(queries))
+        state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(start, stop)])
+        with no_grad():
+            preds, _ = model.forward_transaction(queries[start:stop], state)
+        chunks.append(np.stack([p.data for p in preds], axis=1))
     return np.concatenate(chunks, axis=0)
 
 
@@ -181,8 +178,7 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
     return report
 
 
-def evaluate_model(model, dataset: SyntheticDataset,
-                   eval_batch_size: int = 256, seed: int = 0) -> dict:
+def evaluate_model(model, dataset: SyntheticDataset, eval_batch_size: int, seed: int) -> dict:
     """Final-turn retrieval metrics over the whole candidate db."""
     preds = predict_dataset(model, dataset, eval_batch_size, seed)
     return _recall_report(preds[:, -1], dataset)
@@ -353,6 +349,9 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     resumed run keeps the rows of an existing ``metrics.csv`` up to the
     checkpoint's epoch, so the file ends as an uninterrupted run's would;
     the returned ``metrics`` hold only the epochs this call trained.
+
+    After at least one epoch the returned model is in eval mode, as its last
+    validation left it; call ``set_training(True)`` before a train-mode forward.
     """
     train_ds, val_ds = default_datasets(cfg, train_ds, val_ds)
     ckpt = None
@@ -550,8 +549,7 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) 
 
 
 def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len: int,
-                    eval_batch_size: int = 256, seed: int = 0,
-                    out_dir: str | None = None) -> dict:
+                    eval_batch_size: int, seed: int, out_dir: str | None = None) -> dict:
     """Recall as a function of how many past turns the model actually sees.
 
     k = N-1 feeds the full transaction (identical to standard evaluation);
@@ -579,8 +577,8 @@ def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len:
     return summary
 
 
-def turn_order_experiment(model, dataset: SyntheticDataset, count: int = 500,
-                          eval_batch_size: int = 256, seed: int = 0,
+def turn_order_experiment(model, dataset: SyntheticDataset, count: int,
+                          eval_batch_size: int, seed: int,
                           out_dir: str | None = None) -> dict:
     """Compare final-turn retrievals under original and permuted turn order.
 
@@ -618,7 +616,7 @@ BLOCK_MATCH_TOP_SHARE = 0.1
 
 
 def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int,
-                                eval_batch_size: int = 256, seed: int = 0,
+                                eval_batch_size: int, seed: int,
                                 out_dir: str | None = None) -> dict:
     """Does turn-1 information survive in later retrievals?
 
@@ -669,7 +667,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
 
 
 def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig,
-                      txn_count: int = 100, warmup: int = 10, seed: int = 0,
+                      txn_count: int, warmup: int, seed: int,
                       checkpoint_path: str | None = None,
                       out_dir: str | None = None) -> list[dict]:
     """Median single-transaction inference time per architecture.

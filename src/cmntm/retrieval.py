@@ -91,14 +91,12 @@ def _check_finite(op: str, scores: np.ndarray) -> None:
         raise DegenerateInputError(f"{op}: non-finite score")
 
 
-def rank(scores: np.ndarray, ids: np.ndarray | None = None) -> RankingResult:
+def rank(scores: np.ndarray, ids: np.ndarray) -> RankingResult:
     """Stable descending sort of scores; ties break by ascending candidate id."""
     scores = np.asarray(scores)
     if scores.ndim != 1:
         raise ShapeError("rank", f"expected 1-d scores, got {scores.shape}")
     _check_finite("rank", scores)
-    if ids is None:
-        ids = np.arange(scores.shape[0], dtype=np.int64)
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != scores.shape:
         raise ShapeError("rank", f"{ids.shape[0]} ids for {scores.shape[0]} scores")

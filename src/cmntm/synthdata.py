@@ -56,18 +56,20 @@ class TaskConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.max_turns < 1:
+            raise ValueError("TaskConfig: max_turns must be >= 1")
         if self.blocks < self.max_turns:
             raise ValueError("TaskConfig: blocks must be >= max_turns so turns reveal disjoint blocks")
         if self.feature_dim % self.blocks != 0:
             raise ValueError("TaskConfig: feature_dim must be divisible by blocks")
         if self.db_size < 8:
             raise ValueError("TaskConfig: db_size must be >= 8")
-        if self.max_turns < 1:
-            raise ValueError("TaskConfig: max_turns must be >= 1")
         if self.noise_std < 0:
             raise ValueError("TaskConfig: noise_std must be >= 0")
         if not (0.0 <= self.distractor_prob <= 1.0):
             raise ValueError("TaskConfig: distractor_prob must be in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("TaskConfig: seed must be >= 0")
 
     @property
     def block_len(self) -> int:

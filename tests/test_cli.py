@@ -203,8 +203,10 @@ class TestCli:
         (["gradcheck", "--h", "0"], "a finite number > 0"),
         (["gradcheck", "--h", "nan"], "a finite number > 0"),
         (["gradcheck", "--h", "inf"], "a finite number > 0"),
+        (["gradcheck", "--seed", "-1"], "an integer >= 0"),
     ], ids=["count-zero", "count-negative", "txns-zero", "gradcheck-size-zero",
-            "warmup-negative", "batch-one", "step-zero", "step-nan", "step-inf"])
+            "warmup-negative", "batch-one", "step-zero", "step-nan", "step-inf",
+            "gradcheck-seed-negative"])
     def test_out_of_range_flag_is_a_usage_error(self, workspace, capsys, argv, expected):
         if argv[0] == "turn-order":
             argv = argv + ["--checkpoint", workspace["ckpt"],
@@ -212,6 +214,27 @@ class TestCli:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"expected {expected}, got '{argv[2]}'" in err
+
+    @pytest.mark.parametrize("command, edit, flags, message", [
+        ("train", ("train", "epochs", 1.5), [], "config.train.epochs must be an integer, got 1.5"),
+        ("train", (None, "seed", -1), [], "seed must be >= 0"),
+        ("train", None, ["--seed", "-1"], "seed must be >= 0"),
+        ("gen-data", ("task", "seed", -2), [], "TaskConfig: seed must be >= 0"),
+    ], ids=["fractional-epochs", "negative-config-seed", "negative-seed-flag",
+            "negative-task-seed"])
+    def test_a_bad_config_value_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                           command, edit, flags, message):
+        raw = json.loads(open(workspace["cfg"]).read())
+        if edit is not None:
+            section, key, value = edit
+            (raw if section is None else raw[section])[key] = value
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        data = ["--data", workspace["data"]] if command == "train" else []
+        assert main([command, "--config", str(cfg), "--out", str(out), *data, *flags]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     # options that no code would read: the experiments run on the checkpoint's
     # config, and generated data follow task.seed

@@ -726,6 +726,40 @@ class TestConfig:
         with pytest.raises(ConfigError, match="feature_dim"):
             tiny_cfg(task=TaskConfig(feature_dim=16, blocks=4, max_turns=2, db_size=16))
 
+    def test_absent_keys_take_the_config_defaults(self):
+        assert config_from_dict({}) == TrainConfig()
+
+    @pytest.mark.parametrize("section, key, value", [
+        (None, "model", 5),
+        (None, "seed", 1.7),
+        (None, "seed", True),
+        ("cascade", "num_stages", 2.0),
+        ("task", "db_size", 16.5),
+        ("task", "noise_std", "0.05"),
+        ("train", "epochs", 1.5),
+        ("train", "epochs", True),
+        ("train", "learning_rate", False),
+    ])
+    def test_a_value_of_the_wrong_json_type_is_rejected(self, section, key, value):
+        raw = config_to_dict(tiny_cfg())
+        (raw if section is None else raw[section])[key] = value
+        where = "config" if section is None else f"config.{section}"
+        with pytest.raises(ConfigError, match=rf"^{where}\.{key} must be an? \w+, got "):
+            config_from_dict(raw)
+
+    def test_a_float_field_keeps_an_integer_as_given(self):
+        raw = config_to_dict(tiny_cfg())
+        raw["task"]["noise_std"] = 0
+        raw["train"]["learning_rate"] = 1
+        assert config_to_dict(config_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize("section", [None, "task"])
+    def test_a_negative_seed_is_rejected(self, section):
+        raw = config_to_dict(tiny_cfg())
+        (raw if section is None else raw[section])["seed"] = -1
+        with pytest.raises(ConfigError, match="seed must be >= 0"):
+            config_from_dict(raw)
+
 
 # -------------------------------------------------------------------- metrics
 
@@ -949,7 +983,8 @@ class TestExperiments:
     def test_turn_order_rejects_a_count_below_one(self, tiny_val, count):
         model = harness.build_model(tiny_cfg())
         with pytest.raises(ValueError, match="count must be >= 1"):
-            harness.turn_order_experiment(model, tiny_val, count=count, eval_batch_size=8)
+            harness.turn_order_experiment(model, tiny_val, count=count, eval_batch_size=8,
+                                          seed=0)
 
     def test_turn_order_report_shape(self, tmp_path, tiny_val):
         model = harness.build_model(tiny_cfg())
@@ -1026,7 +1061,7 @@ class TestExperiments:
     def test_timing_rejects_mismatched_feature_dim(self):
         bad = dataclasses.replace(TINY_CASCADE, feature_dim=16)
         with pytest.raises(ValueError, match="feature_dim"):
-            harness.timing_experiment([bad], TINY_TASK, txn_count=1, warmup=0)
+            harness.timing_experiment([bad], TINY_TASK, txn_count=1, warmup=0, seed=0)
 
     def test_timing_monotone_checker(self):
         ok = [{"C": 1, "P": 4, "M": 4, "ms_per_txn": 1.0},

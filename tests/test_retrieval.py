@@ -111,7 +111,7 @@ class TestSimilarityScores:
         b = CandidateDB(ids=np.arange(30), features=feats * scales)
         q = rng.normal(size=8)
         np.testing.assert_array_equal(
-            rank(similarity_scores(q, a)).ids, rank(similarity_scores(q, b)).ids)
+            rank(similarity_scores(q, a), a.ids).ids, rank(similarity_scores(q, b), b.ids).ids)
 
     def test_scores_bounded(self, rng):
         db = _random_db(rng, count=50, dim=6)
@@ -154,7 +154,7 @@ def test_similarity_scores_with_cached_norms_is_bit_equal(seed, count, dim, dtyp
 
 class TestRank:
     def test_descending_scores(self):
-        r = rank(np.array([0.1, 0.9, 0.5]))
+        r = rank(np.array([0.1, 0.9, 0.5]), np.arange(3))
         np.testing.assert_array_equal(r.ids, [1, 2, 0])
         np.testing.assert_array_equal(r.scores, [0.9, 0.5, 0.1])
 
@@ -166,19 +166,15 @@ class TestRank:
         r = rank(np.zeros(4), ids=np.array([30, 10, 40, 20]))
         np.testing.assert_array_equal(r.ids, [10, 20, 30, 40])
 
-    def test_default_ids_are_positions(self):
-        r = rank(np.array([0.2, 0.8]))
-        np.testing.assert_array_equal(r.ids, [1, 0])
-
     def test_non_finite_scores_raise(self):
         with pytest.raises(DegenerateInputError):
-            rank(np.array([0.5, np.nan]))
+            rank(np.array([0.5, np.nan]), np.arange(2))
         with pytest.raises(DegenerateInputError):
-            rank(np.array([np.inf, 0.0]))
+            rank(np.array([np.inf, 0.0]), np.arange(2))
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
-            rank(np.zeros((2, 2)))
+            rank(np.zeros((2, 2)), np.arange(2))
         with pytest.raises(ShapeError):
             rank(np.zeros(3), ids=np.arange(2))
 

@@ -51,6 +51,8 @@ class TestTaskConfig:
         dict(noise_std=-0.1),
         dict(distractor_prob=1.5),
         dict(distractor_prob=-0.1),
+        dict(max_turns=0, blocks=0),        # no turns, checked before blocks divides
+        dict(seed=-1),
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError):

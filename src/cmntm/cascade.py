@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import BatchNorm, Tensor
 from .errors import ShapeError
-from .ntm import Linear, LSTMCell, NTMStage, StageState
+from .ntm import Linear, LSTMCell, NTMStage, StageState, prefixed
 
 MEMORY_INIT_STD = 0.05
 
@@ -45,7 +45,53 @@ class CascadeConfig:
         return 2 * self.mem_width + self.feature_dim
 
 
-class CMNTM:
+class _Model:
+    """The base of the cascade and its three baselines: one turn loop, which
+    hands each turn's query to ``cascade_turn``, and one walk over the named
+    ``parts``, from which the checkpoint's entry names and order follow. The
+    defaults suit the turn aggregators: no parts, no state, float32 queries.
+    """
+
+    dtype = np.float32
+
+    def parts(self) -> list[tuple[str, object]]:
+        """``(name, part)`` pairs in checkpoint order; every part has ``parameters()``."""
+        return []
+
+    def parameters(self) -> dict[str, Tensor]:
+        return prefixed((name, part.parameters()) for name, part in self.parts())
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        """The live batch-norm running statistics; a restore writes into them."""
+        return prefixed((name, part.buffers()) for name, part in self.parts()
+                        if isinstance(part, BatchNorm))
+
+    def set_training(self, flag: bool) -> None:
+        """Put every batch norm in train (``True``) or eval (``False``) mode."""
+        for _, part in self.parts():
+            if isinstance(part, BatchNorm):
+                part.training = flag
+
+    def initial_state(self, rngs) -> object:
+        return None
+
+    def cascade_turn(self, state, query: Tensor) -> tuple[Tensor, object]:
+        """One turn of a batch: the state before it and the (B, D) ``query``
+        give (the (B, D) prediction, the state after it)."""
+        raise NotImplementedError
+
+    def forward_transaction(self, queries: np.ndarray, state) -> tuple[list[Tensor], object]:
+        """Run every turn of (B, N, D) ``queries``; returns the per-turn
+        predictions and the final state."""
+        preds: list[Tensor] = []
+        for n in range(queries.shape[1]):
+            q = Tensor(np.ascontiguousarray(queries[:, n]).astype(self.dtype, copy=False))
+            pred, state = self.cascade_turn(state, q)
+            preds.append(pred)
+        return preds, state
+
+
+class CMNTM(_Model):
     """Cascade of memory stages producing a modified query feature per turn."""
 
     def __init__(self, config: CascadeConfig, rng: np.random.Generator | None,
@@ -60,35 +106,12 @@ class CMNTM:
                        for _ in range(c)]
         self.fusion = Linear(config.hidden_size + config.mem_width, d, rng, dtype)
 
-    # -- bookkeeping ---------------------------------------------------------
-
-    def set_training(self, flag: bool) -> None:
-        for bn in self.derive_bn:
-            bn.training = flag
-
-    def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
+    def parts(self) -> list[tuple[str, object]]:
+        parts: list[tuple[str, object]] = []
         for i, (fc, bn) in enumerate(zip(self.derive_fc, self.derive_bn)):
-            for name, p in fc.parameters().items():
-                out[f"derive{i}.fc.{name}"] = p
-            for name, p in bn.parameters().items():
-                out[f"derive{i}.bn.{name}"] = p
-        for i, stage in enumerate(self.stages):
-            for name, p in stage.parameters().items():
-                out[f"stage{i}.{name}"] = p
-        for name, p in self.fusion.parameters().items():
-            out[f"fusion.{name}"] = p
-        return out
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        """The live batch-norm running statistics; a restore writes into them."""
-        out: dict[str, np.ndarray] = {}
-        for i, bn in enumerate(self.derive_bn):
-            for name, b in bn.buffers().items():
-                out[f"derive{i}.bn.{name}"] = b
-        return out
-
-    # -- state ---------------------------------------------------------------
+            parts += [(f"derive{i}.fc", fc), (f"derive{i}.bn", bn)]
+        parts += [(f"stage{i}", stage) for i, stage in enumerate(self.stages)]
+        return parts + [("fusion", self.fusion)]
 
     def initial_state(self, rngs: Sequence[np.random.Generator]) -> list[StageState]:
         """One fresh StageState per stage for a batch of ``len(rngs)`` transactions.
@@ -111,8 +134,6 @@ class CMNTM:
                            write_weights=Tensor(uniform.copy()))
                 for i in range(c)]
 
-    # -- forward -------------------------------------------------------------
-
     def derive_features(self, query: Tensor) -> list[Tensor]:
         """Stage-specific views of the query for stages 1..C-1 (empty for C=1)."""
         return [bn(fc(query)) for fc, bn in zip(self.derive_fc, self.derive_bn)]
@@ -132,69 +153,28 @@ class CMNTM:
         prediction = self.fusion(ad.concat([new.hidden, new.prev_read], axis=1))
         return prediction, new_state
 
-    def forward_transaction(self, queries: np.ndarray,
-                            state: list[StageState]) -> tuple[list[Tensor], list[StageState]]:
-        """Run all turns of a transaction batch.
-
-        ``queries`` has shape (B, N, D); returns the per-turn predictions and
-        the final state.
-        """
-        preds: list[Tensor] = []
-        for n in range(queries.shape[1]):
-            q = Tensor(np.ascontiguousarray(queries[:, n]).astype(self.dtype, copy=False))
-            pred, state = self.cascade_turn(state, q)
-            preds.append(pred)
-        return preds, state
-
 
 # ---------------------------------------------------------------------------
 # baselines
 
 
-class _Baseline:
-    """The memory-less models: no mode and no buffers.
+class MeanModel(_Model):
+    """Prediction at turn n is the mean of query features 1..n.
 
-    The defaults suit the parameter-free turn aggregators, each of which keeps
-    a running aggregate across the turns of a transaction, so a transaction of
-    N turns costs O(N) updates.
+    The state is the running sum of the turns so far and their count.
     """
 
-    def set_training(self, flag: bool) -> None:
-        pass
-
-    def parameters(self) -> dict[str, Tensor]:
-        return {}
-
-    def buffers(self) -> dict[str, np.ndarray]:
-        return {}
-
-    def initial_state(self, rngs) -> None:
-        return None
-
-    def _scan(self, queries: np.ndarray):
-        """Yield the aggregate after each turn of (B, N, D) ``queries``."""
-        raise NotImplementedError
-
-    def forward_transaction(self, queries: np.ndarray, state=None) -> tuple[list[Tensor], None]:
-        return [Tensor(agg.astype(np.float32)) for agg in self._scan(queries)], None
+    def cascade_turn(self, state, query):
+        total, n = (query.data, 1) if state is None else (state[0] + query.data, state[1] + 1)
+        # a Python int divisor keeps a float32 sum in float32
+        return Tensor(total / n), (total, n)
 
 
-class MeanModel(_Baseline):
-    """Prediction at turn n is the mean of query features 1..n."""
-
-    def _scan(self, queries):
-        total = None
-        for n in range(queries.shape[1]):
-            total = queries[:, n] if total is None else total + queries[:, n]
-            # a Python int divisor keeps a float32 sum in float32
-            yield total / (n + 1)
-
-
-class EwmaModel(_Baseline):
+class EwmaModel(_Model):
     """Prediction at turn n is the EWMA of query features 1..n.
 
     The first turn seeds the average; each later turn n updates it as
-    ``alpha * f(n) + (1 - alpha) * previous``.
+    ``alpha * f(n) + (1 - alpha) * previous``. The state is the average.
     """
 
     def __init__(self, alpha: float = 0.5):
@@ -202,15 +182,13 @@ class EwmaModel(_Baseline):
             raise ValueError(f"EwmaModel: alpha must be in (0, 1], got {alpha}")
         self.alpha = alpha
 
-    def _scan(self, queries):
-        acc = None
-        for n in range(queries.shape[1]):
-            f = queries[:, n]
-            acc = f if acc is None else self.alpha * f + (1.0 - self.alpha) * acc
-            yield acc
+    def cascade_turn(self, state, query):
+        f = query.data
+        acc = f if state is None else self.alpha * f + (1.0 - self.alpha) * state
+        return Tensor(acc), acc
 
 
-class LstmBaseline(_Baseline):
+class LstmBaseline(_Model):
     """Single-layer LSTM over turn features with a linear read-out to D."""
 
     def __init__(self, feature_dim: int, hidden_size: int, rng: np.random.Generator | None,
@@ -219,21 +197,13 @@ class LstmBaseline(_Baseline):
         self.cell = LSTMCell(feature_dim, hidden_size, rng, dtype)
         self.proj = Linear(hidden_size, feature_dim, rng, dtype)
 
-    def parameters(self) -> dict[str, Tensor]:
-        out = {f"lstm.{k}": v for k, v in self.cell.parameters().items()}
-        out.update({f"proj.{k}": v for k, v in self.proj.parameters().items()})
-        return out
+    def parts(self) -> list[tuple[str, object]]:
+        return [("lstm", self.cell), ("proj", self.proj)]
 
     def initial_state(self, rngs) -> tuple[Tensor, Tensor]:
-        b = len(rngs)
-        zeros = np.zeros((b, self.cell.wh.data.shape[0]), dtype=self.dtype)
+        zeros = np.zeros((len(rngs), self.cell.wh.data.shape[0]), dtype=self.dtype)
         return Tensor(zeros.copy()), Tensor(zeros.copy())
 
-    def forward_transaction(self, queries: np.ndarray, state) -> tuple[list[Tensor], tuple]:
-        hidden, cell = state
-        preds = []
-        for n in range(queries.shape[1]):
-            q = Tensor(np.ascontiguousarray(queries[:, n]).astype(self.dtype, copy=False))
-            hidden, cell = self.cell.step(q, hidden, cell)
-            preds.append(self.proj(hidden))
-        return preds, (hidden, cell)
+    def cascade_turn(self, state, query):
+        hidden, cell = self.cell.step(query, *state)
+        return self.proj(hidden), (hidden, cell)

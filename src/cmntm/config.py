@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .cascade import CascadeConfig
@@ -74,7 +75,9 @@ _TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
 def _section(section, cls, allowed: set[str], where: str) -> dict:
     """``section`` once it is an object of ``allowed`` keys whose values have
     the type of their ``cls`` field's default: an int field takes an integer
-    (not a bool), a float field any number."""
+    (not a bool), a float field any number a finite float can hold: ``json``
+    parses ``NaN``, ``Infinity`` and integers of any length, and a NaN passes
+    every range check."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(section) - allowed)
@@ -83,10 +86,13 @@ def _section(section, cls, allowed: set[str], where: str) -> dict:
     for f in dataclasses.fields(cls):
         if f.name not in section or f.default is dataclasses.MISSING:
             continue  # absent, or a section checked on its own
-        kind = type(f.default)
-        if type(section[f.name]) not in ((int, float) if kind is float else (kind,)):
+        kind, value = type(f.default), section[f.name]
+        if type(value) not in ((int, float) if kind is float else (kind,)):
             raise ConfigError(f"{where}.{f.name} must be {_TYPE_NAMES[kind]}, "
-                              f"got {json.dumps(section[f.name])}")
+                              f"got {json.dumps(value)}")
+        if kind is float and not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"{where}.{f.name} must be a finite number, "
+                              f"got {json.dumps(value)}")
     return section
 
 

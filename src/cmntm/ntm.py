@@ -6,6 +6,7 @@ memory locations, M for memory width, and H for controller hidden size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -22,6 +23,11 @@ def uniform_init(rng: np.random.Generator | None, fan_in: int, shape: tuple, dty
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
     bound = 1.0 / np.sqrt(fan_in)
     return Tensor(rng.uniform(-bound, bound, size=shape).astype(dtype), requires_grad=True)
+
+
+def prefixed(groups: Iterable[tuple[str, dict]]) -> dict:
+    """One dict of ``(prefix, {name: value})`` groups, keyed ``prefix.name`` in group order."""
+    return {f"{prefix}.{n}": v for prefix, entries in groups for n, v in entries.items()}
 
 
 class Linear:
@@ -158,13 +164,9 @@ class NTMStage:
         self.write_head = HeadMLP(hidden_size, mem_width, write=True, rng=rng, dtype=dtype)
 
     def parameters(self) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        for prefix, module in (("lstm", self.controller),
-                               ("read_head", self.read_head),
-                               ("write_head", self.write_head)):
-            for name, p in module.parameters().items():
-                out[f"{prefix}.{name}"] = p
-        return out
+        return prefixed([("lstm", self.controller.parameters()),
+                         ("read_head", self.read_head.parameters()),
+                         ("write_head", self.write_head.parameters())])
 
     def step(self, state: StageState, inp: Tensor) -> StageState:
         """Advance one turn: write first, then read from the updated memory.

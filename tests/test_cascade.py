@@ -332,7 +332,8 @@ def test_mean_model_per_turn_outputs():
     q[:, 1] = 4.0
     q[:, 2] = 6.0
     preds, state = model.forward_transaction(q, model.initial_state([None, None]))
-    assert state is None
+    total, count = state  # the running sum and the number of turns in it
+    assert count == 3 and np.array_equal(total, np.full((2, 4), 12.0, dtype=np.float32))
     assert np.allclose(preds[0].data, 2.0, atol=1e-6)
     assert np.allclose(preds[1].data, 3.0, atol=1e-6)
     assert np.allclose(preds[2].data, 4.0, atol=1e-6)

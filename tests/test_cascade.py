@@ -236,6 +236,20 @@ def test_training_flag_propagates_to_batchnorm():
     assert all(bn.training for bn in model.derive_bn)
 
 
+def test_buffers_stay_live_across_a_train_mode_forward():
+    model = CMNTM(_tiny_config(num_stages=3), np.random.default_rng(0))
+    held = model.buffers()
+    before = {name: buf.copy() for name, buf in held.items()}
+    model.set_training(True)
+    queries = _queries(np.random.default_rng(1), 4, 2, 6)
+    model.forward_transaction(queries, model.initial_state(_rngs(4)))
+    now = model.buffers()
+    assert list(now) == list(held)
+    for name, buf in held.items():
+        assert buf is now[name], name
+        assert not np.array_equal(buf, before[name]), name
+
+
 def test_full_model_gradients_on_one_turn():
     # batch of 4: two-point batch norm is scale invariant, which leaves
     # near-zero true gradients that finite differences cannot resolve

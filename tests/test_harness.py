@@ -34,13 +34,16 @@ from cmntm.errors import (
 from cmntm.retrieval import (
     CandidateDB,
     rank,
+    rank_of,
     recall_at_k,
     similarity_scores,
     top_k,
     transaction_loss,
 )
 from cmntm.synthdata import (
+    SyntheticDataset,
     TaskConfig,
+    Transaction,
     TransactionMeta,
     TurnMeta,
     gen_block_reveal,
@@ -239,6 +242,49 @@ class TestCheckpointFormat:
         with pytest.raises(CheckpointError, match="length field"):
             ckpt_io.load_entries(path)
 
+    @pytest.mark.parametrize("keep", [42, 54, 70, 84])
+    def test_skipped_entry_cut_short_fails_as_a_read_one(self, tmp_path, keep):
+        path = _two_entry_file(tmp_path, keep)
+        errors = []
+        for skip in ((), ("w.",)):
+            with pytest.raises(CheckpointError) as excinfo:
+                ckpt_io.load_entries(path, skip=skip)
+            errors.append(str(excinfo.value))
+        assert errors[0] == errors[1]
+
+    def test_skip_returns_the_other_entries_and_checks_the_rest(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        entries = _sample_entries()
+        ckpt_io.save_entries(path, entries)
+        loaded = ckpt_io.load_entries(path, skip=("a.", "c"))
+        assert list(loaded) == ["b", "d"]
+        for name in loaded:
+            assert loaded[name].tobytes() == entries[name].tobytes()
+        blob = open(path, "rb").read()
+        for bad, message in ((blob + b"\0\0", "2 trailing bytes"),
+                             (blob[:-8] + struct.pack("<Q", 7), "length field says 7")):
+            open(path, "wb").write(bad)
+            with pytest.raises(CheckpointError, match=message):
+                ckpt_io.load_entries(path, skip=("a.", "c"))
+
+    def test_skipped_duplicate_entry_detected(self, tmp_path):
+        path = str(tmp_path / "c.bin")
+        ckpt_io.save_entries(path, {"x": np.zeros(2, dtype=np.float32)})
+        blob = open(path, "rb").read()
+        entry = blob[12:-8]  # after magic, version and count; before the length field
+        body = ckpt_io.MAGIC + struct.pack("<II", 2, 2) + entry + entry
+        open(path, "wb").write(body + struct.pack("<Q", len(body)))
+        with pytest.raises(CheckpointError, match="duplicate entry 'x'"):
+            ckpt_io.load_entries(path, skip=("x",))
+
+    def test_skipped_payload_past_a_shrunk_file_still_fails(self, tmp_path, monkeypatch):
+        # a file cut after the loader took its size: the seek succeeds, the next read does not
+        path = _two_entry_file(tmp_path, 70)
+        full_size = os.stat_result((0,) * 6 + (88,) + (0,) * 3)
+        monkeypatch.setattr(ckpt_io.os, "fstat", lambda fd: full_size)
+        with pytest.raises(CheckpointError, match="truncated while reading length field"):
+            ckpt_io.load_entries(path, skip=("w.",))
+
     def test_entry_name_that_is_not_utf8_detected(self, tmp_path):
         path = str(tmp_path / "c.bin")
         ckpt_io.save_entries(path, {"x": np.zeros(2, dtype=np.float32)})
@@ -371,6 +417,37 @@ class TestModelCheckpoints:
         harness.train(cfg, out_dir=resumed, resume_from=V1_CHECKPOINT)
         assert (open(f"{full}/checkpoint.bin", "rb").read()
                 == open(f"{resumed}/checkpoint.bin", "rb").read())
+
+    def test_eval_load_reads_no_moments(self, trained_run, monkeypatch):
+        cfg, path = trained_run
+        read = []
+        real_array = ckpt_io._Reader.array
+        monkeypatch.setattr(ckpt_io._Reader, "array",
+                            lambda self, dims, dtype, what: read.append(what)
+                            or real_array(self, dims, dtype, what))
+        ckpt = harness.load_checkpoint(path)
+        assert read and not [what for what in read if "adam." in what]
+        assert not [name for name in ckpt.arrays if name.startswith("adam.")]
+        resume = harness.load_checkpoint(path, _moments=True)
+        params = list(harness.build_model(cfg).parameters())
+        assert [name for name in resume.arrays if name.startswith("adam.")] == [
+            f"adam.{m}.{n}" for n in params for m in ("m", "v")]
+        for name, arr in ckpt.arrays.items():
+            assert resume.arrays[name].tobytes() == arr.tobytes(), name
+
+    def test_cut_inside_a_skipped_moment_names_it(self, trained_run, tmp_path):
+        _, path = trained_run
+        blob = open(path, "rb").read()
+        bad = str(tmp_path / "bad.bin")
+        open(bad, "wb").write(blob[:-12])  # the length field and 4 bytes of the last payload
+        with pytest.raises(CheckpointError) as excinfo:
+            harness.load_checkpoint(bad)
+        # the last entry is adam.v.fusion.b, 8 float32 values
+        assert str(excinfo.value) == (f"{bad}: truncated while reading entry 'adam.v.fusion.b' "
+                                      f"payload (need 32 bytes at offset {len(blob) - 40})")
+        with pytest.raises(CheckpointError) as full:
+            ckpt_io.load_entries(bad)
+        assert str(full.value) == str(excinfo.value)
 
     def test_missing_meta_rejected(self, tmp_path):
         path = str(tmp_path / "m.bin")
@@ -650,7 +727,7 @@ class TestOptimizer:
 
     def test_restored_optimizer_leaves_checkpoint_moments_alone(self, trained_run):
         cfg, path = trained_run
-        ckpt = harness.load_checkpoint(path)
+        ckpt = harness.load_checkpoint(path, _moments=True)  # as a resume loads it
         saved = {k: arr.copy() for k, arr in ckpt.arrays.items() if k.startswith("adam.")}
         assert saved
         model = harness.build_model(cfg)
@@ -877,6 +954,32 @@ class TestMetrics:
 
 # ----------------------------------------------------------------- evaluation
 
+def _gemv_report(final_preds: np.ndarray, dataset) -> dict:
+    """``_recall_report`` by one ``similarity_scores`` GEMV and one ``rank_of`` per row."""
+    db = dataset.db
+    ranks = [rank_of(similarity_scores(pred, db), db.ids, db.index_of(txn.target_ids[-1]))
+             for pred, txn in zip(final_preds, dataset.transactions, strict=True)]
+    report = {"count": len(ranks)}
+    for k in harness.RECALL_KS:
+        report[f"r{k}"] = sum(r < k for r in ranks) / len(ranks)
+    report["mean_r5_r8"] = (report["r5"] + report["r8"]) / 2.0
+    return report
+
+
+def _assert_matches_gemv(preds: np.ndarray, ds) -> None:
+    """The batched report equals the GEMV loop's, over all rows and row by row."""
+    assert harness._recall_report(preds, ds) == _gemv_report(preds, ds)
+    for j in range(len(preds)):
+        one = dataclasses.replace(ds, transactions=ds.transactions[j:j + 1])
+        assert harness._recall_report(preds[j:j + 1], one) == _gemv_report(preds[j:j + 1], one)
+
+
+def _one_turn_dataset(db: CandidateDB, targets) -> SyntheticDataset:
+    """Transactions of one turn over ``db``, ending on ``targets``; queries unused."""
+    return SyntheticDataset(1, db, [Transaction(np.zeros((1, db.dim)), [t]) for t in targets],
+                            "val")
+
+
 class TestEvaluation:
     def test_evaluate_twice_is_identical(self, tiny_val):
         model = harness.build_model(tiny_cfg())
@@ -925,6 +1028,99 @@ class TestEvaluation:
         for k in harness.RECALL_KS:
             assert report[f"r{k}"] == recall_at_k(rankings, targets, k)
         assert 0.0 < report["r1"] < report["r10"]  # neither all misses nor all hits
+        _assert_matches_gemv(preds, ds)
+        _assert_matches_gemv(preds.astype(np.float64), ds)
+
+    def test_block_scores_lie_within_the_bound_of_gemv_scores(self):
+        rng = np.random.default_rng(0)
+        db = CandidateDB(np.arange(2000), rng.normal(size=(2000, 768)).astype(np.float32))
+        for dtype in (np.float32, np.float64):
+            preds = rng.normal(size=(20, 768)).astype(dtype)
+            block = similarity_scores(preds, db, block=True)
+            gemv = np.stack([similarity_scores(p, db) for p in preds])
+            assert block.dtype == gemv.dtype == dtype
+            bound = 2 * (768 + 1) * np.finfo(dtype).eps
+            assert np.max(np.abs(block - gemv)) <= bound
+
+    @pytest.mark.parametrize("k", harness.RECALL_KS)
+    def test_near_ties_at_ranks_k_minus_1_and_k_are_ranked_exactly(self, monkeypatch, k):
+        # The target has clear winners above it and near-ties within the bound
+        # around it: exact copies of it under lower and higher ids, and copies
+        # nudged by under 1e-6 of its norm. Those rows cross k, so each is
+        # ranked again with similarity_scores.
+        rescored = []
+
+        def counting(query, db, block=False):
+            if not block:
+                rescored.append(query)
+            return similarity_scores(query, db, block)
+
+        monkeypatch.setattr(harness, "similarity_scores", counting)
+        rng = np.random.default_rng(k)
+        dim, places = 32, set()
+        for trial in range(24):
+            pred = rng.normal(size=dim)
+            unit = pred / np.linalg.norm(pred)
+            rest = rng.normal(size=(40, dim))
+            rest -= np.outer(rest @ unit, unit)  # cosine about 0 with the prediction
+            target = 0.6 * unit + 0.8 * rest[0] / np.linalg.norm(rest[0])
+            above = max(k - 1 - trial % 2, 0)
+            winners = unit + 0.05 * rng.normal(size=(above, dim))
+            nudged = target + 1e-7 * rng.normal(size=(trial % 3, dim))
+            rows = np.vstack([winners, [target] * 3, nudged, rest[1:]]).astype(np.float32)
+            ids = rng.permutation(len(rows))
+            if trial % 4 < 2:  # the target takes the lowest id of its exact copies
+                ids[above:above + 3] = np.sort(ids[above:above + 3])
+            db = CandidateDB(ids, rows)
+            ds = _one_turn_dataset(db, [int(ids[above])])
+            preds = pred.astype(np.float32)[None]
+            scores = similarity_scores(preds[0], db)
+            places.add(rank_of(scores, ids, above))
+            before = len(rescored)
+            assert harness._recall_report(preds, ds) == _gemv_report(preds, ds)
+            assert len(rescored) == before + 1
+        assert {k - 1, k} <= places
+
+    def test_random_rows_over_a_10k_db(self):
+        rng = np.random.default_rng(7)
+        db = CandidateDB(rng.permutation(10_000),
+                         rng.normal(size=(10_000, 768)).astype(np.float32))
+        targets = rng.choice(db.ids, size=300, replace=False)
+        feats = np.stack([db.feature_of(t) for t in targets])
+        # noise from none to ten times the signal spreads the targets' ranks
+        scale = np.geomspace(1e-3, 10.0, 300)[:, None]
+        preds = (feats + scale * rng.normal(size=feats.shape)).astype(np.float32)
+        ds = _one_turn_dataset(db, targets)
+        report = harness._recall_report(preds, ds)
+        assert 0.0 < report["r1"] < report["r10"] < 1.0
+        _assert_matches_gemv(preds, ds)
+
+    def test_counts_that_split_into_uneven_chunks(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        ds = gen_block_reveal(TaskConfig(), count=40, split="val")
+        preds = np.stack([ds.db.feature_of(t.target_ids[-1]) for t in ds.transactions])
+        preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
+        # a block holds 3 float32 rows of the 256-row db (13 chunks of 3 and one
+        # of 1), or 1 float64 row
+        monkeypatch.setattr(harness, "SCORE_BLOCK_BYTES", 3 * 4 * 256)
+        for rows in (preds, preds.astype(np.float64)):
+            assert harness._recall_report(rows, ds) == _gemv_report(rows, ds)
+
+    @pytest.mark.parametrize("bad", [
+        {3: np.nan}, {3: 0.0}, {3: np.inf}, {2: 0.0, 7: np.nan}, {2: np.nan, 7: 0.0},
+    ], ids=["nan", "zero", "inf", "zero-then-nan", "nan-then-zero"])
+    def test_unscorable_predictions_raise_as_the_gemv_loop_does(self, monkeypatch, bad):
+        ds = gen_block_reveal(TaskConfig(), count=10, split="val")
+        preds = np.stack([ds.db.feature_of(t.target_ids[-1]) for t in ds.transactions])
+        for row, value in bad.items():
+            preds[row] = value
+        monkeypatch.setattr(harness, "SCORE_BLOCK_BYTES", 5 * 4 * 256)  # two chunks of 5
+        errors = []
+        for report in (harness._recall_report, _gemv_report):
+            with pytest.raises(DegenerateInputError) as excinfo:
+                report(preds, ds)
+            errors.append((type(excinfo.value), str(excinfo.value)))
+        assert errors[0] == errors[1]
 
     @pytest.mark.parametrize("k", [1, 5, 26, 256])
     def test_top_ids_match_the_rank_prefix_under_ties(self, k):

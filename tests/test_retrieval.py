@@ -131,6 +131,24 @@ class TestSimilarityScores:
         with pytest.raises(DegenerateInputError):
             similarity_scores(np.zeros(4), db)
 
+    def test_block_checks_its_width_and_marks_unscorable_rows(self, rng):
+        db = _random_db(rng, count=5, dim=4)
+        for bad in (np.ones(4), np.ones((2, 3))):
+            with pytest.raises(ShapeError):
+                similarity_scores(bad, db, block=True)
+        queries = rng.normal(size=(4, 4))
+        queries[1] = 0.0
+        queries[2, 0] = np.nan
+        scores = similarity_scores(queries, db, block=True)
+        assert np.isnan(scores[1:3]).all()
+        for row in (0, 3):
+            np.testing.assert_allclose(scores[row], similarity_scores(queries[row], db),
+                                       rtol=0, atol=1e-12)
+        # norms whose product passes a quarter of the largest float64
+        huge = CandidateDB(np.arange(3), np.diag([1e154, 1.0, 1.0, 1.0])[:3])
+        scores = similarity_scores(np.diag([1e154, 1.0, 1.0, 1.0])[:2], huge, block=True)
+        assert np.isnan(scores[0]).all() and scores[1].tolist() == [0.0, 1.0, 0.0]
+
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 300), dim=st.integers(1, 48),
        dtype=st.sampled_from([np.float32, np.float64]), scale=st.floats(1e-3, 1e3))

@@ -19,7 +19,7 @@ import sys
 
 from . import harness
 from .config import TrainConfig, load_config
-from .errors import CmntmError
+from .errors import CheckpointError, CmntmError
 from .synthdata import gen_distractor, load_dataset, save_dataset
 
 
@@ -138,7 +138,12 @@ def _cmd_ablate_memories(args: argparse.Namespace) -> int:
 
 def _cmd_turn_importance(args: argparse.Namespace) -> int:
     ckpt, model = _restored(args.checkpoint)
-    _, baseline = _restored(args.baseline_checkpoint)
+    base_ckpt, baseline = _restored(args.baseline_checkpoint)
+    differs = harness._differing_keys(dataclasses.asdict(base_ckpt.cfg.task),
+                                      dataclasses.asdict(ckpt.cfg.task))
+    if differs:
+        raise CheckpointError(f"{args.baseline_checkpoint}: its task differs from "
+                              f"{args.checkpoint}'s in {differs}")
     dataset = _load_eval_dataset(args, ckpt.cfg)
     summary = harness.turn_importance(model, baseline, dataset, ckpt.cfg.task.block_len,
                                       ckpt.cfg.eval_batch_size, ckpt.cfg.seed,

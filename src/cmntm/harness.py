@@ -25,8 +25,8 @@ from .config import TrainConfig, config_from_dict, config_json
 from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
                      DomainError, ShapeError, TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
-from .retrieval import (SCORE_BLOCK_BYTES, CandidateDB, rank_of, similarity_scores, top_k,
-                        transaction_loss)
+from .retrieval import (CandidateDB, block_rows, rank_of, similarity_scores, top_k,
+                        transaction_loss, unsettled)
 from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
 
 RECALL_KS = (1, 5, 8, 10)
@@ -171,27 +171,8 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
     """Final-turn recall@k over the whole db, as one ``similarity_scores`` and
     ``rank_of`` per prediction would report it.
 
-    Each chunk of predictions is scored by one GEMM (``similarity_scores``
-    with ``block``). Its scores differ from a GEMV's, one query at a time,
-    only in the dot products' rounding. A dot product of length D, summed
-    in any order, lies within gamma_D * sum|f_k v_k| <= gamma_D |f| |v| of
-    the exact value, where gamma_D = D u / (1 - D u) and u = eps / 2 is the
-    score dtype's unit roundoff (Higham, "Accuracy and Stability of
-    Numerical Algorithms", section 3.1); underflow adds at most D * tiny,
-    far below that. The shared denominator is within a few D u of |f| |v|
-    or floored above it, so the two dot products differ by at most
-    2 gamma_D (1 + O(D u)) after the division, and the two divisions'
-    roundings add 2 u; clipping moves nothing apart. That is (D + 1) eps
-    plus terms of order D^2 u eps, so B = 2 (D + 1) eps bounds how far a
-    GEMM score may lie from its GEMV score, with a margin of almost 2.
-
-    A candidate whose GEMM score exceeds the target's by more than 2 B
-    therefore also beats it in the GEMV scores, and one more than 2 B below
-    it cannot; only those within 2 B are uncertain. So the target's rank
-    lies in [lo, lo + uncertain], and where no K in ``RECALL_KS`` falls in
-    (lo, lo + uncertain], lo decides every recall@K. Only the other rows,
-    and rows with a non-finite GEMM score, are ranked again exactly; an
-    unscorable prediction raises there as it always has.
+    Each chunk of predictions is scored by one GEMM; the rows ``unsettled``
+    marks are ranked again by GEMV, where an unscorable prediction raises.
 
     The GEMM runs inside ``similarity_scores`` so that a trace times it
     there: perfbench's validation phase is rooted at ``evaluate_model``,
@@ -202,17 +183,10 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
                      zip(final_preds, dataset.transactions, strict=True)], dtype=np.int64)
     ks = np.array(RECALL_KS)
     hits = np.zeros(len(ks), dtype=np.int64)
-    chunk = max(1, SCORE_BLOCK_BYTES // (final_preds.itemsize * len(db)))
+    chunk = block_rows(db, final_preds.itemsize)
     for start in range(0, len(rows), chunk):
         preds, targets = final_preds[start:start + chunk], rows[start:start + chunk]
-        scores = similarity_scores(preds, db, block=True)
-        gap = 4 * (db.dim + 1) * np.finfo(scores.dtype).eps  # 2 B
-        diff = scores - scores[np.arange(len(targets)), targets][:, None]
-        lo = np.count_nonzero(diff > gap, axis=1)
-        # the target's own zero difference is within the gap too
-        uncertain = np.count_nonzero(np.abs(diff) <= gap, axis=1) - 1
-        exact = (np.any((lo[:, None] < ks) & (ks <= (lo + uncertain)[:, None]), axis=1)
-                 | ~np.all(np.isfinite(scores), axis=1))
+        lo, exact = unsettled(similarity_scores(preds, db), targets, db.dim, ks)
         for j in np.flatnonzero(exact):
             lo[j] = rank_of(similarity_scores(preds[j], db), db.ids, targets[j])
         hits += np.count_nonzero(lo[:, None] < ks, axis=0)

@@ -6,6 +6,7 @@ flow back into the model.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -77,36 +78,84 @@ class RankingResult:
     scores: np.ndarray  # (count,) aligned similarity scores, non-increasing
 
 
-def similarity_scores(query: np.ndarray, db: CandidateDB, block: bool = False) -> np.ndarray:
+def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
     """Cosine similarity of the query against every candidate feature.
 
-    With ``block``, ``query`` is an (n, D) block of queries, scored by one
-    GEMM into (n, count) scores. Each row is divided by the same norm and
-    floored denominator as the query alone, so only the dot products round
-    differently. A row reads NaN where the query alone would be rejected
-    (zero norm) or scores non-finite, and where its norm times the largest
-    candidate norm nears the dtype's largest value: there the GEMM's partial
-    sums could overflow and the GEMV's not, or the other way round.
+    A (D,) query is scored by one GEMV; a zero-norm or non-finite one
+    raises. An (n, D) block is scored by one GEMM into (n, count) scores,
+    each row divided by the same norm and floored denominator as its query
+    alone, so only the dot products round differently (``unsettled``). A
+    row reads NaN where its query alone would raise, and where its norm
+    times the largest candidate norm nears the dtype's largest value: there
+    the GEMM's partial sums could overflow and the GEMV's not, or the other
+    way round.
     """
     query = np.asarray(query)
-    if block:
-        if query.ndim != 2 or query.shape[1] != db.dim:
-            raise ShapeError("similarity_scores",
-                             f"expected (n, {db.dim}) queries, got {query.shape}")
+    if query.ndim not in (1, 2) or query.shape[-1] != db.dim:
+        raise ShapeError("similarity_scores",
+                         f"expected ({db.dim},) or (n, {db.dim}) queries, got {query.shape}")
+    if query.ndim == 2:
         qn = np.array([np.linalg.norm(q) for q in query]).reshape(-1, 1)
         denom = np.maximum(qn * db.row_norms, COSINE_EPS)
-        # features @ query.T runs about twice as fast as query @ features.T
-        scores = np.clip((db.features @ query.T).T / denom, -1.0, 1.0)
+        with np.errstate(invalid="ignore", over="ignore"):  # such rows are marked NaN below
+            # features @ query.T runs about twice as fast as query @ features.T
+            scores = np.clip((db.features @ query.T).T / denom, -1.0, 1.0)
         scorable = (qn > COSINE_EPS) & (qn * db.row_norms.max() < np.finfo(denom.dtype).max / 4)
         scores[~scorable[:, 0]] = np.nan
         return scores
-    if query.ndim != 1 or query.shape[0] != db.dim:
-        raise ShapeError("similarity_scores", f"expected ({db.dim},) query, got {query.shape}")
     qn = np.linalg.norm(query)
     if qn <= COSINE_EPS:
         raise DegenerateInputError("similarity_scores: zero-norm query")
+    if not math.isfinite(qn):
+        raise DegenerateInputError("similarity_scores: non-finite query")
     denom = np.maximum(qn * db.row_norms, COSINE_EPS)
     return np.clip(db.features @ query / denom, -1.0, 1.0)
+
+
+def block_rows(db: CandidateDB, itemsize: int) -> int:
+    """Query rows whose scores of ``itemsize`` bytes fit one score block; at least 1."""
+    return max(1, SCORE_BLOCK_BYTES // (itemsize * len(db)))
+
+
+def unsettled(scores: np.ndarray, cols: np.ndarray, dim: int,
+              ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Where a GEMM score block decides each row's recall@K as a GEMV would.
+
+    Row j of ``scores`` is query j's GEMM scores. Its GEMV, one query at a
+    time, must take the same operands and divide by the same denominator.
+    ``lo[j]`` counts the candidates that certainly beat column ``cols[j]``
+    in the GEMV scores. ``exact`` marks the rows whose GEMV rank could fall
+    on either side of a K in ``ks``, and the rows with a non-finite score;
+    elsewhere ``lo`` decides every recall@K.
+
+    Only the dot products round differently. One of length D (``dim``),
+    summed in any order, lies within gamma_D * sum|f_k v_k| <= gamma_D |f| |v|
+    of the exact value, where gamma_D = D u / (1 - D u) and u = eps / 2 is
+    the score dtype's unit roundoff (Higham, "Accuracy and Stability of
+    Numerical Algorithms", section 3.1); underflow adds at most D * tiny.
+    The shared denominator is within a relative few D u' of |f| |v|, u' the
+    unit roundoff of the norms' dtype, or floored above it, so the two dot
+    products differ by at most 2 gamma_D (1 + O(D u')) after the division,
+    and the two divisions' roundings add 2 u; clipping both alike moves
+    nothing apart. That is (D + 1) eps plus smaller terms, so
+    B = 2 (D + 1) eps bounds how far a GEMM score may lie from its GEMV
+    score, with a margin of almost 2.
+
+    A candidate whose GEMM score exceeds the column's by more than 2 B
+    therefore also beats it in the GEMV scores, and one more than 2 B below
+    it cannot. So the GEMV rank lies in [lo, hi], where hi counts the other
+    candidates not that far below. Rounding the column's score plus or
+    minus 2 B moves the gap far less than its margin.
+    """
+    ref = scores[np.arange(len(scores)), cols][:, None]
+    gap = 4 * (dim + 1) * np.finfo(scores.dtype).eps  # 2 B
+    # an int32 sum counts a row about 2.5 times as fast as count_nonzero
+    lo = (scores > ref + gap).sum(axis=1, dtype=np.int32)
+    hi = (scores >= ref - gap).sum(axis=1, dtype=np.int32) - 1  # less the column itself
+    # a row's sum is non-finite where one of its scores is
+    exact = (np.any((lo[:, None] < ks) & (ks <= hi[:, None]), axis=1)
+             | ~np.isfinite(scores.sum(axis=1)))
+    return lo, exact
 
 
 def _check_finite(op: str, scores: np.ndarray) -> None:

@@ -12,10 +12,10 @@ identifies the final target on its own.
 finds the ground truth of a chunk of transactions at once: the chunk's
 composites fill one float64 block, one GEMM scores it against the db, and
 each turn takes its row's argmax. GEMM and GEMV round differently, so a turn
-whose best cosine lies within 8 * D * eps of another's is searched again
-with the per-turn GEMV (``_nearest_id``); every id thus equals a
-one-GEMV-per-turn search's, ties included. The chunk size follows
-from the db size and turn count, keeping the score block near 5 MB.
+whose best cosine lies within ``retrieval.unsettled``'s gap of another's is
+searched again with the per-turn GEMV (``_nearest_id``); every id thus
+equals a one-GEMV-per-turn search's, ties included. A chunk holds as many
+transactions as ``retrieval.block_rows`` fits turns into one score block.
 
 Datasets serialize to JSON lines: one header object, one object per database
 item, then one object per transaction. Floats are written as exact decimal
@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import DatasetFormatError, DegenerateInputError
 from .fileio import atomic_open
-from .retrieval import SCORE_BLOCK_BYTES, CandidateDB
+from .retrieval import CandidateDB, block_rows, unsettled
 
 FILE_VERSION = 1
 
@@ -149,43 +149,23 @@ def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> 
     return int(db.ids[np.argmax(features64 @ vector / norms)])
 
 
-# A float64 dot product of length D, summed in any order, is within
-# gamma_D * sum|f_k v_k| <= gamma_D |f| |v| of the exact value, where
-# gamma_D = D u / (1 - D u) and u = eps / 2 (Higham, "Accuracy and Stability
-# of Numerical Algorithms", section 3.1). The cosine denominator is the same
-# in both searches and within float32 rounding of |f| |v|, so a GEMM cosine
-# and a GEMV cosine of the same row differ by at most 2 gamma_D plus two
-# division roundings, just over D eps. When the GEMM's best cosine leads
-# every other row's by more than twice that, the GEMV's argmax is the same
-# row; a bound of 8 D eps leaves a margin of 4.
-_NEAR_TIE_EPS = 8
-
-
-def _chunk_txns(config: TaskConfig) -> int:
-    """Transactions whose turns are resolved together by one GEMM: 16 of 4
-    turns each fill the float64 score block at db 10k."""
-    return max(1, SCORE_BLOCK_BYTES // (8 * config.db_size * config.max_turns))
-
-
 def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,
                  norms: list[float]) -> np.ndarray:
     """``_nearest_id`` of every row of ``composites``, from one GEMM.
 
-    ``norms[j]`` is ``max(np.linalg.norm(composites[j]), 1e-30)``, the scalar
-    ``_nearest_id`` scales the row norms by. GEMM and GEMV round differently,
-    so a row whose best cosine is within the near-tie bound of another is
-    resolved again with ``_nearest_id``; every id then equals its result.
+    ``norms[j]`` is ``max(np.linalg.norm(composites[j]), 1e-30)``. As
+    ``unsettled`` requires, both searches take the same float64 operands,
+    divide by the same ``db.row_norms * norm`` and do not clip. The rows it
+    marks are resolved again with ``_nearest_id``, so every id is the one
+    ``_nearest_id`` returns.
     """
     cosines = composites @ features64.T
     for row, norm in zip(cosines, norms):
         row /= db.row_norms * norm
-    rows = np.arange(len(cosines))
     best = np.argmax(cosines, axis=1)
-    top = cosines[rows, best]
-    cosines[rows, best] = -np.inf
-    near = top - np.max(cosines, axis=1) <= _NEAR_TIE_EPS * db.dim * np.finfo(np.float64).eps
+    _, exact = unsettled(cosines, best, db.dim, (1,))
     ids = db.ids[best]
-    for j in np.flatnonzero(near):
+    for j in np.flatnonzero(exact):
         ids[j] = _nearest_id(db, features64, composites[j])
     return ids
 
@@ -202,7 +182,7 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
     features64 = db.features.astype(np.float64)
     split_tag = _SPLIT_TAGS[split]
     turns = config.max_turns
-    chunk = _chunk_txns(config)
+    chunk = max(1, block_rows(db, 8) // turns)
     composites = np.empty((min(chunk, count) * turns, config.feature_dim))
     transactions = []
     for start in range(0, count, chunk):
@@ -324,14 +304,10 @@ def _require(obj: dict, key: str, path: str, line_no: int):
 
 def _int(obj: dict, key: str, path: str, line_no: int) -> int:
     value = _require(obj, key, path, line_no)
-    try:
-        number = int(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    # ids are stored as int64
-    if number is None or abs(number) >= 2 ** 63:
+    # only a JSON integer, which a bool is not; ids are stored as int64
+    if type(value) is not int or abs(value) >= 2 ** 63:
         raise DatasetFormatError(path, line_no, f"{key} must be a 64-bit integer, got {value!r:.40}")
-    return number
+    return value
 
 
 def _read_floats(obj: dict, key: str, out: np.ndarray, path: str, line_no: int) -> None:
@@ -371,7 +347,7 @@ def load_dataset(path: str) -> SyntheticDataset:
         if first is None:
             raise DatasetFormatError(path, 1, "empty file")
         header = _parse_line(path, 1, first[1])
-        version = _require(header, "version", path, 1)
+        version = _int(header, "version", path, 1)
         if version != FILE_VERSION:
             raise DatasetFormatError(path, 1, f"unsupported version {version}")
         feature_dim = _int(header, "D", path, 1)

@@ -84,6 +84,24 @@ class TestCli:
         assert "spread" in summary and set(summary["spread"]) == {"memory", "memoryless"}
         assert os.path.exists(f"{out_dir}/turn_importance.json")
 
+    def test_turn_importance_rejects_a_baseline_trained_on_another_task(self, workspace,
+                                                                        tmp_path, capsys):
+        raw = json.loads(open(workspace["cfg"]).read())
+        raw["model"], raw["task"]["seed"] = "lstm", 5
+        cfg = tmp_path / "lstm_task5.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "lstm")]) == 0
+        capsys.readouterr()
+        baseline = str(tmp_path / "lstm" / "checkpoint.bin")
+        out = tmp_path / "ti"
+        rc = main(["turn-importance", "--checkpoint", workspace["ckpt"],
+                   "--baseline-checkpoint", baseline,
+                   "--data", f"{workspace['data']}/val.jsonl", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err == (f"error: {baseline}: its task differs from "
+                                           f"{workspace['ckpt']}'s in ['seed']\n")
+        assert not out.exists()
+
     def test_turn_order_command(self, workspace, tmp_path, capsys):
         rc = main(["turn-order", "--checkpoint", workspace["ckpt"],
                    "--data", f"{workspace['data']}/val.jsonl", "--count", "4",

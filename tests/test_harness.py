@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cmntm import checkpoint as ckpt_io
-from cmntm import harness
+from cmntm import harness, retrieval
 from cmntm.autodiff import Tape, Tensor, no_grad
 from cmntm.cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from cmntm.config import (
@@ -1036,7 +1036,7 @@ class TestEvaluation:
         db = CandidateDB(np.arange(2000), rng.normal(size=(2000, 768)).astype(np.float32))
         for dtype in (np.float32, np.float64):
             preds = rng.normal(size=(20, 768)).astype(dtype)
-            block = similarity_scores(preds, db, block=True)
+            block = similarity_scores(preds, db)
             gemv = np.stack([similarity_scores(p, db) for p in preds])
             assert block.dtype == gemv.dtype == dtype
             bound = 2 * (768 + 1) * np.finfo(dtype).eps
@@ -1050,10 +1050,10 @@ class TestEvaluation:
         # ranked again with similarity_scores.
         rescored = []
 
-        def counting(query, db, block=False):
-            if not block:
+        def counting(query, db):
+            if np.ndim(query) == 1:
                 rescored.append(query)
-            return similarity_scores(query, db, block)
+            return similarity_scores(query, db)
 
         monkeypatch.setattr(harness, "similarity_scores", counting)
         rng = np.random.default_rng(k)
@@ -1102,7 +1102,7 @@ class TestEvaluation:
         preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
         # a block holds 3 float32 rows of the 256-row db (13 chunks of 3 and one
         # of 1), or 1 float64 row
-        monkeypatch.setattr(harness, "SCORE_BLOCK_BYTES", 3 * 4 * 256)
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 3 * 4 * 256)
         for rows in (preds, preds.astype(np.float64)):
             assert harness._recall_report(rows, ds) == _gemv_report(rows, ds)
 
@@ -1114,7 +1114,7 @@ class TestEvaluation:
         preds = np.stack([ds.db.feature_of(t.target_ids[-1]) for t in ds.transactions])
         for row, value in bad.items():
             preds[row] = value
-        monkeypatch.setattr(harness, "SCORE_BLOCK_BYTES", 5 * 4 * 256)  # two chunks of 5
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 5 * 4 * 256)  # two chunks of 5
         errors = []
         for report in (harness._recall_report, _gemv_report):
             with pytest.raises(DegenerateInputError) as excinfo:

@@ -19,6 +19,7 @@ from cmntm.retrieval import (
     similarity_scores,
     top_k,
     transaction_loss,
+    unsettled,
 )
 
 
@@ -123,8 +124,6 @@ class TestSimilarityScores:
         db = _random_db(rng, count=5, dim=4)
         with pytest.raises(ShapeError):
             similarity_scores(np.ones(3), db)
-        with pytest.raises(ShapeError):
-            similarity_scores(np.ones((2, 4)), db)
 
     def test_zero_query_raises(self, rng):
         db = _random_db(rng, count=5, dim=4)
@@ -133,21 +132,36 @@ class TestSimilarityScores:
 
     def test_block_checks_its_width_and_marks_unscorable_rows(self, rng):
         db = _random_db(rng, count=5, dim=4)
-        for bad in (np.ones(4), np.ones((2, 3))):
+        for bad in (np.ones((2, 2, 4)), np.ones((2, 3))):
             with pytest.raises(ShapeError):
-                similarity_scores(bad, db, block=True)
+                similarity_scores(bad, db)
         queries = rng.normal(size=(4, 4))
         queries[1] = 0.0
         queries[2, 0] = np.nan
-        scores = similarity_scores(queries, db, block=True)
+        scores = similarity_scores(queries, db)
         assert np.isnan(scores[1:3]).all()
         for row in (0, 3):
             np.testing.assert_allclose(scores[row], similarity_scores(queries[row], db),
                                        rtol=0, atol=1e-12)
         # norms whose product passes a quarter of the largest float64
         huge = CandidateDB(np.arange(3), np.diag([1e154, 1.0, 1.0, 1.0])[:3])
-        scores = similarity_scores(np.diag([1e154, 1.0, 1.0, 1.0])[:2], huge, block=True)
+        scores = similarity_scores(np.diag([1e154, 1.0, 1.0, 1.0])[:2], huge)
         assert np.isnan(scores[0]).all() and scores[1].tolist() == [0.0, 1.0, 0.0]
+
+    def test_non_finite_query_raises(self, rng):
+        db = _random_db(rng, count=5, dim=4)
+        for bad in (np.inf, np.nan):
+            with pytest.raises(DegenerateInputError, match="non-finite query"):
+                similarity_scores(np.array([1.0, bad, 0.0, 0.0]), db)
+
+    def test_unsettled_marks_rows_that_rounding_could_move_across_a_k(self):
+        eps = np.finfo(np.float64).eps
+        scores = np.array([[0.9, 0.5, 0.1, 0.0],        # column 1 is second by far
+                           [0.5, 0.5 + eps, 0.1, 0.0],  # first or second: K = 1 unsettled
+                           [0.9, 0.5, np.nan, 0.0]])    # a non-finite score elsewhere
+        lo, exact = unsettled(scores, np.array([1, 0, 1]), 4, (1, 2))
+        assert lo[:2].tolist() == [1, 0]
+        assert exact.tolist() == [False, True, True]
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 300), dim=st.integers(1, 48),

@@ -11,7 +11,7 @@ import pytest
 
 from cmntm import synthdata
 from cmntm.errors import DatasetFormatError, DegenerateInputError
-from cmntm.retrieval import CandidateDB, rank, recall_at_k, similarity_scores
+from cmntm.retrieval import CandidateDB, block_rows, rank, recall_at_k, similarity_scores
 from cmntm.synthdata import (
     TaskConfig,
     Transaction,
@@ -93,7 +93,7 @@ class TestGeneration:
     def test_count_extension_is_a_prefix(self):
         # per-transaction seeding: asking for more data never rewrites
         # earlier transactions, also when the longer run adds a chunk
-        chunk = synthdata._chunk_txns(CHUNKY)
+        chunk = block_rows(make_db(CHUNKY), 8) // CHUNKY.max_turns
         assert chunk == 8
         for cfg, short_count, long_count in [(SMALL, 4, 9), (CHUNKY, 4, 9),
                                              (CHUNKY, chunk, chunk + 1), (CHUNKY, 7, 25)]:
@@ -220,9 +220,29 @@ class TestChunkedGroundTruth:
 
     def test_scale_preset_past_one_chunk_equals_one_gemv_per_turn(self):
         cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3)
-        chunk = synthdata._chunk_txns(cfg)
+        chunk = block_rows(make_db(cfg), 8) // cfg.max_turns
         assert chunk == 16
         _assert_matches_gemv_reference(cfg, chunk + 1, distractor_prob=0.3)
+
+    def test_scale_cosines_lie_within_the_bound_of_gemv_cosines(self, monkeypatch):
+        # unsettled's premise for generation: at D=768 over a 10k db, the
+        # chunk's GEMM cosines lie within B = 2 (D + 1) eps of each turn's GEMV
+        chunks = []
+        nearest_ids = synthdata._nearest_ids
+        monkeypatch.setattr(synthdata, "_nearest_ids",
+                            lambda *args: chunks.append(args) or nearest_ids(*args))
+        cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3,
+                         distractor_prob=0.3)
+        gen_distractor(cfg, block_rows(make_db(cfg), 8) // cfg.max_turns)
+        [(db, features64, composites, norms)] = chunks
+        # as _nearest_ids and _nearest_id compute them
+        block = composites @ features64.T
+        for row, norm in zip(block, norms):
+            row /= db.row_norms * norm
+        gemv = np.stack([features64 @ c / (db.row_norms * max(np.linalg.norm(c), 1e-30))
+                         for c in composites])
+        assert block.dtype == gemv.dtype == np.float64
+        assert np.max(np.abs(block - gemv)) <= 2 * (768 + 1) * np.finfo(np.float64).eps
 
     def test_rows_equal_nearest_id_on_a_db_of_unequal_norms(self):
         # generated dbs are unit-norm; this one makes the row norms matter
@@ -422,6 +442,33 @@ class TestSerialization:
         lines[line_no - 1] = json.dumps(obj)
         open(path, "w").write("\n".join(lines) + "\n")
         with pytest.raises(DatasetFormatError, match=rf"bad\.jsonl:{line_no}:"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", [lambda v: v + 0.7, float, str, lambda v: True],
+                             ids=["fraction", "integral-float", "text", "bool"])
+    @pytest.mark.parametrize("line_no, key, field", [
+        (1, "version", lambda o: o),
+        (1, "D", lambda o: o),
+        (1, "N_max", lambda o: o),
+        (1, "db_size", lambda o: o),
+        (2, "id", lambda o: o),
+        (34, "original_len", lambda o: o),
+        (34, "target_id", lambda o: o["turns"][0]),
+        (34, "ref", lambda o: o["meta"]),
+        (34, "block", lambda o: o["meta"]["turns"][0]),
+    ], ids=["version", "D", "N_max", "db_size", "id", "original_len", "target_id", "ref", "block"])
+    def test_integer_field_must_be_a_json_integer(self, tmp_path, line_no, key, field, value):
+        # json.loads keeps each of these apart from the int the writer emits
+        ds = gen_block_reveal(SMALL, count=1)
+        path = str(tmp_path / "bad.jsonl")
+        save_dataset(ds, path)
+        lines = open(path).read().splitlines()
+        obj = json.loads(lines[line_no - 1])
+        field(obj)[key] = value(field(obj)[key])
+        lines[line_no - 1] = json.dumps(obj)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(DatasetFormatError,
+                           match=rf"bad\.jsonl:{line_no}: {key} must be a 64-bit integer"):
             load_dataset(path)
 
     def test_crlf_line_endings_load_equal(self, tmp_path):

@@ -25,9 +25,10 @@ class CandidateDB:
     """Fixed candidate set: integer ids aligned with feature rows.
 
     ``row_norms`` holds each feature row's L2 norm, computed once here for
-    every db-wide cosine. ``features`` is a read-only view of the given
-    array, so writes through the db raise instead of leaving the norms
-    stale; the caller must not change the array it passed in either.
+    every db-wide cosine. ``ids`` and ``features`` are read-only views of
+    the given arrays, so writes through the db raise instead of leaving the
+    norms or the id index stale; the caller must not change the arrays it
+    passed in either.
     """
 
     ids: np.ndarray       # (count,) unique integers
@@ -35,9 +36,9 @@ class CandidateDB:
     row_norms: np.ndarray = field(init=False, repr=False)  # (count,)
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64)
+        self.ids = np.asarray(self.ids, dtype=np.int64).view()
         self.features = np.asarray(self.features).view()
-        self.features.flags.writeable = False
+        self.ids.flags.writeable = self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ShapeError("CandidateDB", f"features must be 2-d, got {self.features.shape}")
         if self.ids.shape != (self.features.shape[0],):

@@ -8,14 +8,17 @@ database item nearest (by cosine) to the clean composite of everything
 revealed through turn n. Memory is therefore required: no single turn
 identifies the final target on its own.
 
-``gen_distractor`` draws each transaction from its own seeded generator, then
-finds the ground truth of a chunk of transactions at once: the chunk's
-composites fill one float64 block, one GEMM scores it against the db, and
-each turn takes its row's argmax. GEMM and GEMV round differently, so a turn
-whose best cosine lies within ``retrieval.unsettled``'s gap of another's is
-searched again with the per-turn GEMV (``_nearest_id``); every id thus
-equals a one-GEMV-per-turn search's, ties included. A chunk holds as many
-transactions as ``retrieval.block_rows`` fits turns into one score block.
+``gen_distractor`` works a chunk of transactions at a time. Each transaction
+draws from its own seeded generator, in a fixed order of calls; array
+operations then build the whole chunk's queries and clean composites, a few
+indexed writes per turn. One GEMM scores the chunk's composites against the
+db, and each turn takes its row's argmax. GEMM and GEMV round differently,
+so a turn whose best cosine lies within ``retrieval.unsettled``'s gap of
+another's is searched again with the per-turn GEMV (``_nearest_id``); every
+id thus equals a one-GEMV-per-turn search's, ties included. A chunk holds as
+many transactions as ``retrieval.block_rows`` fits turns into one score
+block. ``make_db`` hands every split of a task the same read-only db for as
+long as some dataset holds it.
 
 Datasets serialize to JSON lines: one header object, one object per database
 item, then one object per transaction. Floats are written as exact decimal
@@ -27,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +45,9 @@ FILE_VERSION = 1
 _DB_TAG = 101
 _TXN_TAG = 102
 _SPLIT_TAGS = {"train": 1, "val": 2, "test": 3}
+
+# make_db's dbs by (seed, db_size, feature_dim); an entry lives while a caller holds its db
+_DBS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -133,11 +140,20 @@ class SyntheticDataset:
 
 
 def make_db(config: TaskConfig) -> CandidateDB:
-    """I.i.d. unit-norm Gaussian candidate features, shared across splits."""
-    rng = np.random.default_rng(np.random.SeedSequence([_DB_TAG, config.seed]))
-    feats = rng.normal(size=(config.db_size, config.feature_dim))
-    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-    return CandidateDB(np.arange(config.db_size), feats.astype(np.float32))
+    """I.i.d. unit-norm Gaussian candidate features, one db per task.
+
+    The db depends only on the task's seed, size and feature width, so every
+    split of a task gets the same read-only object for as long as some
+    dataset holds it; once none does, the next call builds it afresh.
+    """
+    key = (config.seed, config.db_size, config.feature_dim)
+    db = _DBS.get(key)
+    if db is None:
+        rng = np.random.default_rng(np.random.SeedSequence([_DB_TAG, config.seed]))
+        feats = rng.normal(size=(config.db_size, config.feature_dim))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        db = _DBS[key] = CandidateDB(np.arange(config.db_size), feats.astype(np.float32))
+    return db
 
 
 def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> int:
@@ -170,9 +186,74 @@ def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray
     return ids
 
 
+@dataclass
+class _Draws:
+    """One chunk's random draws, a row per transaction."""
+
+    refs: np.ndarray        # (n,) reference row
+    targets: np.ndarray     # (n,) row whose blocks the turns reveal
+    blocks: np.ndarray      # (n, N) block each turn addresses
+    distractor: np.ndarray  # (n, N) bool
+    noise: np.ndarray       # (n, N, block_len) noise on a revealed block; 0 on a distractor
+    queries: np.ndarray     # (n, N, D) float32; only the distractor turns are filled
+
+
+def _draw(config: TaskConfig, split_tag: int, first: int, count: int) -> _Draws:
+    """The draws of transactions ``first .. first + count - 1``.
+
+    Each transaction draws from its own generator, keyed by its index, so
+    generation order never affects content.
+    """
+    turns, dim = config.max_turns, config.feature_dim
+    d = _Draws(np.empty(count, np.int64), np.empty(count, np.int64),
+               np.empty((count, turns), np.int64), np.zeros((count, turns), bool),
+               np.zeros((count, turns, config.block_len)),
+               np.empty((count, turns, dim), np.float32))
+    for k in range(count):
+        rng = np.random.default_rng(
+            np.random.SeedSequence([_TXN_TAG, config.seed, split_tag, first + k]))
+        d.refs[k], d.targets[k] = rng.choice(config.db_size, size=2, replace=False)
+        d.blocks[k] = rng.permutation(config.blocks)[:turns]
+        for n in range(turns):
+            if rng.random() < config.distractor_prob:
+                d.distractor[k, n] = True
+                noise = rng.normal(size=dim)
+                d.queries[k, n] = noise / np.linalg.norm(noise)
+            else:
+                d.noise[k, n] = rng.normal(0.0, config.noise_std, size=config.block_len)
+    return d
+
+
+def _assemble(d: _Draws, features64: np.ndarray, block_len: int, composites: np.ndarray) -> None:
+    """Fill ``d.queries``' revealing turns and each turn's clean composite.
+
+    ``composites[k, n]`` is transaction k's composite after turn n. Rows of
+    ``features64`` are addressed by position, which equals id in a db from
+    ``make_db`` (its ids are ``np.arange``). Each value is the elementwise
+    result one transaction at a time would give: a copied feature, or a
+    float64 sum cast once to float32.
+    """
+    rows = np.arange(len(d.refs))[:, None]
+    composite = features64[d.refs]
+    for n in range(d.blocks.shape[1]):
+        cols = d.blocks[:, n, None] * block_len + np.arange(block_len)
+        revealed = features64[d.targets[:, None], cols]
+        query = features64[d.refs]
+        query[rows, cols] = revealed + d.noise[:, n]
+        live = ~d.distractor[:, n]
+        np.copyto(d.queries[:, n], query, where=live[:, None])
+        composite[rows[live], cols[live]] = revealed[live]
+        composites[:, n] = composite
+
+
 def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Block-reveal transactions where turns become pure noise with
-    probability ``config.distractor_prob``; ground truth ignores such turns."""
+    probability ``config.distractor_prob``; ground truth ignores such turns.
+
+    Transactions are made a chunk at a time: each draws from its own
+    generator, then array operations build the whole chunk's queries and
+    composites turn by turn, and one GEMM finds its ground truth.
+    """
     if split not in _SPLIT_TAGS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_TAGS)}")
     if count < 1:
@@ -180,42 +261,24 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
     db = make_db(config)
     # one upcast per call; each chunk's GEMM then reads it directly
     features64 = db.features.astype(np.float64)
-    split_tag = _SPLIT_TAGS[split]
     turns = config.max_turns
     chunk = max(1, block_rows(db, 8) // turns)
-    composites = np.empty((min(chunk, count) * turns, config.feature_dim))
+    buffer = np.empty((min(chunk, count), turns, config.feature_dim))
     transactions = []
     for start in range(0, count, chunk):
-        drawn, norms = [], []
-        for index in range(start, min(start + chunk, count)):
-            # per-transaction generator: generation order never affects content
-            rng = np.random.default_rng(
-                np.random.SeedSequence([_TXN_TAG, config.seed, split_tag, index]))
-            ref, tgt = (int(v) for v in rng.choice(config.db_size, size=2, replace=False))
-            block_order = [int(b) for b in rng.permutation(config.blocks)[:turns]]
-            composite = db.feature_of(ref).astype(np.float64)
-            queries, metas = [], []
-            for block in block_order:
-                is_distractor = rng.random() < config.distractor_prob
-                if is_distractor:
-                    noise = rng.normal(size=config.feature_dim)
-                    query = noise / np.linalg.norm(noise)
-                else:
-                    sl = block_slice(block, config.block_len, config.feature_dim)
-                    query = db.feature_of(ref).astype(np.float64)
-                    query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, config.noise_std,
-                                                                    size=config.block_len)
-                    composite[sl] = db.feature_of(tgt)[sl]
-                queries.append(query.astype(np.float32))
-                composites[len(norms)] = composite
-                norms.append(max(np.linalg.norm(composite), 1e-30))
-                metas.append(TurnMeta(block=block, distractor=is_distractor))
-            drawn.append((np.stack(queries), TransactionMeta(reference_id=ref, turns=metas)))
-        target_ids = _nearest_ids(db, features64, composites[:len(norms)], norms)
-        for k, (queries, meta) in enumerate(drawn):
-            transactions.append(Transaction(queries=queries,
-                                            target_ids=target_ids[k * turns:(k + 1) * turns],
-                                            meta=meta))
+        d = _draw(config, _SPLIT_TAGS[split], start, min(chunk, count - start))
+        composites = buffer[:len(d.refs)]
+        _assemble(d, features64, config.block_len, composites)
+        composites = composites.reshape(-1, config.feature_dim)
+        # as np.linalg.norm computes it: one dot per row, so the same sum,
+        # and an np.float64, so that db.row_norms * norm stays float64
+        norms = [max(np.sqrt(c.dot(c)), 1e-30) for c in composites]
+        target_ids = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
+        for k, (ref, blocks, flags) in enumerate(zip(d.refs.tolist(), d.blocks.tolist(),
+                                                     d.distractor.tolist())):
+            meta = TransactionMeta(reference_id=ref,
+                                   turns=[TurnMeta(b, f) for b, f in zip(blocks, flags)])
+            transactions.append(Transaction(d.queries[k], target_ids[k], meta))
     return SyntheticDataset(config.max_turns, db, transactions, split)
 
 

@@ -1,10 +1,12 @@
 """Synthetic task generator and dataset file format tests."""
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cmntm.retrieval import CandidateDB, block_rows, rank, recall_at_k, similari
 from cmntm.synthdata import (
     TaskConfig,
     Transaction,
+    TransactionMeta,
     TurnMeta,
     block_slice,
     datasets_equal,
@@ -85,10 +88,23 @@ class TestGeneration:
         assert not datasets_equal(a, b)
 
     def test_splits_share_db_but_not_transactions(self):
-        a = gen_block_reveal(SMALL, count=5, split="train")
-        b = gen_block_reveal(SMALL, count=5, split="val")
-        np.testing.assert_array_equal(a.db.features, b.db.features)
+        # a task of its own, so that no other test's dataset holds its db
+        cfg = dataclasses.replace(SMALL, db_size=40, seed=21)
+        a = gen_block_reveal(cfg, count=5, split="train")
+        b = gen_block_reveal(cfg, count=5, split="val")
+        assert a.db is b.db is make_db(cfg)
         assert not np.array_equal(a.transactions[0].queries, b.transactions[0].queries)
+        # shared, so nothing may write through it
+        for array in (a.db.ids, a.db.features, a.db.row_norms):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        for change in (dict(seed=22), dict(db_size=41), dict(feature_dim=32)):
+            assert make_db(dataclasses.replace(cfg, **change)) is not a.db
+        # the task's db is held only as long as a dataset holds it
+        held = weakref.ref(a.db)
+        del a, b
+        gc.collect()
+        assert held() is None
 
     def test_count_extension_is_a_prefix(self):
         # per-transaction seeding: asking for more data never rewrites
@@ -179,18 +195,22 @@ class TestOracle:
 # ---------------------------------------------------------- chunked ground truth
 
 def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
-    """Queries and target ids drawn as generation draws them, with each
-    turn's target found by its own float64 GEMV over the db."""
+    """Queries, target ids and meta drawn one transaction at a time, as
+    generation draws them, with each turn's target found by its own float64
+    GEMV over the db."""
     db = make_db(cfg)
     features64 = db.features.astype(np.float64)
-    queries, target_ids = [], []
+    queries, target_ids, metas = [], [], []
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(
             [synthdata._TXN_TAG, cfg.seed, synthdata._SPLIT_TAGS["train"], index]))
         ref, tgt = (int(v) for v in rng.choice(cfg.db_size, size=2, replace=False))
         composite = db.feature_of(ref).astype(np.float64)
+        turns = []
         for block in rng.permutation(cfg.blocks)[:cfg.max_turns]:
-            if rng.random() < distractor_prob:
+            distractor = rng.random() < distractor_prob
+            turns.append(TurnMeta(int(block), distractor))
+            if distractor:
                 noise = rng.normal(size=cfg.feature_dim)
                 query = noise / np.linalg.norm(noise)
             else:
@@ -202,14 +222,21 @@ def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
             queries.append(query.astype(np.float32))
             norms = db.row_norms * max(np.linalg.norm(composite), 1e-30)
             target_ids.append(int(db.ids[np.argmax(features64 @ composite / norms)]))
-    return np.stack(queries), target_ids
+        metas.append(TransactionMeta(reference_id=ref, turns=turns))
+    return np.stack(queries), target_ids, metas
 
 
 def _assert_matches_gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
     ds = gen_distractor(dataclasses.replace(cfg, distractor_prob=distractor_prob), count)
-    queries, target_ids = _gemv_reference(cfg, count, distractor_prob)
+    queries, target_ids, metas = _gemv_reference(cfg, count, distractor_prob)
     np.testing.assert_array_equal(np.concatenate([t.queries for t in ds.transactions]), queries)
     assert [int(i) for t in ds.transactions for i in t.target_ids] == target_ids
+    # the dataclasses compare field by field, and the types of the values
+    # must be the ones the file writer accepts
+    assert [t.meta for t in ds.transactions] == metas
+    for meta in (t.meta for t in ds.transactions):
+        assert type(meta.reference_id) is int
+        assert all(type(t.block) is int and type(t.distractor) is bool for t in meta.turns)
 
 
 class TestChunkedGroundTruth:
@@ -544,14 +571,32 @@ class TestSerialization:
 # bit or a near-tie moves these digests, and the change is then wrong.
 DESK_JSONL_SHA256 = "913a4b8f47a7218be0be55bb441a4af0194cc18445592d479f35e091329ed073"
 SCALE_TXN_SHA256 = "f3992cee0de47c6b9e424c553bfdf7d857ad2f0a6458d17293657aef58609985"
+# 700 desk transactions span two chunks of 640, and their distractors pin the meta
+DESK_DISTRACTOR_JSONL_SHA256 = "9de14112729d775a4b47402a39d471379ada6869422ace4a180d019ae2b5a2e5"
+NOISELESS_3_OF_8_JSONL_SHA256 = "642b8cbaf3b7ba7962282086e6e92c31a7cea3b3dbee487ce3ebb8e5e8c2c9e6"
+
+
+def _file_sha256(dataset, path) -> str:
+    save_dataset(dataset, str(path))
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 class TestGoldenData:
     def test_desk_preset_file_bytes_are_pinned(self, tmp_path):
-        path = str(tmp_path / "desk.jsonl")
-        save_dataset(gen_distractor(TaskConfig(), count=64), path)
-        with open(path, "rb") as fh:
-            assert hashlib.sha256(fh.read()).hexdigest() == DESK_JSONL_SHA256
+        assert _file_sha256(gen_distractor(TaskConfig(), count=64),
+                            tmp_path / "desk.jsonl") == DESK_JSONL_SHA256
+
+    def test_desk_split_with_distractors_past_one_chunk_is_pinned(self, tmp_path):
+        cfg = TaskConfig(distractor_prob=0.3)
+        assert block_rows(make_db(cfg), 8) // cfg.max_turns == 640
+        assert _file_sha256(gen_distractor(cfg, count=700),
+                            tmp_path / "desk.jsonl") == DESK_DISTRACTOR_JSONL_SHA256
+
+    def test_noiseless_three_of_eight_blocks_is_pinned(self, tmp_path):
+        cfg = TaskConfig(feature_dim=64, blocks=8, max_turns=3, noise_std=0.0)
+        assert _file_sha256(gen_distractor(cfg, count=64),
+                            tmp_path / "noiseless.jsonl") == NOISELESS_3_OF_8_JSONL_SHA256
 
     def test_scale_preset_transactions_are_pinned(self):
         ds = gen_distractor(TaskConfig(feature_dim=768, db_size=10000, max_turns=4), count=8)

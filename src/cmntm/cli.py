@@ -19,7 +19,7 @@ import sys
 
 from . import harness
 from .config import TrainConfig, load_config
-from .errors import CheckpointError, CmntmError
+from .errors import CheckpointError, CmntmError, ConfigError
 from .synthdata import gen_distractor, load_dataset, save_dataset
 
 
@@ -71,7 +71,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     for split in args.splits:
         dataset = gen_distractor(cfg.task, getattr(cfg, _SPLIT_COUNTS[split]), split=split)
-        path = f"{args.out}/{split}.jsonl"
+        path = f"{args.out}/{split}.bin"
         os.makedirs(args.out, exist_ok=True)
         save_dataset(dataset, path)
         print(f"{split}: {len(dataset.transactions)} transactions, "
@@ -83,8 +83,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train_ds = val_ds = None
     if args.data:
-        train_ds = load_dataset(f"{args.data}/train.jsonl")
-        val_ds = load_dataset(f"{args.data}/val.jsonl")
+        train_ds = load_dataset(f"{args.data}/train.bin")
+        val_ds = load_dataset(f"{args.data}/val.bin")
     result = harness.train(cfg, out_dir=args.out, train_ds=train_ds, val_ds=val_ds,
                            resume_from=args.resume, log=print)
     if result.metrics:
@@ -97,9 +97,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_eval_dataset(args: argparse.Namespace, cfg: TrainConfig):
-    if args.data:
-        return load_dataset(args.data)
-    return gen_distractor(cfg.task, cfg.val_count, split="val")
+    """The ``--data`` split, which must be drawn from the checkpoint's task, or
+    the val split that task generates."""
+    if not args.data:
+        return gen_distractor(cfg.task, cfg.val_count, split="val")
+    dataset = load_dataset(args.data)
+    differs = harness._differing_keys(dataclasses.asdict(dataset.task),
+                                      dataclasses.asdict(cfg.task))
+    if differs:
+        raise ConfigError(f"{args.data}: its task differs from {args.checkpoint}'s in {differs}")
+    return dataset
 
 
 def _restored(path: str):
@@ -207,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model")
     common(p, out_required=True)
-    p.add_argument("--data", help="directory holding train.jsonl and val.jsonl")
+    p.add_argument("--data", help="directory holding train.bin and val.bin")
     p.add_argument("--resume", help="checkpoint to resume from")
     p.set_defaults(func=_cmd_train)
 

@@ -26,12 +26,10 @@ class ConfigError(CmntmError):
 
 
 class DatasetFormatError(CmntmError):
-    """A dataset file could not be parsed."""
+    """A dataset file could not be read."""
 
-    def __init__(self, path: str, line: int, detail: str):
-        super().__init__(f"{path}:{line}: {detail}")
-        self.path = path
-        self.line = line
+    def __init__(self, path: str, detail: str):
+        super().__init__(f"{path}: {detail}")
 
 
 class CheckpointError(CmntmError):

@@ -297,19 +297,13 @@ def default_datasets(cfg: TrainConfig, train_ds: SyntheticDataset | None = None,
     """The given splits, generating each missing one as the config describes
     (every split shares the config's candidate db).
 
-    A given split must match ``cfg.task`` in feature dim, turn count and db
-    size, or a ``ConfigError`` names the split and the field. A db of the
-    same size drawn from another ``task.seed`` passes: a dataset file does
-    not record its seed.
+    A given split must have been drawn from ``cfg.task``, or a
+    ``ConfigError`` names the split and the task keys that differ.
     """
     for split, ds in (("train", train_ds), ("val", val_ds)):
-        if ds is None:
-            continue
-        for key, got in (("feature_dim", ds.feature_dim), ("max_turns", ds.max_turns),
-                         ("db_size", len(ds.db))):
-            if got != (want := getattr(cfg.task, key)):
-                raise ConfigError(f"{split} split has {key} {got}, "
-                                  f"but config.task.{key} is {want}")
+        if ds is not None and ds.task != cfg.task:
+            differs = _differing_keys(dataclasses.asdict(ds.task), dataclasses.asdict(cfg.task))
+            raise ConfigError(f"{split} split's task differs from config.task in {differs}")
     if train_ds is None:
         train_ds = gen_distractor(cfg.task, cfg.train_count, split="train")
     if val_ds is None:

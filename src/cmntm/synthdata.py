@@ -20,26 +20,23 @@ many transactions as ``retrieval.block_rows`` fits turns into one score
 block. ``make_db`` hands every split of a task the same read-only db for as
 long as some dataset holds it.
 
-Datasets serialize to JSON lines: one header object, one object per database
-item, then one object per transaction. Floats are written as exact decimal
-representations of their single-precision values, so files round-trip
-losslessly and are byte-identical for a given seed.
+A dataset file is one ``checkpoint`` container of named arrays: a JSON
+``header`` of the task and split, the db, the stacked queries and target
+ids, and the generation meta. Arrays are stored as their raw bytes, so files
+round-trip exactly and are byte-identical for a given task and count.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DatasetFormatError, DegenerateInputError
-from .fileio import atomic_open
+from .checkpoint import load_entries, save_entries
+from .errors import CheckpointError, ConfigError, DatasetFormatError, DegenerateInputError
 from .retrieval import CandidateDB, block_rows, unsettled
-
-FILE_VERSION = 1
 
 # Seed-derivation tags keep the independent random streams apart.
 _DB_TAG = 101
@@ -129,10 +126,14 @@ class Transaction:
 
 @dataclass
 class SyntheticDataset:
-    max_turns: int
+    task: TaskConfig  # the task the transactions were drawn from
     db: CandidateDB
     transactions: list[Transaction]
     split: str = "train"
+
+    @property
+    def max_turns(self) -> int:
+        return self.task.max_turns
 
     @property
     def feature_dim(self) -> int:
@@ -246,6 +247,14 @@ def _assemble(d: _Draws, features64: np.ndarray, block_len: int, composites: np.
         composites[:, n] = composite
 
 
+def _transactions(queries: np.ndarray, target_ids: np.ndarray, refs: np.ndarray,
+                  blocks: np.ndarray, distractor: np.ndarray) -> list[Transaction]:
+    """A transaction, with its meta, per row of the stacked arrays."""
+    return [Transaction(q, t, TransactionMeta(ref, [TurnMeta(b, f) for b, f in zip(bs, fs)]))
+            for q, t, ref, bs, fs in zip(queries, target_ids, refs.tolist(), blocks.tolist(),
+                                         distractor.tolist())]
+
+
 def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Block-reveal transactions where turns become pure noise with
     probability ``config.distractor_prob``; ground truth ignores such turns.
@@ -274,12 +283,8 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
         # and an np.float64, so that db.row_norms * norm stays float64
         norms = [max(np.sqrt(c.dot(c)), 1e-30) for c in composites]
         target_ids = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
-        for k, (ref, blocks, flags) in enumerate(zip(d.refs.tolist(), d.blocks.tolist(),
-                                                     d.distractor.tolist())):
-            meta = TransactionMeta(reference_id=ref,
-                                   turns=[TurnMeta(b, f) for b, f in zip(blocks, flags)])
-            transactions.append(Transaction(d.queries[k], target_ids[k], meta))
-    return SyntheticDataset(config.max_turns, db, transactions, split)
+        transactions += _transactions(d.queries, target_ids, d.refs, d.blocks, d.distractor)
+    return SyntheticDataset(config, db, transactions, split)
 
 
 def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
@@ -287,214 +292,110 @@ def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> Sy
     return gen_distractor(dataclasses.replace(config, distractor_prob=0.0), count, split)
 
 
-def oracle_features(txn: Transaction, db: CandidateDB,
-                    block_len: int) -> np.ndarray:
-    """Per-turn composites a construction-aware oracle would retrieve with.
-
-    Starting from the reference feature, each non-distractor turn's revealed
-    block values (as stored in the query, noise included) overwrite the
-    composite. Requires generation metadata.
-    """
-    if txn.meta is None:
-        raise DegenerateInputError("oracle_features: transaction has no generation metadata")
-    composite = db.feature_of(txn.meta.reference_id).astype(np.float64).copy()
-    out = np.empty_like(txn.queries, dtype=np.float64)
-    for n, turn_meta in enumerate(txn.meta.turns):
-        if not turn_meta.distractor:
-            sl = block_slice(turn_meta.block, block_len, db.dim)
-            composite[sl] = txn.queries[n][sl]
-        out[n] = composite
-    return out.astype(np.float32)
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def _float_list(arr: np.ndarray) -> list[float]:
-    # float32 -> float64 is exact, and json round-trips doubles exactly, so
-    # values survive save/load bit-for-bit
-    return np.asarray(arr, np.float32).astype(np.float64).tolist()
-
-
 def save_dataset(dataset: SyntheticDataset, path: str) -> None:
-    """Write JSON lines: header, db items, transactions (deterministic bytes).
+    """Write ``dataset`` as one checkpoint container (deterministic bytes).
 
-    The file is replaced atomically: a failed write leaves ``path`` as it was.
+    Every transaction must carry its generation metadata. The file is
+    replaced atomically: a failed write leaves ``path`` as it was.
     """
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        header = {"version": FILE_VERSION, "D": dataset.feature_dim,
-                  "N_max": dataset.max_turns, "db_size": len(dataset.db),
-                  "split": dataset.split}
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for i in range(len(dataset.db)):
-            item = {"id": int(dataset.db.ids[i]), "feature": _float_list(dataset.db.features[i])}
-            fh.write(json.dumps(item, separators=(",", ":")) + "\n")
-        for txn in dataset.transactions:
-            obj = {
-                # the file format keeps this field; it always equals N_max
-                "original_len": dataset.max_turns,
-                "turns": [{"qry": _float_list(txn.queries[n]),
-                           "target_id": int(txn.target_ids[n])}
-                          for n in range(txn.num_turns)],
-            }
-            if txn.meta is not None:
-                obj["meta"] = {"ref": txn.meta.reference_id,
-                               "turns": [{"block": t.block, "distractor": t.distractor}
-                                         for t in txn.meta.turns]}
-            fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-
-
-def _parse_line(path: str, line_no: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise DatasetFormatError(path, line_no, f"invalid JSON: {e.msg}") from None
-    if not isinstance(obj, dict):
-        raise DatasetFormatError(path, line_no, "expected a JSON object")
-    return obj
-
-
-def _require(obj: dict, key: str, path: str, line_no: int):
-    try:
-        return obj[key]
-    except KeyError:
-        raise DatasetFormatError(path, line_no, f"missing key {key!r}") from None
-    except TypeError:
-        raise DatasetFormatError(path, line_no,
-                                 f"expected an object with key {key!r}, got {obj!r:.40}") from None
-
-
-def _int(obj: dict, key: str, path: str, line_no: int) -> int:
-    value = _require(obj, key, path, line_no)
-    # only a JSON integer, which a bool is not; ids are stored as int64
-    if type(value) is not int or abs(value) >= 2 ** 63:
-        raise DatasetFormatError(path, line_no, f"{key} must be a 64-bit integer, got {value!r:.40}")
-    return value
-
-
-def _read_floats(obj: dict, key: str, out: np.ndarray, path: str, line_no: int) -> None:
-    """Write the number list ``obj[key]`` into the float32 row ``out``.
-
-    A null entry is stored as NaN; callers reject non-finite rows.
-    """
-    value = _require(obj, key, path, line_no)
-    if isinstance(value, list) and len(value) == len(out):
-        try:
-            out[:] = value
-            return
-        except (TypeError, ValueError):
-            pass
-    raise DatasetFormatError(path, line_no, f"{key} must be a list of {len(out)} numbers")
-
-
-def _turn_meta(obj: dict, feature_dim: int, path: str, line_no: int) -> TurnMeta:
-    block = _int(obj, "block", path, line_no)
-    if not 0 <= block < feature_dim:
-        raise DatasetFormatError(path, line_no, f"block must be in [0, {feature_dim}), got {block}")
-    distractor = _require(obj, "distractor", path, line_no)
-    if not isinstance(distractor, bool):
-        raise DatasetFormatError(path, line_no, f"distractor must be true or false, got {distractor!r:.40}")
-    return TurnMeta(block, distractor)
+    txns = dataset.transactions
+    header = json.dumps({"task": dataclasses.asdict(dataset.task), "split": dataset.split},
+                        sort_keys=True, separators=(",", ":"))
+    save_entries(path, {
+        "header": np.frombuffer(header.encode("utf-8"), np.uint8),
+        "db.ids": dataset.db.ids,
+        "db.features": dataset.db.features,
+        "queries": np.stack([t.queries for t in txns]),
+        "target_ids": np.stack([t.target_ids for t in txns]),
+        "meta.ref": np.array([t.meta.reference_id for t in txns], np.int64),
+        "meta.block": np.array([[m.block for m in t.meta.turns] for t in txns], np.int64),
+        "meta.distractor": np.array([[m.distractor for m in t.meta.turns] for t in txns],
+                                    np.uint8),
+    })
 
 
 def load_dataset(path: str) -> SyntheticDataset:
-    """Parse a dataset file; malformed content raises with the line number.
+    """Read a file ``save_dataset`` wrote.
 
-    The file is read one line at a time, and db features are written straight
-    into one preallocated array, so the file's text is never held whole.
+    The container checks its own structure (magic, sizes, truncation,
+    duplicate names). This checks what the entries mean: the header's task
+    passes the checks a config file's task gets, every entry is present with
+    the dtype and shape the task gives it, values are finite, target and
+    reference ids lie in the db, blocks in ``[0, task.blocks)``, and
+    distractor flags are 0 or 1. A failure raises ``DatasetFormatError``
+    naming the entry.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        numbered = ((n, line.rstrip("\n")) for n, line in enumerate(fh, start=1))
-        first = next(numbered, None)
-        if first is None:
-            raise DatasetFormatError(path, 1, "empty file")
-        header = _parse_line(path, 1, first[1])
-        version = _int(header, "version", path, 1)
-        if version != FILE_VERSION:
-            raise DatasetFormatError(path, 1, f"unsupported version {version}")
-        feature_dim = _int(header, "D", path, 1)
-        max_turns = _int(header, "N_max", path, 1)
-        db_size = _int(header, "db_size", path, 1)
-        if min(feature_dim, db_size) < 0 or max_turns < 1:
-            raise DatasetFormatError(path, 1, "D and db_size must be non-negative, N_max positive")
-        split = str(header.get("split", "train"))
-        # A db line takes at least 2 * D + 20 bytes, so the file holds fewer
-        # rows than this bound: a header that promises more fails on a missing
-        # or bad line before the array is full, and never gets its promise
-        # allocated.
-        rows = min(db_size, os.fstat(fh.fileno()).st_size // (2 * feature_dim + 20) + 1)
-        ids = np.empty(rows, dtype=np.int64)
-        feats = np.empty((rows, feature_dim), dtype=np.float32)
-        for i in range(db_size):
-            line_no = 2 + i
-            got = next(numbered, None)
-            if got is None:
-                raise DatasetFormatError(path, line_no,
-                                         f"unexpected end of file: header promises {db_size} db items")
-            obj = _parse_line(path, line_no, got[1])
-            ids[i] = _int(obj, "id", path, line_no)
-            _read_floats(obj, "feature", feats[i], path, line_no)
-        finite = np.isfinite(feats).all(axis=1)
-        if not finite.all():
-            raise DatasetFormatError(path, 2 + int(np.argmin(finite)),
-                                     f"feature must be a list of {feature_dim} finite numbers")
-        try:
-            db = CandidateDB(ids, feats)
-        except DegenerateInputError as e:
-            raise DatasetFormatError(path, 1 + db_size, f"candidate db: {e}") from None
-        transactions = []
-        line_no = 1 + db_size
-        for line_no, line in numbered:
-            obj = _parse_line(path, line_no, line)
-            turns = _require(obj, "turns", path, line_no)
-            original_len = _int(obj, "original_len", path, line_no)
-            if original_len != max_turns:
-                raise DatasetFormatError(path, line_no, f"original_len must be N_max = {max_turns}")
-            if not isinstance(turns, list) or len(turns) != max_turns:
-                raise DatasetFormatError(path, line_no, f"turns must be a list of N_max = {max_turns} turns")
-            queries = np.empty((len(turns), feature_dim), dtype=np.float32)
-            target_ids = []
-            for n, turn in enumerate(turns):
-                if not isinstance(turn, dict):
-                    raise DatasetFormatError(path, line_no, "each turn must be an object")
-                _read_floats(turn, "qry", queries[n], path, line_no)
-                target_ids.append(_int(turn, "target_id", path, line_no))
-            if not np.isfinite(queries).all():
-                raise DatasetFormatError(path, line_no, f"qry must be a list of {feature_dim} finite numbers")
-            for t in target_ids:
-                try:
-                    db.index_of(t)
-                except KeyError:
-                    raise DatasetFormatError(path, line_no,
-                                             f"target_id {t} not in the candidate db") from None
-            meta = None
-            if "meta" in obj:
-                raw = obj["meta"]
-                meta_turns = _require(raw, "turns", path, line_no)
-                if not isinstance(meta_turns, list) or len(meta_turns) != len(turns):
-                    raise DatasetFormatError(path, line_no,
-                                             f"meta turns must be a list of {len(turns)} turns")
-                meta = TransactionMeta(
-                    reference_id=_int(raw, "ref", path, line_no),
-                    turns=[_turn_meta(t, feature_dim, path, line_no) for t in meta_turns])
-            transactions.append(Transaction(queries, np.asarray(target_ids, dtype=np.int64), meta))
-    if not transactions:
-        raise DatasetFormatError(path, line_no + 1, "file contains no transactions")
-    return SyntheticDataset(max_turns, db, transactions, split)
+    from .config import _TASK_KEYS, _section  # config imports this module
+
+    def bad(entry: str, detail: str) -> DatasetFormatError:
+        return DatasetFormatError(path, f"entry {entry!r} {detail}")
+
+    try:
+        entries = load_entries(path)
+    except CheckpointError as e:
+        # the container's messages start with the path already
+        raise DatasetFormatError(path, str(e).removeprefix(f"{path}: ")) from None
+    header = entries.get("header")
+    if header is None or header.dtype != np.uint8 or header.ndim != 1:
+        raise bad("header", "must be present as a uint8 vector")
+    try:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, as TaskConfig's are
+        raw = json.loads(header.tobytes().decode("utf-8"))
+        if not (isinstance(raw, dict) and raw.keys() == {"task", "split"}
+                and raw["split"] in tuple(_SPLIT_TAGS)):
+            raise ValueError(f'must be an object of "task" and a "split" in {tuple(_SPLIT_TAGS)}')
+        fields = _section(raw["task"], TaskConfig, _TASK_KEYS, "task")
+        if missing := sorted(_TASK_KEYS - fields.keys()):
+            raise ValueError(f"task lacks {missing}")
+        task = TaskConfig(**fields)
+    except (ValueError, ConfigError) as e:
+        raise bad("header", str(e)) from None
+    s, n, d = task.db_size, task.max_turns, task.feature_dim
+    t = entries["queries"].shape[:1] if "queries" in entries else ()  # (T,); () fails below
+    layout = {"db.ids": (np.int64, (s,)), "db.features": (np.float32, (s, d)),
+              "queries": (np.float32, (*t, n, d)), "target_ids": (np.int64, (*t, n)),
+              "meta.ref": (np.int64, t), "meta.block": (np.int64, (*t, n)),
+              "meta.distractor": (np.uint8, (*t, n))}
+    if extra := sorted(entries.keys() - layout.keys() - {"header"}):
+        raise bad(extra[0], "is not a dataset entry")
+    for name, (dtype, shape) in layout.items():
+        if name not in entries:
+            raise bad(name, "is missing")
+        got = entries[name]
+        if got.dtype != dtype or got.shape != shape:
+            raise bad(name, f"must be {np.dtype(dtype)} of shape {shape}, "
+                            f"got {got.dtype} of shape {got.shape}")
+    if t == (0,):
+        raise bad("queries", "holds no transactions")
+    ids, blocks = entries["db.ids"], entries["meta.block"]
+    for name, wrong, what in (
+            ("db.features", ~np.isfinite(entries["db.features"]), "a non-finite value"),
+            ("queries", ~np.isfinite(entries["queries"]), "a non-finite value"),
+            ("target_ids", ~np.isin(entries["target_ids"], ids), "an id not in the db"),
+            ("meta.ref", ~np.isin(entries["meta.ref"], ids), "an id not in the db"),
+            ("meta.block", (blocks < 0) | (blocks >= task.blocks),
+             f"a block outside [0, {task.blocks})"),
+            ("meta.distractor", entries["meta.distractor"] > 1, "a flag other than 0 or 1")):
+        if wrong.any():
+            raise bad(name, f"holds {what}: {entries[name][wrong][0]}")
+    try:
+        db = CandidateDB(ids, entries["db.features"])
+    except DegenerateInputError as e:
+        raise bad("db.ids", f"and 'db.features' make no candidate db: {e}") from None
+    return SyntheticDataset(task, db, _transactions(
+        entries["queries"], entries["target_ids"], entries["meta.ref"], blocks,
+        entries["meta.distractor"].astype(bool)), raw["split"])
 
 
 def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:
     """Structural equality over everything that serialization preserves."""
-    if (a.max_turns, a.split) != (b.max_turns, b.split):
-        return False
-    if not (np.array_equal(a.db.ids, b.db.ids) and np.array_equal(a.db.features, b.db.features)):
-        return False
-    if len(a.transactions) != len(b.transactions):
-        return False
-    for ta, tb in zip(a.transactions, b.transactions):
-        # the meta dataclasses compare field by field
-        if not (np.array_equal(ta.queries, tb.queries)
-                and np.array_equal(ta.target_ids, tb.target_ids) and ta.meta == tb.meta):
-            return False
-    return True
+    # the meta dataclasses compare field by field
+    return ((a.task, a.split, len(a.transactions)) == (b.task, b.split, len(b.transactions))
+            and np.array_equal(a.db.ids, b.db.ids) and np.array_equal(a.db.features, b.db.features)
+            and all(np.array_equal(ta.queries, tb.queries) and ta.meta == tb.meta
+                    and np.array_equal(ta.target_ids, tb.target_ids)
+                    for ta, tb in zip(a.transactions, b.transactions)))

@@ -44,10 +44,21 @@ def workspace(tmp_path_factory):
             "baseline_ckpt": f"{lstm_dir}/checkpoint.bin"}
 
 
+def _gen_other_task(workspace, tmp_path, key: str, value) -> str:
+    """A data directory generated from the workspace config with ``task.key`` set to ``value``."""
+    raw = json.loads(open(workspace["cfg"]).read())
+    raw["task"][key] = value
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(raw))
+    data = str(tmp_path / "data")
+    assert main(["gen-data", "--config", str(other), "--out", data]) == 0
+    return data
+
+
 class TestCli:
     def test_gen_data_wrote_both_splits(self, workspace):
-        assert os.path.exists(f"{workspace['data']}/train.jsonl")
-        assert os.path.exists(f"{workspace['data']}/val.jsonl")
+        assert os.path.exists(f"{workspace['data']}/train.bin")
+        assert os.path.exists(f"{workspace['data']}/val.bin")
 
     def test_train_wrote_artifacts(self, workspace):
         assert os.path.exists(workspace["ckpt"])
@@ -55,7 +66,7 @@ class TestCli:
 
     def test_eval_prints_recall_report(self, workspace, capsys):
         rc = main(["eval", "--checkpoint", workspace["ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl"])
+                   "--data", f"{workspace['data']}/val.bin"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert set(report) >= {"r1", "r5", "r8", "r10", "mean_r5_r8"}
@@ -78,7 +89,7 @@ class TestCli:
         out_dir = str(workspace["root"] / "ti")
         rc = main(["turn-importance", "--checkpoint", workspace["ckpt"],
                    "--baseline-checkpoint", workspace["baseline_ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl", "--out", out_dir])
+                   "--data", f"{workspace['data']}/val.bin", "--out", out_dir])
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
         assert "spread" in summary and set(summary["spread"]) == {"memory", "memoryless"}
@@ -96,7 +107,7 @@ class TestCli:
         out = tmp_path / "ti"
         rc = main(["turn-importance", "--checkpoint", workspace["ckpt"],
                    "--baseline-checkpoint", baseline,
-                   "--data", f"{workspace['data']}/val.jsonl", "--out", str(out)])
+                   "--data", f"{workspace['data']}/val.bin", "--out", str(out)])
         assert rc == 2
         assert capsys.readouterr().err == (f"error: {baseline}: its task differs from "
                                            f"{workspace['ckpt']}'s in ['seed']\n")
@@ -104,7 +115,7 @@ class TestCli:
 
     def test_turn_order_command(self, workspace, tmp_path, capsys):
         rc = main(["turn-order", "--checkpoint", workspace["ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl", "--count", "4",
+                   "--data", f"{workspace['data']}/val.bin", "--count", "4",
                    "--out", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
@@ -113,7 +124,7 @@ class TestCli:
 
     def test_memory_retention_command(self, workspace, tmp_path, capsys):
         rc = main(["memory-retention", "--checkpoint", workspace["ckpt"],
-                   "--data", f"{workspace['data']}/val.jsonl", "--out", str(tmp_path)])
+                   "--data", f"{workspace['data']}/val.bin", "--out", str(tmp_path)])
         assert rc == 0
         printed = capsys.readouterr().out
         assert len(json.loads(printed)["stateful"]) == 2
@@ -148,7 +159,7 @@ class TestCli:
         corrupt(entries)
         bad = str(tmp_path / "bad.bin")
         ckpt_io.save_entries(bad, entries)
-        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
+        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.bin"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}: ")
 
@@ -157,7 +168,7 @@ class TestCli:
         del entries["buffer.derive0.bn.running_var"]
         bad = str(tmp_path / "bad.bin")
         ckpt_io.save_entries(bad, entries)
-        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.jsonl"])
+        rc = main(["eval", "--checkpoint", bad, "--data", f"{workspace['data']}/val.bin"])
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: {bad}: state mismatch: missing ['buffer.derive0.bn.running_var']")
@@ -228,7 +239,7 @@ class TestCli:
     def test_out_of_range_flag_is_a_usage_error(self, workspace, capsys, argv, expected):
         if argv[0] == "turn-order":
             argv = argv + ["--checkpoint", workspace["ckpt"],
-                           "--data", f"{workspace['data']}/val.jsonl"]
+                           "--data", f"{workspace['data']}/val.bin"]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "usage:" in err and f"expected {expected}, got '{argv[2]}'" in err
@@ -256,21 +267,23 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("max_turns", 3), ("db_size", 24)])
+    @pytest.mark.parametrize("key, value", [("max_turns", 3), ("db_size", 24), ("seed", 3)])
     def test_train_on_data_of_another_task_exits_2_and_writes_nothing(self, workspace, tmp_path,
                                                                       capsys, key, value):
-        raw = json.loads(open(workspace["cfg"]).read())
-        raw["task"][key] = value
-        other = tmp_path / "other.json"
-        other.write_text(json.dumps(raw))
-        data, out = str(tmp_path / "data"), tmp_path / "out"
-        assert main(["gen-data", "--config", str(other), "--out", data]) == 0
-        capsys.readouterr()
+        data = _gen_other_task(workspace, tmp_path, key, value)
+        out = tmp_path / "out"
         assert main(["train", "--config", workspace["cfg"], "--data", data,
                      "--out", str(out)]) == 2
-        assert f"error: train split has {key} {value}, but config.task.{key} is " in (
-            capsys.readouterr().err)
+        assert (f"error: train split's task differs from config.task in ['{key}']"
+                in capsys.readouterr().err)
         assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("max_turns", 3), ("seed", 3), ("noise_std", 0.0)])
+    def test_eval_on_data_of_another_task_exits_2(self, workspace, tmp_path, capsys, key, value):
+        val = f"{_gen_other_task(workspace, tmp_path, key, value)}/val.bin"
+        assert main(["eval", "--checkpoint", workspace["ckpt"], "--data", val]) == 2
+        assert (f"error: {val}: its task differs from {workspace['ckpt']}'s in ['{key}']"
+                in capsys.readouterr().err)
 
     # options that no code would read: the experiments run on the checkpoint's
     # config, and generated data follow task.seed
@@ -284,7 +297,7 @@ class TestCli:
         ("memory-retention", "--seed"),
     ])
     def test_unread_option_is_a_usage_error(self, workspace, tmp_path, capsys, command, option):
-        val = f"{workspace['data']}/val.jsonl"
+        val = f"{workspace['data']}/val.bin"
         argv = {"gen-data": ["--out", str(tmp_path / "data")],
                 "turn-importance": ["--checkpoint", workspace["ckpt"], "--data", val,
                                     "--baseline-checkpoint", workspace["baseline_ckpt"]],

@@ -491,9 +491,10 @@ class TestModelCheckpoints:
 # ------------------------------------------------------------------- training
 
 class TestTraining:
-    # each of the task fields a dataset file records, set to another value
+    # task fields set to another value; a dataset records its whole task
     @pytest.mark.parametrize("split", ["train", "val"])
-    @pytest.mark.parametrize("key, got", [("max_turns", 3), ("feature_dim", 12), ("db_size", 24)])
+    @pytest.mark.parametrize("key, got", [("max_turns", 3), ("feature_dim", 12), ("db_size", 24),
+                                          ("seed", 3)])
     @pytest.mark.parametrize("run", ["train", "ablate"])
     def test_a_split_of_another_task_is_rejected_before_writing(self, tmp_path, run, key, got,
                                                                 split):
@@ -501,7 +502,7 @@ class TestTraining:
         task = dataclasses.replace(TINY_TASK, **{key: got})
         splits = {f"{split}_ds": gen_distractor(task, 4, split=split)}
         out = tmp_path / "out"
-        message = rf"^{split} split has {key} {got}, but config\.task\.{key} is "
+        message = rf"^{split} split's task differs from config\.task in \['{key}'\]$"
         with pytest.raises(ConfigError, match=message):
             if run == "train":
                 harness.train(cfg, out_dir=str(out), **splits)
@@ -975,8 +976,12 @@ def _assert_matches_gemv(preds: np.ndarray, ds) -> None:
 
 
 def _one_turn_dataset(db: CandidateDB, targets) -> SyntheticDataset:
-    """Transactions of one turn over ``db``, ending on ``targets``; queries unused."""
-    return SyntheticDataset(1, db, [Transaction(np.zeros((1, db.dim)), [t]) for t in targets],
+    """Transactions of one turn over ``db``, ending on ``targets``; queries unused.
+
+    The task only gives the db's shape and one turn: nothing here is drawn from it.
+    """
+    task = TaskConfig(feature_dim=db.dim, blocks=1, max_turns=1, db_size=len(db))
+    return SyntheticDataset(task, db, [Transaction(np.zeros((1, db.dim)), [t]) for t in targets],
                             "val")
 
 

@@ -5,14 +5,16 @@ import gc
 import hashlib
 import json
 import os
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from cmntm import checkpoint as ckpt_io
 from cmntm import synthdata
-from cmntm.errors import DatasetFormatError, DegenerateInputError
+from cmntm.errors import CheckpointError, DatasetFormatError, DegenerateInputError
 from cmntm.retrieval import CandidateDB, block_rows, rank, recall_at_k, similarity_scores
 from cmntm.synthdata import (
     TaskConfig,
@@ -25,7 +27,6 @@ from cmntm.synthdata import (
     gen_distractor,
     load_dataset,
     make_db,
-    oracle_features,
     save_dataset,
 )
 
@@ -141,6 +142,25 @@ class TestGeneration:
 
 
 # --------------------------------------------------------------------- oracle
+
+def oracle_features(txn: Transaction, db: CandidateDB, block_len: int) -> np.ndarray:
+    """Per-turn composites a construction-aware oracle would retrieve with.
+
+    Starting from the reference feature, each non-distractor turn's revealed
+    block values (as stored in the query, noise included) overwrite the
+    composite. Requires generation metadata.
+    """
+    if txn.meta is None:
+        raise DegenerateInputError("oracle_features: transaction has no generation metadata")
+    composite = db.feature_of(txn.meta.reference_id).astype(np.float64).copy()
+    out = np.empty_like(txn.queries, dtype=np.float64)
+    for n, turn_meta in enumerate(txn.meta.turns):
+        if not turn_meta.distractor:
+            sl = block_slice(turn_meta.block, block_len, db.dim)
+            composite[sl] = txn.queries[n][sl]
+        out[n] = composite
+    return out.astype(np.float32)
+
 
 class TestOracle:
     def test_noiseless_oracle_reaches_perfect_final_recall(self):
@@ -346,257 +366,319 @@ class TestPadding:
 
 # -------------------------------------------------------------- serialization
 
+ENTRIES = ("header", "db.ids", "db.features", "queries", "target_ids", "meta.ref",
+           "meta.block", "meta.distractor")
+
+
+def _saved(tmp_path, ds=None, name="ds.bin") -> str:
+    path = str(tmp_path / name)
+    save_dataset(gen_block_reveal(SMALL, count=3) if ds is None else ds, path)
+    return path
+
+
+def _rewritten(path: str, edit) -> str:
+    """``path``'s entries after ``edit`` changed them, saved beside it as ``bad.bin``."""
+    entries = ckpt_io.load_entries(path)
+    edit(entries)
+    bad = os.path.join(os.path.dirname(path), "bad.bin")
+    ckpt_io.save_entries(bad, entries)
+    return bad
+
+
+def _header_edited(edit):
+    """An entries edit that changes the header's parsed JSON with ``edit``."""
+    def apply(entries):
+        raw = json.loads(entries["header"].tobytes())
+        edit(raw)
+        entries["header"] = np.frombuffer(json.dumps(raw).encode(), np.uint8)
+    return apply
+
+
+def _set(name, index, value):
+    """An entries edit that writes ``value`` at ``index`` of entry ``name``."""
+    def apply(entries):
+        entries[name][index] = value
+    return apply
+
+
+_NOT_AN_OBJECT = re.escape("""must be an object of "task" and a "split" in ('train', 'val', 'test')""")
+
+
 class TestSerialization:
     def test_round_trip_preserves_everything(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=6)
-        path = str(tmp_path / "ds.jsonl")
-        save_dataset(ds, path)
-        assert datasets_equal(load_dataset(path), ds)
+        ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=6, split="val")
+        loaded = load_dataset(_saved(tmp_path, ds))
+        assert datasets_equal(loaded, ds)
+        assert loaded.task == ds.task and loaded.split == "val"
 
     def test_same_dataset_saves_identical_bytes(self, tmp_path):
-        p1, p2 = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
-        save_dataset(gen_block_reveal(SMALL, count=4), p1)
-        save_dataset(gen_block_reveal(SMALL, count=4), p2)
+        p1 = _saved(tmp_path, gen_block_reveal(SMALL, count=4), "a.bin")
+        p2 = _saved(tmp_path, gen_block_reveal(SMALL, count=4), "b.bin")
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = gen_block_reveal(SMALL, count=3)
-        path = str(tmp_path / "ds.jsonl")
-        save_dataset(ds, path)
-        loaded = load_dataset(path)
+        loaded = load_dataset(_saved(tmp_path, ds))
         for a, b in zip(ds.transactions, loaded.transactions):
             assert a.queries.tobytes() == b.queries.tobytes()
 
+    def test_file_holds_the_task_and_the_stacked_arrays(self, tmp_path):
+        ds = gen_block_reveal(SMALL, count=3, split="val")
+        entries = ckpt_io.load_entries(_saved(tmp_path, ds))
+        assert tuple(entries) == ENTRIES
+        assert json.loads(entries["header"].tobytes()) == {
+            "task": dataclasses.asdict(SMALL), "split": "val"}
+        assert {name: (str(a.dtype), a.shape) for name, a in entries.items() if name != "header"} == {
+            "db.ids": ("int64", (32,)), "db.features": ("float32", (32, 16)),
+            "queries": ("float32", (3, 4, 16)), "target_ids": ("int64", (3, 4)),
+            "meta.ref": ("int64", (3,)), "meta.block": ("int64", (3, 4)),
+            "meta.distractor": ("uint8", (3, 4))}
+
     def test_failed_save_keeps_the_existing_file(self, tmp_path):
-        path = tmp_path / "ds.jsonl"
+        path = tmp_path / "ds.bin"
         save_dataset(gen_block_reveal(SMALL, count=2), str(path))
         before = path.read_bytes()
         broken = gen_block_reveal(SMALL, count=3)
-        # not JSON-serializable: raises after the db and two transactions are written
-        broken.transactions[-1].meta.turns[0] = TurnMeta(block=object(), distractor=False)
-        with pytest.raises(TypeError):
+        # float64 queries: the container raises after the header and the db are written
+        broken.transactions[-1].queries = broken.transactions[-1].queries.astype(np.float64)
+        with pytest.raises(CheckpointError, match="'queries' must be float32"):
             save_dataset(broken, str(path))
         assert path.read_bytes() == before
-        assert os.listdir(tmp_path) == ["ds.jsonl"]
+        assert os.listdir(tmp_path) == ["ds.bin"]
+
+    def test_a_line_format_file_fails_on_the_magic(self, tmp_path):
+        path = tmp_path / "val.jsonl"
+        path.write_text('{"version":1,"D":16,"N_max":4,"db_size":32,"split":"train"}\n' * 4)
+        with pytest.raises(DatasetFormatError, match=r"val\.jsonl: bad magic b'\{\"ve'"):
+            load_dataset(str(path))
 
     def test_empty_file_rejected(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("")
-        with pytest.raises(DatasetFormatError, match=r":1:"):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        with pytest.raises(DatasetFormatError, match=r"empty\.bin: file too short"):
             load_dataset(str(path))
 
     def test_unsupported_version_rejected(self, tmp_path):
-        path = tmp_path / "v99.jsonl"
-        path.write_text('{"version":99,"D":4,"N_max":1,"db_size":8,"split":"train"}\n')
-        with pytest.raises(DatasetFormatError, match="version"):
-            load_dataset(str(path))
-
-    def test_invalid_json_cites_line(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=2)
-        path = str(tmp_path / "bad.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        lines[2] = '{"id": 1, "feature": [broken'
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"bad\.jsonl:3"):
+        path = _saved(tmp_path)
+        data = bytearray(open(path, "rb").read())
+        data[4:8] = (99).to_bytes(4, "little")
+        open(path, "wb").write(bytes(data))
+        with pytest.raises(DatasetFormatError, match="unsupported version 99"):
             load_dataset(path)
 
     def test_truncated_db_section_rejected(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=2)
-        path = str(tmp_path / "cut.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        open(path, "w").write("\n".join(lines[:10]) + "\n")  # header + 9 of 32 db rows
-        with pytest.raises(DatasetFormatError, match=r"cut\.jsonl:11: unexpected end of file"):
-            load_dataset(path)
-
-    def test_header_promising_more_rows_than_memory_fails_on_a_line(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "huge.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        header = json.loads(lines[0])
-        header["db_size"] = 10 ** 12  # 64 TB of features if allocated up front
-        lines[0] = json.dumps(header, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
-        # the transaction on line 34 is read as a db row, not 10**12 rows allocated
-        with pytest.raises(DatasetFormatError, match=r"huge\.jsonl:34: missing key 'id'"):
-            load_dataset(path)
-
-    def test_missing_transactions_rejected(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "notxn.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        open(path, "w").write("\n".join(lines[:33]) + "\n")  # header + full db only
-        with pytest.raises(DatasetFormatError, match=r"notxn\.jsonl:34: file contains no transactions"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("line_no, corrupt", [
-        (1, lambda o: o.update(D="x")),
-        (1, lambda o: o.update(db_size=-1)),
-        (2, lambda o: o["feature"].__setitem__(0, "x")),
-        (3, lambda o: o["feature"].__setitem__(5, None)),
-        (4, lambda o: o.update(id=10 ** 30)),
-        (5, lambda o: o.update(id="x")),
-        (33, lambda o: o.update(id=0)),  # the db now holds id 0 twice
-        (34, lambda o: o["turns"][1]["qry"].__setitem__(3, "x")),
-        (34, lambda o: o["turns"][2]["qry"].__setitem__(0, None)),
-        (35, lambda o: o.update(original_len="x")),
-        (35, lambda o: o.update(original_len=2)),
-        (35, lambda o: o.update(meta=5)),
-        (36, lambda o: o["turns"][0].update(target_id=None)),
-        (36, lambda o: o["meta"]["turns"].__setitem__(0, 5)),
-        (36, lambda o: o["meta"].update(turns=5)),
-        (34, lambda o: o.update(turns=o["turns"][:2], original_len=2,
-                                meta={"ref": o["meta"]["ref"], "turns": o["meta"]["turns"][:2]})),
-        (35, lambda o: o["meta"]["turns"][1].update(distractor="no")),
-        (35, lambda o: o["meta"].update(turns=o["meta"]["turns"][:2])),
-        (36, lambda o: o["meta"]["turns"][2].update(block=99)),
-        (36, lambda o: o["meta"]["turns"][0].update(block=-1)),
-    ], ids=["header-D", "negative-db-size", "feature-text", "feature-null", "db-id-huge",
-            "db-id-text", "duplicate-db-id", "qry-text", "qry-null", "original-len-text", "original-len-short",
-            "meta-number", "target-id-null", "meta-turn-number", "meta-turns-number",
-            "short-turns", "distractor-text", "short-meta-turns", "block-past-D",
-            "block-negative"])
-    def test_malformed_value_cites_line(self, tmp_path, line_no, corrupt):
-        ds = gen_block_reveal(SMALL, count=3)
-        path = str(tmp_path / "bad.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        obj = json.loads(lines[line_no - 1])
-        corrupt(obj)
-        lines[line_no - 1] = json.dumps(obj)
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=rf"bad\.jsonl:{line_no}:"):
-            load_dataset(path)
-
-    @pytest.mark.parametrize("value", [lambda v: v + 0.7, float, str, lambda v: True],
-                             ids=["fraction", "integral-float", "text", "bool"])
-    @pytest.mark.parametrize("line_no, key, field", [
-        (1, "version", lambda o: o),
-        (1, "D", lambda o: o),
-        (1, "N_max", lambda o: o),
-        (1, "db_size", lambda o: o),
-        (2, "id", lambda o: o),
-        (34, "original_len", lambda o: o),
-        (34, "target_id", lambda o: o["turns"][0]),
-        (34, "ref", lambda o: o["meta"]),
-        (34, "block", lambda o: o["meta"]["turns"][0]),
-    ], ids=["version", "D", "N_max", "db_size", "id", "original_len", "target_id", "ref", "block"])
-    def test_integer_field_must_be_a_json_integer(self, tmp_path, line_no, key, field, value):
-        # json.loads keeps each of these apart from the int the writer emits
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "bad.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        obj = json.loads(lines[line_no - 1])
-        field(obj)[key] = value(field(obj)[key])
-        lines[line_no - 1] = json.dumps(obj)
-        open(path, "w").write("\n".join(lines) + "\n")
+        path = _saved(tmp_path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(data[:data.index(b"db.features") + 200])
         with pytest.raises(DatasetFormatError,
-                           match=rf"bad\.jsonl:{line_no}: {key} must be a 64-bit integer"):
+                           match=r"ds\.bin: truncated while reading entry 'db\.features' payload"):
             load_dataset(path)
 
-    def test_crlf_line_endings_load_equal(self, tmp_path):
-        ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=3)
-        path = tmp_path / "ds.jsonl"
-        save_dataset(ds, str(path))
-        crlf = tmp_path / "crlf.jsonl"
-        crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-        assert datasets_equal(load_dataset(str(crlf)), ds)
-
-    def test_missing_final_newline_loads_equal(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=3)
-        path = tmp_path / "ds.jsonl"
-        save_dataset(ds, str(path))
-        path.write_bytes(path.read_bytes()[:-1])
-        assert datasets_equal(load_dataset(str(path)), ds)
+    def test_truncation_at_every_field_offset_is_rejected(self, tmp_path):
+        # a one-transaction, one-turn split is short enough to cut at every byte
+        tiny = TaskConfig(feature_dim=4, blocks=2, max_turns=1, db_size=8)
+        path = _saved(tmp_path, gen_block_reveal(tiny, count=1))
+        data = open(path, "rb").read()
+        for size in range(len(data)):
+            open(path, "wb").write(data[:size])
+            with pytest.raises(DatasetFormatError, match=r"ds\.bin: (truncated|file too short)"):
+                load_dataset(path)
 
     def test_load_streams_the_file(self, tmp_path):
-        # the db alone is 6 MB of float32 in a ~33 MB file; a load that held
-        # the text or a list of rows at once would peak well above half of it
-        ds = gen_block_reveal(TaskConfig(feature_dim=768, db_size=2000), count=8)
-        path = str(tmp_path / "big.jsonl")
-        save_dataset(ds, path)
+        # the container reads each payload once, into its array: a load that
+        # also held the file's bytes would peak near twice its size. The
+        # queries are 90% of this file, so the db's norms add little.
+        ds = gen_block_reveal(TaskConfig(feature_dim=768, db_size=200), count=500)
+        path = _saved(tmp_path, ds, "big.bin")
         tracemalloc.start()
         try:
             loaded = load_dataset(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < os.path.getsize(path) / 2
+        assert peak < 1.5 * os.path.getsize(path)
         assert datasets_equal(loaded, ds)
 
     def test_missing_key_rejected(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "nokey.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        row = json.loads(lines[2])
-        del row["feature"]
-        lines[2] = json.dumps(row, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="feature"):
-            load_dataset(path)
+        path = _saved(tmp_path)
+        for name in ENTRIES:
+            bad = _rewritten(path, lambda e: e.pop(name))
+            detail = "must be present" if name == "header" else "is missing"
+            with pytest.raises(DatasetFormatError, match=rf"bad\.bin: entry '{name}' {detail}"):
+                load_dataset(bad)
+
+    def test_an_entry_of_no_dataset_is_rejected(self, tmp_path):
+        bad = _rewritten(_saved(tmp_path), lambda e: e.update(extra=np.zeros(1, np.uint8)))
+        with pytest.raises(DatasetFormatError, match="entry 'extra' is not a dataset entry"):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("name", ENTRIES[1:])
+    @pytest.mark.parametrize("change", ["dtype", "shape"])
+    def test_an_entry_of_the_wrong_dtype_or_shape_is_rejected(self, tmp_path, name, change):
+        def edit(entries):
+            a = entries[name]
+            entries[name] = (a.astype(np.float32 if a.dtype != np.float32 else np.int64)
+                             if change == "dtype" else a[..., :-1])
+        with pytest.raises(DatasetFormatError, match=rf"entry '{name}' must be \w+ of shape"):
+            load_dataset(_rewritten(_saved(tmp_path), edit))
+
+    @pytest.mark.parametrize("header", [np.zeros((2, 2), np.uint8), np.zeros(4, np.int64)],
+                             ids=["matrix", "int64"])
+    def test_a_header_that_is_not_a_byte_vector_is_rejected(self, tmp_path, header):
+        bad = _rewritten(_saved(tmp_path), lambda e: e.update(header=header))
+        with pytest.raises(DatasetFormatError, match="entry 'header' must be present as a uint8"):
+            load_dataset(bad)
 
     def test_wrong_feature_width_rejected(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "wide.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        row = json.loads(lines[2])
-        row["feature"] = row["feature"] + [0.0]
-        lines[2] = json.dumps(row, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match=r"wide\.jsonl:3"):
-            load_dataset(path)
+        def widen(entries):
+            entries["db.features"] = np.pad(entries["db.features"], ((0, 0), (0, 1)))
+        with pytest.raises(DatasetFormatError,
+                           match=r"'db\.features' must be float32 of shape \(32, 16\), "
+                                 r"got float32 of shape \(32, 17\)"):
+            load_dataset(_rewritten(_saved(tmp_path), widen))
+
+    def test_missing_transactions_rejected(self, tmp_path):
+        def empty(entries):
+            for name in ("queries", "target_ids", "meta.ref", "meta.block", "meta.distractor"):
+                entries[name] = entries[name][:0]
+        with pytest.raises(DatasetFormatError, match="entry 'queries' holds no transactions"):
+            load_dataset(_rewritten(_saved(tmp_path), empty))
+
+    @pytest.mark.parametrize("name, index", [("db.features", (3, 5)), ("queries", (2, 1, 0))])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_a_non_finite_value_is_rejected(self, tmp_path, name, index, value):
+        with pytest.raises(DatasetFormatError, match=rf"entry '{name}' holds a non-finite value: {value}"):
+            load_dataset(_rewritten(_saved(tmp_path), _set(name, index, value)))
 
     def test_unknown_target_id_rejected(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=1)
-        path = str(tmp_path / "badtid.jsonl")
-        save_dataset(ds, path)
-        lines = open(path).read().splitlines()
-        row = json.loads(lines[-1])
-        row["turns"][0]["target_id"] = 9999
-        lines[-1] = json.dumps(row, separators=(",", ":"))
-        open(path, "w").write("\n".join(lines) + "\n")
-        with pytest.raises(DatasetFormatError, match="9999"):
-            load_dataset(path)
+        bad = _rewritten(_saved(tmp_path), _set("target_ids", (1, 2), 9999))
+        with pytest.raises(DatasetFormatError,
+                           match="entry 'target_ids' holds an id not in the db: 9999"):
+            load_dataset(bad)
+
+    def test_unknown_reference_id_rejected(self, tmp_path):
+        # a reference outside the db would only fail where an experiment looks it up
+        bad = _rewritten(_saved(tmp_path), _set("meta.ref", 2, 9999))
+        with pytest.raises(DatasetFormatError,
+                           match="entry 'meta.ref' holds an id not in the db: 9999"):
+            load_dataset(bad)
+
+    def test_duplicate_db_id_rejected(self, tmp_path):
+        bad = _rewritten(_saved(tmp_path), _set("db.ids", 31, 0))
+        with pytest.raises(DatasetFormatError, match="'db.ids' and 'db.features' make no "
+                                                     "candidate db: .*duplicate candidate ids"):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("block", [-1, 4, 5], ids=["negative", "blocks", "past-blocks"])
+    def test_a_block_outside_the_task_is_rejected(self, tmp_path, block):
+        # SMALL cuts D=16 into 4 blocks: block 5 lies inside [0, D), but no
+        # slice of the feature holds it
+        bad = _rewritten(_saved(tmp_path), _set("meta.block", (0, 1), block))
+        with pytest.raises(DatasetFormatError,
+                           match=rf"entry 'meta.block' holds a block outside \[0, 4\): {block}$"):
+            load_dataset(bad)
+
+    def test_a_distractor_flag_other_than_0_or_1_is_rejected(self, tmp_path):
+        bad = _rewritten(_saved(tmp_path), _set("meta.distractor", (1, 3), 2))
+        with pytest.raises(DatasetFormatError,
+                           match="entry 'meta.distractor' holds a flag other than 0 or 1: 2"):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["task"].update(seed=-1), "TaskConfig: seed must be >= 0"),
+        (lambda raw: raw["task"].update(noise_std=float("nan")),
+         "task.noise_std must be a finite number, got NaN"),
+        (lambda raw: raw["task"].update(colour=1), r"unknown key\(s\) \['colour'\] in task"),
+        (lambda raw: raw["task"].pop("seed"), r"task lacks \['seed'\]"),
+        (lambda raw: raw.update(task=[1]), "task must be a JSON object"),
+        (lambda raw: raw.update(split="dev"), _NOT_AN_OBJECT),
+        (lambda raw: raw.update(split=[1]), _NOT_AN_OBJECT),
+        (lambda raw: raw.pop("split"), _NOT_AN_OBJECT),
+        (lambda raw: raw.update(extra=1), _NOT_AN_OBJECT),
+    ], ids=["seed-negative", "noise-nan", "unknown-key", "missing-key", "task-list",
+            "unknown-split", "split-list", "no-split", "extra-key"])
+    def test_a_bad_header_task_is_rejected(self, tmp_path, edit, message):
+        bad = _rewritten(_saved(tmp_path), _header_edited(edit))
+        with pytest.raises(DatasetFormatError, match=rf"bad\.bin: entry 'header' {message}"):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("text", [b"", b"{", b"[1]", b"\xff"],
+                             ids=["empty", "cut", "list", "not-utf8"])
+    def test_a_header_that_is_not_a_json_object_is_rejected(self, tmp_path, text):
+        bad = _rewritten(_saved(tmp_path),
+                         lambda e: e.update(header=np.frombuffer(text, np.uint8)))
+        with pytest.raises(DatasetFormatError, match=r"bad\.bin: entry 'header' "):
+            load_dataset(bad)
+
+    @pytest.mark.parametrize("value", [lambda v: v + 0.7, float, str, lambda v: True],
+                             ids=["fraction", "integral-float", "text", "bool"])
+    @pytest.mark.parametrize("key", ["feature_dim", "max_turns", "blocks", "db_size", "seed"],
+                             ids=["D", "N_max", "blocks", "db_size", "seed"])
+    def test_integer_field_must_be_a_json_integer(self, tmp_path, key, value):
+        # json.loads keeps each of these apart from the int the writer emits
+        bad = _rewritten(_saved(tmp_path),
+                         _header_edited(lambda raw: raw["task"].update({key: value(raw["task"][key])})))
+        with pytest.raises(DatasetFormatError,
+                           match=rf"entry 'header' task\.{key} must be an integer, got "):
+            load_dataset(bad)
+
+    def test_a_header_promising_a_huge_db_fails_on_the_shape(self, tmp_path):
+        # the entries are read as the file sizes them, then checked against
+        # the task: nothing is allocated for the promise
+        bad = _rewritten(_saved(tmp_path),
+                         _header_edited(lambda raw: raw["task"].update(db_size=10 ** 12)))
+        with pytest.raises(DatasetFormatError,
+                           match=r"entry 'db\.ids' must be int64 of shape \(1000000000000,\)"):
+            load_dataset(bad)
 
 
 # ----------------------------------------------------------------- golden data
 
 # Generation must stay bit-for-bit: a change to its arithmetic that flips a
-# bit or a near-tie moves these digests, and the change is then wrong.
-DESK_JSONL_SHA256 = "913a4b8f47a7218be0be55bb441a4af0194cc18445592d479f35e091329ed073"
+# bit or a near-tie moves these digests, and the change is then wrong. The
+# array digests pin what was generated; the file digests also pin the format.
+DESK_FILE_SHA256 = "abc5ec6003aa1fa86023accffbef389daadf35a3d8b96fe6ab33479f52d5fea9"
+DESK_ARRAYS_SHA256 = "89c15f8b46f80c44181e71e6f19027432d4eeb008127085d462627747dc80f56"
 SCALE_TXN_SHA256 = "f3992cee0de47c6b9e424c553bfdf7d857ad2f0a6458d17293657aef58609985"
 # 700 desk transactions span two chunks of 640, and their distractors pin the meta
-DESK_DISTRACTOR_JSONL_SHA256 = "9de14112729d775a4b47402a39d471379ada6869422ace4a180d019ae2b5a2e5"
-NOISELESS_3_OF_8_JSONL_SHA256 = "642b8cbaf3b7ba7962282086e6e92c31a7cea3b3dbee487ce3ebb8e5e8c2c9e6"
+DESK_DISTRACTOR_FILE_SHA256 = "ba616a0fe4e251c348b8cb8e987ccf7c6e8210ca8754bc5a4aa3e59780041800"
+DESK_DISTRACTOR_ARRAYS_SHA256 = "8fda0b5f96932108b8b7575b3eed72080d575040af05787682a755e64ffdabbd"
+NOISELESS_3_OF_8_FILE_SHA256 = "67e7621e2d84d348ffcb9c6d1f7ea6839563b239c2d8a6c1c2ae066c5d617f3e"
+NOISELESS_3_OF_8_ARRAYS_SHA256 = "fb648ce66dec73ffdf4ee0d542877cbc427c905ca6309386d0f6b7444eeef155"
 
 
-def _file_sha256(dataset, path) -> str:
+def _digests(dataset, path) -> tuple[str, str]:
+    """The sha256 of the saved file, and of the db, queries, target ids and
+    meta as stacked arrays."""
     save_dataset(dataset, str(path))
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        file_digest = hashlib.sha256(fh.read()).hexdigest()
+    txns = dataset.transactions
+    arrays = hashlib.sha256()
+    for part in (dataset.db.ids, dataset.db.features,
+                 np.stack([t.queries for t in txns]), np.stack([t.target_ids for t in txns]),
+                 np.array([t.meta.reference_id for t in txns], np.int64),
+                 np.array([[m.block for m in t.meta.turns] for t in txns], np.int64),
+                 np.array([[m.distractor for m in t.meta.turns] for t in txns], np.uint8)):
+        arrays.update(np.ascontiguousarray(part).tobytes())
+    return file_digest, arrays.hexdigest()
 
 
 class TestGoldenData:
     def test_desk_preset_file_bytes_are_pinned(self, tmp_path):
-        assert _file_sha256(gen_distractor(TaskConfig(), count=64),
-                            tmp_path / "desk.jsonl") == DESK_JSONL_SHA256
+        assert _digests(gen_distractor(TaskConfig(), count=64), tmp_path / "desk.bin") == (
+            DESK_FILE_SHA256, DESK_ARRAYS_SHA256)
 
     def test_desk_split_with_distractors_past_one_chunk_is_pinned(self, tmp_path):
         cfg = TaskConfig(distractor_prob=0.3)
         assert block_rows(make_db(cfg), 8) // cfg.max_turns == 640
-        assert _file_sha256(gen_distractor(cfg, count=700),
-                            tmp_path / "desk.jsonl") == DESK_DISTRACTOR_JSONL_SHA256
+        assert _digests(gen_distractor(cfg, count=700), tmp_path / "desk.bin") == (
+            DESK_DISTRACTOR_FILE_SHA256, DESK_DISTRACTOR_ARRAYS_SHA256)
 
     def test_noiseless_three_of_eight_blocks_is_pinned(self, tmp_path):
         cfg = TaskConfig(feature_dim=64, blocks=8, max_turns=3, noise_std=0.0)
-        assert _file_sha256(gen_distractor(cfg, count=64),
-                            tmp_path / "noiseless.jsonl") == NOISELESS_3_OF_8_JSONL_SHA256
+        assert _digests(gen_distractor(cfg, count=64), tmp_path / "noiseless.bin") == (
+            NOISELESS_3_OF_8_FILE_SHA256, NOISELESS_3_OF_8_ARRAYS_SHA256)
 
     def test_scale_preset_transactions_are_pinned(self):
         ds = gen_distractor(TaskConfig(feature_dim=768, db_size=10000, max_turns=4), count=8)

@@ -152,9 +152,8 @@ def _cmd_turn_importance(args: argparse.Namespace) -> int:
         raise CheckpointError(f"{args.baseline_checkpoint}: its task differs from "
                               f"{args.checkpoint}'s in {differs}")
     dataset = _load_eval_dataset(args, ckpt.cfg)
-    summary = harness.turn_importance(model, baseline, dataset, ckpt.cfg.task.block_len,
-                                      ckpt.cfg.eval_batch_size, ckpt.cfg.seed,
-                                      out_dir=args.out)
+    summary = harness.turn_importance(model, baseline, dataset, ckpt.cfg.eval_batch_size,
+                                      ckpt.cfg.seed, out_dir=args.out)
     _print_json(summary)
     return 0
 
@@ -172,9 +171,8 @@ def _cmd_turn_order(args: argparse.Namespace) -> int:
 def _cmd_memory_retention(args: argparse.Namespace) -> int:
     ckpt, model = _restored(args.checkpoint)
     dataset = _load_eval_dataset(args, ckpt.cfg)
-    report = harness.memory_retention_experiment(model, dataset, ckpt.cfg.task.block_len,
-                                                 ckpt.cfg.eval_batch_size, ckpt.cfg.seed,
-                                                 out_dir=args.out)
+    report = harness.memory_retention_experiment(model, dataset, ckpt.cfg.eval_batch_size,
+                                                 ckpt.cfg.seed, out_dir=args.out)
     _print_json(report)
     return 0
 

@@ -555,7 +555,7 @@ TURN_IMPORTANCE_PROTOCOL = (
     "turn-(N-k-1) ground-truth target feature")
 
 
-def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) -> np.ndarray:
+def _suffix_queries(dataset: SyntheticDataset, entry_turn: int) -> np.ndarray:
     """Queries from ``entry_turn`` on, rebuilt around the previous turn's
     ground-truth target feature.
 
@@ -572,7 +572,8 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) 
                     "turn_importance: ground-truth substitution needs generation metadata")
             granted = dataset.db.feature_of(int(txn.target_ids[entry_turn - 1]))
             for t in range(entry_turn, txn.queries.shape[0]):
-                sl = block_slice(txn.meta.turns[t].block, block_len, dataset.feature_dim)
+                sl = block_slice(txn.meta.turns[t].block, dataset.task.block_len,
+                                 dataset.feature_dim)
                 rebuilt = granted.copy()
                 rebuilt[sl] = txn.queries[t][sl]
                 qs[t - entry_turn] = rebuilt
@@ -580,7 +581,7 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int, block_len: int) 
     return np.stack(out)
 
 
-def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len: int,
+def turn_importance(model, baseline_model, dataset: SyntheticDataset,
                     eval_batch_size: int, seed: int, out_dir: str | None = None) -> dict:
     """Recall as a function of how many past turns the model actually sees.
 
@@ -591,7 +592,7 @@ def turn_importance(model, baseline_model, dataset: SyntheticDataset, block_len:
     """
     n = dataset.max_turns
     # history length k enters at turn n - 1 - k
-    suffixes = [_suffix_queries(dataset, n - 1 - k, block_len) for k in range(n)]
+    suffixes = [_suffix_queries(dataset, n - 1 - k) for k in range(n)]
     rows = []
     spreads = {}
     for label, mdl in (("memory", model), ("memoryless", baseline_model)):
@@ -647,7 +648,7 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int,
 BLOCK_MATCH_TOP_SHARE = 0.1
 
 
-def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int,
+def memory_retention_experiment(model, dataset: SyntheticDataset,
                                 eval_batch_size: int, seed: int,
                                 out_dir: str | None = None) -> dict:
     """Does turn-1 information survive in later retrievals?
@@ -669,7 +670,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset, block_len: int
         if txn.meta is None:
             raise DegenerateInputError("memory_retention: needs generation metadata")
         block = txn.meta.turns[0].block
-        sl = block_slice(block, block_len, dataset.feature_dim)
+        sl = block_slice(block, dataset.task.block_len, dataset.feature_dim)
         revealed = txn.queries[0][sl]
         sub = db.features[:, sl]
         if block not in block_norms:

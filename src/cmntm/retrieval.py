@@ -25,10 +25,11 @@ class CandidateDB:
     """Fixed candidate set: integer ids aligned with feature rows.
 
     ``row_norms`` holds each feature row's L2 norm, computed once here for
-    every db-wide cosine. ``ids`` and ``features`` are read-only views of
-    the given arrays, so writes through the db raise instead of leaving the
-    norms or the id index stale; the caller must not change the arrays it
-    passed in either.
+    every db-wide cosine, a block of rows at a time (``row_blocks``) so that
+    no temporary the size of the db is built. ``ids`` and ``features`` are
+    read-only views of the given arrays, so writes through the db raise
+    instead of leaving the norms or the id index stale; the caller must not
+    change the arrays it passed in either.
     """
 
     ids: np.ndarray       # (count,) unique integers
@@ -48,7 +49,10 @@ class CandidateDB:
             raise DegenerateInputError("CandidateDB: need at least 2 candidates")
         if len(np.unique(self.ids)) != len(self.ids):
             raise DegenerateInputError("CandidateDB: duplicate candidate ids")
-        self.row_norms = np.linalg.norm(self.features, axis=1)
+        # each row's norm reduces that row alone, so blocking changes no bit
+        self.row_norms = np.concatenate([
+            np.linalg.norm(self.features[rows], axis=1)
+            for rows in row_blocks(len(self), self.features.itemsize * self.dim)])
         self.row_norms.flags.writeable = False
         if np.any(self.row_norms <= COSINE_EPS):
             raise DegenerateInputError("CandidateDB: zero-norm candidate feature")
@@ -116,6 +120,13 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
 def block_rows(db: CandidateDB, itemsize: int) -> int:
     """Query rows whose scores of ``itemsize`` bytes fit one score block; at least 1."""
     return max(1, SCORE_BLOCK_BYTES // (itemsize * len(db)))
+
+
+def row_blocks(count: int, row_bytes: int) -> list[slice]:
+    """Slices that cut ``count`` rows of ``row_bytes`` bytes each into blocks
+    of at most ``SCORE_BLOCK_BYTES``; every block holds at least one row."""
+    step = max(1, SCORE_BLOCK_BYTES // row_bytes)
+    return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
 def unsettled(scores: np.ndarray, cols: np.ndarray, dim: int,

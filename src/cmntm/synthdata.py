@@ -18,7 +18,8 @@ another's is searched again with the per-turn GEMV (``_nearest_id``); every
 id thus equals a one-GEMV-per-turn search's, ties included. A chunk holds as
 many transactions as ``retrieval.block_rows`` fits turns into one score
 block. ``make_db`` hands every split of a task the same read-only db for as
-long as some dataset holds it.
+long as some dataset holds it, and ``load_dataset`` hands a split the live
+db its file's db equals, so a process holds each task's db once.
 
 A dataset file is one ``checkpoint`` container of named arrays: a JSON
 ``header`` of the task and split, the db, the stacked queries and target
@@ -36,7 +37,7 @@ import numpy as np
 
 from .checkpoint import load_entries, save_entries
 from .errors import CheckpointError, ConfigError, DatasetFormatError, DegenerateInputError
-from .retrieval import CandidateDB, block_rows, unsettled
+from .retrieval import CandidateDB, block_rows, row_blocks, unsettled
 
 # Seed-derivation tags keep the independent random streams apart.
 _DB_TAG = 101
@@ -45,6 +46,9 @@ _SPLIT_TAGS = {"train": 1, "val": 2, "test": 3}
 
 # make_db's dbs by (seed, db_size, feature_dim); an entry lives while a caller holds its db
 _DBS = weakref.WeakValueDictionary()
+# the dbs load_dataset built, by the same key; kept apart so that make_db
+# never returns a db read from a file
+_LOADED_DBS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -140,6 +144,28 @@ class SyntheticDataset:
         return self.db.dim
 
 
+def _db_key(config: TaskConfig) -> tuple[int, int, int]:
+    return config.seed, config.db_size, config.feature_dim
+
+
+def _db_features(config: TaskConfig) -> np.ndarray:
+    """The task's unit-norm Gaussian rows, drawn and normalized a block at a
+    time straight into float32.
+
+    Consecutive ``normal`` calls continue one stream and each row's norm
+    reduces that row alone, so the bytes are those of one full-size float64
+    draw, without its temporaries.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([_DB_TAG, config.seed]))
+    feats = np.empty((config.db_size, config.feature_dim), np.float32)
+    # a float64 block and the norm's squares of it share one block's budget
+    for rows in row_blocks(config.db_size, 16 * config.feature_dim):
+        block = rng.normal(size=(rows.stop - rows.start, config.feature_dim))
+        block /= np.linalg.norm(block, axis=1, keepdims=True)
+        feats[rows] = block
+    return feats
+
+
 def make_db(config: TaskConfig) -> CandidateDB:
     """I.i.d. unit-norm Gaussian candidate features, one db per task.
 
@@ -147,38 +173,51 @@ def make_db(config: TaskConfig) -> CandidateDB:
     split of a task gets the same read-only object for as long as some
     dataset holds it; once none does, the next call builds it afresh.
     """
-    key = (config.seed, config.db_size, config.feature_dim)
+    key = _db_key(config)
     db = _DBS.get(key)
     if db is None:
-        rng = np.random.default_rng(np.random.SeedSequence([_DB_TAG, config.seed]))
-        feats = rng.normal(size=(config.db_size, config.feature_dim))
-        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
-        db = _DBS[key] = CandidateDB(np.arange(config.db_size), feats.astype(np.float32))
+        db = _DBS[key] = CandidateDB(np.arange(config.db_size), _db_features(config))
     return db
+
+
+def _holds(db: CandidateDB, ids: np.ndarray, features: np.ndarray) -> bool:
+    """Whether ``db``'s ids and float32 features equal these, byte for byte.
+
+    The caller found ``db`` by the task's ``_db_key``, so the shapes agree.
+    The features are compared as int32 bit patterns, a block of rows at a
+    time, so -0.0 differs from 0.0 and no full-size temporary is built.
+    """
+    return (np.array_equal(db.ids, ids)
+            and all(np.array_equal(db.features[rows].view(np.int32), features[rows].view(np.int32))
+                    for rows in row_blocks(len(features), 4 * db.dim)))
 
 
 def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> int:
     """Id of the candidate with the highest cosine similarity to ``vector``.
 
     ``features64`` is ``db.features`` cast to float64 once by the caller.
+    The floor is an ``np.float64``, so the denominators stay float64 under
+    NEP 50 even below it.
     """
-    norms = db.row_norms * max(np.linalg.norm(vector), 1e-30)
+    norms = db.row_norms * np.maximum(np.linalg.norm(vector), 1e-30)
     return int(db.ids[np.argmax(features64 @ vector / norms)])
 
 
 def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,
-                 norms: list[float]) -> np.ndarray:
+                 norms: np.ndarray) -> np.ndarray:
     """``_nearest_id`` of every row of ``composites``, from one GEMM.
 
-    ``norms[j]`` is ``max(np.linalg.norm(composites[j]), 1e-30)``. As
-    ``unsettled`` requires, both searches take the same float64 operands,
-    divide by the same ``db.row_norms * norm`` and do not clip. The rows it
-    marks are resolved again with ``_nearest_id``, so every id is the one
-    ``_nearest_id`` returns.
+    ``norms[j]`` is ``np.maximum(np.linalg.norm(composites[j]), 1e-30)``, a
+    float64 array. As ``unsettled`` requires, both searches take the same
+    float64 operands, divide by the same ``db.row_norms * norm`` and do not
+    clip. The rows it marks are resolved again with ``_nearest_id``, so
+    every id is the one ``_nearest_id`` returns.
     """
     cosines = composites @ features64.T
-    for row, norm in zip(cosines, norms):
-        row /= db.row_norms * norm
+    # 64 rows per division: the products are the per-row ones, in a
+    # temporary of 64 score rows (128 KB at desk)
+    for i in range(0, len(cosines), 64):
+        cosines[i:i + 64] /= norms[i:i + 64, None] * db.row_norms
     best = np.argmax(cosines, axis=1)
     _, exact = unsettled(cosines, best, db.dim, (1,))
     ids = db.ids[best]
@@ -279,9 +318,9 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
         composites = buffer[:len(d.refs)]
         _assemble(d, features64, config.block_len, composites)
         composites = composites.reshape(-1, config.feature_dim)
-        # as np.linalg.norm computes it: one dot per row, so the same sum,
-        # and an np.float64, so that db.row_norms * norm stays float64
-        norms = [max(np.sqrt(c.dot(c)), 1e-30) for c in composites]
+        # as np.linalg.norm computes a vector's: one dot per row, so the same
+        # sum; a float64 array, so that db.row_norms * norm stays float64
+        norms = np.maximum(np.sqrt([c.dot(c) for c in composites]), 1e-30)
         target_ids = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
         transactions += _transactions(d.queries, target_ids, d.refs, d.blocks, d.distractor)
     return SyntheticDataset(config, db, transactions, split)
@@ -328,6 +367,11 @@ def load_dataset(path: str) -> SyntheticDataset:
     reference ids lie in the db, blocks in ``[0, task.blocks)``, and
     distractor flags are 0 or 1. A failure raises ``DatasetFormatError``
     naming the entry.
+
+    The split takes a live db of its task whose ids and features equal the
+    file's byte for byte, ``make_db``'s or an earlier load's, so loaded
+    splits hold one db. Otherwise it builds its own, which later loads may
+    take and ``make_db`` never returns.
     """
     from .config import _TASK_KEYS, _section  # config imports this module
 
@@ -382,10 +426,14 @@ def load_dataset(path: str) -> SyntheticDataset:
             ("meta.distractor", entries["meta.distractor"] > 1, "a flag other than 0 or 1")):
         if wrong.any():
             raise bad(name, f"holds {what}: {entries[name][wrong][0]}")
-    try:
-        db = CandidateDB(ids, entries["db.features"])
-    except DegenerateInputError as e:
-        raise bad("db.ids", f"and 'db.features' make no candidate db: {e}") from None
+    features, key = entries["db.features"], _db_key(task)
+    db = next((live for live in (_DBS.get(key), _LOADED_DBS.get(key))
+               if live is not None and _holds(live, ids, features)), None)
+    if db is None:
+        try:
+            db = _LOADED_DBS[key] = CandidateDB(ids, features)
+        except DegenerateInputError as e:
+            raise bad("db.ids", f"and 'db.features' make no candidate db: {e}") from None
     return SyntheticDataset(task, db, _transactions(
         entries["queries"], entries["target_ids"], entries["meta.ref"], blocks,
         entries["meta.distractor"].astype(bool)), raw["split"])

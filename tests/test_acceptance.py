@@ -158,7 +158,6 @@ def test_criterion_5_turn_importance_trend(desk_models, tmp_path):
     report = harness.turn_importance(desk_models["cascade"].model,
                                      desk_models["baseline"].model,
                                      desk_models["val_ds"],
-                                     desk_models["cfg"].task.block_len,
                                      eval_batch_size=256, seed=0,
                                      out_dir=str(tmp_path))
     cm = report["spread"]["memory"]
@@ -172,10 +171,8 @@ def test_criterion_5_turn_importance_trend(desk_models, tmp_path):
 
 
 def test_criterion_6_memory_retention(desk_models):
-    cfg = desk_models["cfg"]
     report = harness.memory_retention_experiment(desk_models["cascade"].model,
                                                  desk_models["val_ds"],
-                                                 cfg.task.block_len,
                                                  eval_batch_size=256, seed=0)
     gap = report["stateful"][1] - report["state_reset"][1]
     ok = gap >= 0.1

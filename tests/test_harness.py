@@ -1182,8 +1182,7 @@ class TestExperiments:
     def test_turn_importance_full_history_equals_standard_eval(self, tmp_path, tiny_val):
         model = harness.build_model(tiny_cfg())
         baseline = harness.build_model(tiny_cfg(model="lstm"))
-        report = harness.turn_importance(model, baseline, tiny_val,
-                                         TINY_TASK.block_len, eval_batch_size=8,
+        report = harness.turn_importance(model, baseline, tiny_val, eval_batch_size=8,
                                          seed=0, out_dir=str(tmp_path))
         assert len(report["rows"]) == 2 * tiny_val.max_turns
         standard = harness.evaluate_model(model, tiny_val, 8, seed=0)
@@ -1204,8 +1203,7 @@ class TestExperiments:
         model = harness.build_model(tiny_cfg())
         baseline = harness.build_model(tiny_cfg(model="lstm"))
         with pytest.raises(DegenerateInputError):
-            harness.turn_importance(model, baseline, stripped, TINY_TASK.block_len,
-                                    eval_batch_size=8, seed=0)
+            harness.turn_importance(model, baseline, stripped, eval_batch_size=8, seed=0)
 
     @pytest.mark.parametrize("experiment", ["turn_importance", "memory_retention"])
     def test_block_past_the_feature_end_raises(self, tiny_val, experiment):
@@ -1218,10 +1216,9 @@ class TestExperiments:
         with pytest.raises(DegenerateInputError, match="block 4 of length 2"):
             if experiment == "turn_importance":
                 harness.turn_importance(model, harness.build_model(tiny_cfg(model="lstm")), ds,
-                                        TINY_TASK.block_len, eval_batch_size=8, seed=0)
+                                        eval_batch_size=8, seed=0)
             else:
-                harness.memory_retention_experiment(model, ds, TINY_TASK.block_len,
-                                                    eval_batch_size=8, seed=0)
+                harness.memory_retention_experiment(model, ds, eval_batch_size=8, seed=0)
 
     def test_failed_artifact_write_keeps_the_existing_file(self, tmp_path):
         path = tmp_path / "report.json"
@@ -1262,9 +1259,8 @@ class TestExperiments:
         # before any history exists the stateful and reset passes see the
         # same query and the same initial state draw
         model = harness.build_model(tiny_cfg())
-        report = harness.memory_retention_experiment(model, tiny_val, TINY_TASK.block_len,
-                                                     eval_batch_size=8, seed=0,
-                                                     out_dir=str(tmp_path))
+        report = harness.memory_retention_experiment(model, tiny_val, eval_batch_size=8,
+                                                     seed=0, out_dir=str(tmp_path))
         assert report["stateful"][0] == report["state_reset"][0]
         assert len(report["stateful"]) == len(report["state_reset"]) == tiny_val.max_turns
         expected_chance = max(1, round(0.1 * 16)) / 16

@@ -1,6 +1,7 @@
 """Ranking, recall, and contrastive loss tests."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import reference_ops as ref
 from hypothesis import given, settings, strategies as st
 
 from cmntm import autodiff as ad
+from cmntm import retrieval
 from cmntm.autodiff import Tape, Tensor, gradient_check
 from cmntm.errors import DegenerateInputError, ShapeError
 from cmntm.retrieval import (
@@ -86,6 +88,22 @@ class TestCandidateDB:
         db = CandidateDB(ids=np.arange(6), features=feats)
         assert feats.flags.writeable
         assert np.shares_memory(db.features, feats)  # a view, not a copy
+
+
+@given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 60), dim=st.integers(1, 40),
+       dtype=st.sampled_from([np.float32, np.float64]), block_rows=st.integers(1, 70),
+       scale=st.sampled_from([1e-3, 1.0, 1e15]))
+@settings(max_examples=80, deadline=None)
+def test_row_norms_computed_by_blocks_equal_one_norm(seed, count, dim, dtype, block_rows,
+                                                     scale):
+    # blocks of block_rows rows, the last one partial unless it divides count
+    feats = (np.random.default_rng(seed).normal(size=(count, dim)) * scale).astype(dtype)
+    block_bytes = block_rows * feats.itemsize * dim
+    with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", block_bytes):
+        db = CandidateDB(np.arange(count), feats)
+    expected = np.linalg.norm(feats, axis=1)
+    assert db.row_norms.dtype == expected.dtype
+    assert db.row_norms.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------------- similarity

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cmntm import checkpoint as ckpt_io
-from cmntm import synthdata
+from cmntm import retrieval, synthdata
 from cmntm.errors import CheckpointError, DatasetFormatError, DegenerateInputError
 from cmntm.retrieval import CandidateDB, block_rows, rank, recall_at_k, similarity_scores
 from cmntm.synthdata import (
@@ -106,6 +106,36 @@ class TestGeneration:
         del a, b
         gc.collect()
         assert held() is None
+
+    @pytest.mark.parametrize("db_size, feature_dim, block_bytes", [
+        (10000, 768, None),  # 426 rows a block: 23 full blocks and one of 202 rows
+        (10, 4, 3 * 16 * 4),  # blocks of 3, 3, 3 and 1 rows
+    ])
+    def test_db_bytes_equal_one_full_size_draw(self, monkeypatch, db_size, feature_dim,
+                                               block_bytes):
+        if block_bytes is not None:
+            monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", block_bytes)
+        cfg = TaskConfig(feature_dim=feature_dim, blocks=1, max_turns=1, db_size=db_size,
+                         seed=31)
+        rng = np.random.default_rng(np.random.SeedSequence([synthdata._DB_TAG, cfg.seed]))
+        feats = rng.normal(size=(db_size, feature_dim))
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        db = make_db(cfg)
+        assert db.features.dtype == np.float32
+        assert db.features.tobytes() == feats.astype(np.float32).tobytes()
+        np.testing.assert_array_equal(db.ids, np.arange(db_size))
+
+    def test_db_draw_builds_no_full_size_temporary(self):
+        # a task of its own, so that no other test's dataset holds its db
+        cfg = TaskConfig(feature_dim=768, blocks=4, max_turns=4, db_size=10000, seed=32)
+        tracemalloc.start()
+        try:
+            db = make_db(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a full-size float64 draw and its norm's squares would peak near 4x
+        assert peak <= 1.25 * db.features.nbytes
 
     def test_count_extension_is_a_prefix(self):
         # per-transaction seeding: asking for more data never rewrites
@@ -298,7 +328,7 @@ class TestChunkedGroundTruth:
         db = CandidateDB(np.arange(300), feats.astype(np.float32))
         features64 = db.features.astype(np.float64)
         composites = rng.normal(size=(40, 16))
-        norms = [max(np.linalg.norm(c), 1e-30) for c in composites]
+        norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
         assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [
             synthdata._nearest_id(db, features64, c) for c in composites]
 
@@ -310,7 +340,7 @@ class TestChunkedGroundTruth:
         db = CandidateDB(np.array([0, 1, 50, 3, 4, 10, 6, 7]), feats.astype(np.float32))
         features64 = db.features.astype(np.float64)
         composites = features64[[2, 6]]
-        norms = [max(np.linalg.norm(c), 1e-30) for c in composites]
+        norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
         fallbacks = []
         gemv = synthdata._nearest_id
         monkeypatch.setattr(synthdata, "_nearest_id",
@@ -498,6 +528,43 @@ class TestSerialization:
             tracemalloc.stop()
         assert peak < 1.5 * os.path.getsize(path)
         assert datasets_equal(loaded, ds)
+
+    def test_loaded_splits_share_one_db(self, tmp_path):
+        # a task of its own, so that no other test's dataset holds its db
+        cfg = TaskConfig(feature_dim=768, blocks=4, max_turns=4, db_size=2000, seed=33)
+        paths = [_saved(tmp_path, gen_block_reveal(cfg, count=4, split=split), f"{split}.bin")
+                 for split in ("train", "val")]
+        drawn = weakref.ref(make_db(cfg))
+        gc.collect()
+        assert drawn() is None
+        tracemalloc.start()
+        try:
+            train, val = (load_dataset(path) for path in paths)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert train.db is val.db
+        # a db per load would hold about 2.08x
+        assert held <= 1.15 * train.db.features.nbytes
+        # a db read from a file is never make_db's
+        assert make_db(cfg) is not train.db
+        assert make_db(cfg).features.tobytes() == train.db.features.tobytes()
+
+    def test_a_load_takes_the_drawn_db_its_file_holds(self, tmp_path):
+        ds = gen_block_reveal(SMALL, count=3)
+        assert load_dataset(_saved(tmp_path, ds)).db is ds.db
+
+    def test_a_file_with_another_db_value_gets_its_own_db(self, tmp_path):
+        ds = gen_block_reveal(SMALL, count=3)
+        features = ds.db.features.copy()
+        features[3, 5] = np.nextafter(features[3, 5], np.float32(2))
+        changed = load_dataset(_rewritten(_saved(tmp_path, ds), _set("db.features", (3, 5),
+                                                                     features[3, 5])))
+        assert changed.db is not ds.db
+        assert changed.db.features.tobytes() == features.tobytes()
+        assert make_db(SMALL) is ds.db
+        # the next load of the file that holds the drawn db still takes it
+        assert load_dataset(_saved(tmp_path, ds, "again.bin")).db is ds.db
 
     def test_missing_key_rejected(self, tmp_path):
         path = _saved(tmp_path)

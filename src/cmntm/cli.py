@@ -74,7 +74,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
         path = f"{args.out}/{split}.bin"
         os.makedirs(args.out, exist_ok=True)
         save_dataset(dataset, path)
-        print(f"{split}: {len(dataset.transactions)} transactions, "
+        print(f"{split}: {len(dataset.queries)} transactions, "
               f"db {len(dataset.db)} items -> {path}")
     return 0
 

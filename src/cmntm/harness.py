@@ -22,12 +22,12 @@ from . import checkpoint as ckpt_io
 from .autodiff import Tape, Tensor, gradient_check, no_grad
 from .cascade import CMNTM, CascadeConfig, EwmaModel, LstmBaseline, MeanModel
 from .config import TrainConfig, config_from_dict, config_json
-from .errors import (CheckpointError, CmntmError, ConfigError, DegenerateInputError,
-                     DomainError, ShapeError, TimingMonotonicityError, TrainingDivergedError)
+from .errors import (CheckpointError, CmntmError, ConfigError, DomainError, ShapeError,
+                     TimingMonotonicityError, TrainingDivergedError)
 from .fileio import atomic_open
-from .retrieval import (CandidateDB, block_rows, rank_of, similarity_scores, top_k,
+from .retrieval import (CandidateDB, rank_of, row_blocks, similarity_scores, top_k,
                         transaction_loss, unsettled)
-from .synthdata import SyntheticDataset, TaskConfig, Transaction, block_slice, gen_distractor
+from .synthdata import SyntheticDataset, TaskConfig, block_slice, gen_distractor
 
 RECALL_KS = (1, 5, 8, 10)
 # the columns of metrics.csv after the epoch
@@ -71,13 +71,17 @@ def _new_model(cfg: TrainConfig, rng: np.random.Generator | None):
     return MeanModel()
 
 
-def stack_batch(transactions: Sequence[Transaction], expected_turns: int) -> np.ndarray:
-    """Stack the transactions' queries into one (B, N, D) array."""
-    for txn in transactions:
-        if txn.num_turns != expected_turns:
-            raise ShapeError("stack_batch",
-                             f"transaction has {txn.num_turns} turns, expected {expected_turns}")
-    return np.stack([t.queries for t in transactions])
+def stack_batch(dataset: SyntheticDataset, rows: np.ndarray,
+                target_rows: np.ndarray) -> tuple[np.ndarray, list[Tensor]]:
+    """The train batch of ``dataset``'s transactions ``rows``: their (B, N, D)
+    queries and each turn's (B, D) target features.
+
+    ``target_rows`` is ``dataset.db.rows_of(dataset.target_ids)``, which the
+    caller maps once for every batch it takes.
+    """
+    features = dataset.db.features
+    return dataset.queries[rows], [Tensor(features[target_rows[rows, n]])
+                                   for n in range(dataset.max_turns)]
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +167,7 @@ def _predict(model, queries: np.ndarray, eval_batch_size: int, seed: int) -> np.
 def predict_dataset(model, dataset: SyntheticDataset, eval_batch_size: int,
                     seed: int) -> np.ndarray:
     """Eval-mode per-turn predictions for every transaction, shape (T, N, D)."""
-    return _predict(model, stack_batch(dataset.transactions, dataset.max_turns),
-                    eval_batch_size, seed)
+    return _predict(model, dataset.queries, eval_batch_size, seed)
 
 
 def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
@@ -179,13 +182,14 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
     whose own time may be at most a quarter of the phase.
     """
     db = dataset.db
-    rows = np.array([db.index_of(txn.target_ids[-1]) for _, txn in
-                     zip(final_preds, dataset.transactions, strict=True)], dtype=np.int64)
+    rows = db.rows_of(dataset.target_ids[:, -1])
+    if len(rows) != len(final_preds):
+        raise ShapeError("_recall_report", f"{len(final_preds)} predictions for "
+                                           f"{len(rows)} transactions")
     ks = np.array(RECALL_KS)
     hits = np.zeros(len(ks), dtype=np.int64)
-    chunk = block_rows(db, final_preds.itemsize)
-    for start in range(0, len(rows), chunk):
-        preds, targets = final_preds[start:start + chunk], rows[start:start + chunk]
+    for chunk in row_blocks(len(rows), final_preds.itemsize * len(db)):
+        preds, targets = final_preds[chunk], rows[chunk]
         lo, exact = unsettled(similarity_scores(preds, db), targets, db.dim, ks)
         for j in np.flatnonzero(exact):
             lo[j] = rank_of(similarity_scores(preds[j], db), db.ids, targets[j])
@@ -403,10 +407,9 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
         opt.step_count = ckpt.adam_step
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
-    turns = train_ds.max_turns
-    db = train_ds.db
+    target_rows = train_ds.db.rows_of(train_ds.target_ids)
     metrics_rows: list[dict] = []
-    count = len(train_ds.transactions)
+    count = len(train_ds.queries)
     metrics_path = None
     earlier_rows: list[dict] = []
     if out_dir is not None:
@@ -421,14 +424,11 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
         model.set_training(True)
         loss_sum, loss_batches = 0.0, 0
         for batch_index, start in enumerate(range(0, count, cfg.batch_size)):
-            idx = [int(i) for i in order[start:start + cfg.batch_size]]
+            idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            batch = [train_ds.transactions[i] for i in idx]
-            queries = stack_batch(batch, turns)
+            queries, targets = stack_batch(train_ds, idx, target_rows)
             state = model.initial_state([_rng(_TRAIN_MEM_TAG, cfg.seed, epoch, i) for i in idx])
-            targets = [Tensor(db.features[[db.index_of(t.target_ids[n]) for t in batch]])
-                       for n in range(turns)]
             try:
                 with Tape() as tape:
                     preds, _ = model.forward_transaction(queries, state)
@@ -563,22 +563,16 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int) -> np.ndarray:
     feature instead of the original reference: each suffix turn keeps only its
     own revealed block from the recorded query.
     """
-    out = []
-    for txn in dataset.transactions:
-        qs = txn.queries[entry_turn:].copy()
-        if entry_turn > 0:
-            if txn.meta is None:
-                raise DegenerateInputError(
-                    "turn_importance: ground-truth substitution needs generation metadata")
-            granted = dataset.db.feature_of(int(txn.target_ids[entry_turn - 1]))
-            for t in range(entry_turn, txn.queries.shape[0]):
-                sl = block_slice(txn.meta.turns[t].block, dataset.task.block_len,
-                                 dataset.feature_dim)
-                rebuilt = granted.copy()
-                rebuilt[sl] = txn.queries[t][sl]
-                qs[t - entry_turn] = rebuilt
-        out.append(qs)
-    return np.stack(out)
+    queries = dataset.queries[:, entry_turn:]
+    if entry_turn == 0:
+        return queries
+    block_len, db = dataset.task.block_len, dataset.db
+    blocks = dataset.blocks[:, entry_turn:, None]
+    # a block that ends past the feature raises here, as its slice would
+    block_slice(int(blocks.max()), block_len, dataset.feature_dim)
+    granted = db.features[db.rows_of(dataset.target_ids[:, entry_turn - 1])]
+    own = np.arange(dataset.feature_dim) // block_len == blocks
+    return np.where(own, queries, granted[:, None])
 
 
 def turn_importance(model, baseline_model, dataset: SyntheticDataset,
@@ -621,24 +615,22 @@ def turn_order_experiment(model, dataset: SyntheticDataset, count: int,
     """
     if count < 1:
         raise ValueError("turn_order_experiment: count must be >= 1")
-    txns = dataset.transactions[:count]
-    queries = stack_batch(txns, dataset.max_turns)
+    queries = dataset.queries[:count]
     originals = _predict(model, queries, eval_batch_size, seed)[:, -1]
     permuted_queries = np.stack([q[_rng(_ORDER_TAG, seed, i).permutation(len(q))]
                                  for i, q in enumerate(queries)])
     permuted = _predict(model, permuted_queries, eval_batch_size, seed)[:, -1]
     overlaps = []
     kept = retained = 0
-    for i, txn in enumerate(txns):
+    for i, target in enumerate(dataset.target_ids[:count, -1].tolist()):
         top_orig = _top5(originals[i], dataset.db)
         top_perm = _top5(permuted[i], dataset.db)
         overlaps.append(len(top_orig & top_perm) / 5.0)
-        target = int(txn.target_ids[-1])
         if target in top_orig:
             kept += 1
             if target in top_perm:
                 retained += 1
-    report = {"count": len(txns),
+    report = {"count": len(queries),
               "mean_top5_overlap": float(np.mean(overlaps)),
               "target_retention": (retained / kept) if kept else None}
     _write_artifact(out_dir, "turn_order.json", report)
@@ -660,25 +652,21 @@ def memory_retention_experiment(model, dataset: SyntheticDataset,
     comparator re-initializes the model before every turn so only the current
     query can influence retrieval.
     """
-    txns = dataset.transactions
-    n = dataset.max_turns
+    queries = dataset.queries
+    count, n = len(queries), dataset.max_turns
     db = dataset.db
     top_l = max(1, round(BLOCK_MATCH_TOP_SHARE * len(db)))
     block_norms: dict[int, np.ndarray] = {}  # block -> row norms of that slice
     match_sets = []
-    for txn in txns:
-        if txn.meta is None:
-            raise DegenerateInputError("memory_retention: needs generation metadata")
-        block = txn.meta.turns[0].block
+    for block, first in zip(dataset.blocks[:, 0].tolist(), queries[:, 0]):
         sl = block_slice(block, dataset.task.block_len, dataset.feature_dim)
-        revealed = txn.queries[0][sl]
+        revealed = first[sl]
         sub = db.features[:, sl]
         if block not in block_norms:
             block_norms[block] = np.linalg.norm(sub, axis=1)
         denom = np.maximum(block_norms[block] * max(np.linalg.norm(revealed), 1e-30), 1e-30)
         sims = sub @ revealed / denom
         match_sets.append(set(int(v) for v in top_k(sims, db.ids, top_l)))
-    queries = stack_batch(txns, n)
     stateful_preds = _predict(model, queries, eval_batch_size, seed)
     reset_preds = np.concatenate([_predict(model, queries[:, turn:turn + 1], eval_batch_size, seed)
                                   for turn in range(n)], axis=1)
@@ -687,11 +675,11 @@ def memory_retention_experiment(model, dataset: SyntheticDataset,
         out = []
         for turn in range(n):
             hits = [len(_top5(preds[i, turn], db) & match_sets[i]) / 5.0
-                    for i in range(len(txns))]
+                    for i in range(count)]
             out.append(float(np.mean(hits)))
         return out
 
-    report = {"count": len(txns),
+    report = {"count": count,
               "chance_rate": top_l / len(db),
               "stateful": rates(stateful_preds),
               "state_reset": rates(reset_preds)}
@@ -739,12 +727,10 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
             model = CMNTM(cc, _rng(_MODEL_TAG, seed))
             recall = None
         model.set_training(False)
-        txns = dataset.transactions
         times_ms = []
         for i in range(warmup + txn_count):
-            txn = txns[i % len(txns)]
             state = model.initial_state([_rng(_TIMING_TAG, seed, i)])
-            queries = txn.queries[np.newaxis]
+            queries = dataset.queries[i % len(dataset.queries)][np.newaxis]
             start = time.perf_counter()
             with no_grad():
                 model.forward_transaction(queries, state)

@@ -28,7 +28,7 @@ class CandidateDB:
     every db-wide cosine, a block of rows at a time (``row_blocks``) so that
     no temporary the size of the db is built. ``ids`` and ``features`` are
     read-only views of the given arrays, so writes through the db raise
-    instead of leaving the norms or the id index stale; the caller must not
+    instead of leaving the norms or the id order stale; the caller must not
     change the arrays it passed in either.
     """
 
@@ -47,7 +47,10 @@ class CandidateDB:
                              f"{self.ids.shape[0]} ids for {self.features.shape[0]} feature rows")
         if len(self) < 2:
             raise DegenerateInputError("CandidateDB: need at least 2 candidates")
-        if len(np.unique(self.ids)) != len(self.ids):
+        # rows in ascending id order, and those ids: rows_of's search
+        self._order = np.argsort(self.ids)
+        self._sorted_ids = self.ids[self._order]
+        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
             raise DegenerateInputError("CandidateDB: duplicate candidate ids")
         # each row's norm reduces that row alone, so blocking changes no bit
         self.row_norms = np.concatenate([
@@ -56,7 +59,6 @@ class CandidateDB:
         self.row_norms.flags.writeable = False
         if np.any(self.row_norms <= COSINE_EPS):
             raise DegenerateInputError("CandidateDB: zero-norm candidate feature")
-        self._index = {int(i): k for k, i in enumerate(self.ids)}
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -65,11 +67,20 @@ class CandidateDB:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    def rows_of(self, ids) -> np.ndarray:
+        """The feature row of each id in ``ids``, an array of the same shape.
+
+        An id that is not in the db raises ``KeyError``.
+        """
+        ids = np.asarray(ids)
+        at = np.searchsorted(self._sorted_ids, ids).clip(max=len(self) - 1)
+        unknown = self._sorted_ids[at] != ids
+        if unknown.any():
+            raise KeyError(f"CandidateDB: unknown candidate id {ids[unknown][0]}")
+        return self._order[at]
+
     def index_of(self, candidate_id: int) -> int:
-        try:
-            return self._index[int(candidate_id)]
-        except KeyError:
-            raise KeyError(f"CandidateDB: unknown candidate id {candidate_id}") from None
+        return int(self.rows_of(candidate_id))
 
     def feature_of(self, candidate_id: int) -> np.ndarray:
         return self.features[self.index_of(candidate_id)]
@@ -115,11 +126,6 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
         raise DegenerateInputError("similarity_scores: non-finite query")
     denom = np.maximum(qn * db.row_norms, COSINE_EPS)
     return np.clip(db.features @ query / denom, -1.0, 1.0)
-
-
-def block_rows(db: CandidateDB, itemsize: int) -> int:
-    """Query rows whose scores of ``itemsize`` bytes fit one score block; at least 1."""
-    return max(1, SCORE_BLOCK_BYTES // (itemsize * len(db)))
 
 
 def row_blocks(count: int, row_bytes: int) -> list[slice]:

@@ -15,16 +15,17 @@ indexed writes per turn. One GEMM scores the chunk's composites against the
 db, and each turn takes its row's argmax. GEMM and GEMV round differently,
 so a turn whose best cosine lies within ``retrieval.unsettled``'s gap of
 another's is searched again with the per-turn GEMV (``_nearest_id``); every
-id thus equals a one-GEMV-per-turn search's, ties included. A chunk holds as
-many transactions as ``retrieval.block_rows`` fits turns into one score
+id thus equals a one-GEMV-per-turn search's, ties included. Chunks are cut
+by ``retrieval.row_blocks``, so that a chunk's float64 scores fit one score
 block. ``make_db`` hands every split of a task the same read-only db for as
 long as some dataset holds it, and ``load_dataset`` hands a split the live
 db its file's db equals, so a process holds each task's db once.
 
-A dataset file is one ``checkpoint`` container of named arrays: a JSON
-``header`` of the task and split, the db, the stacked queries and target
-ids, and the generation meta. Arrays are stored as their raw bytes, so files
-round-trip exactly and are byte-identical for a given task and count.
+A ``SyntheticDataset`` holds a split as stacked arrays, one row per
+transaction. A dataset file is one ``checkpoint`` container of those same
+arrays: a JSON ``header`` of the task and split, then one entry per array
+(``_entries``). Arrays are stored as their raw bytes, so files round-trip
+exactly and are byte-identical for a given task and count.
 """
 from __future__ import annotations
 
@@ -32,12 +33,13 @@ import dataclasses
 import json
 import weakref
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .checkpoint import load_entries, save_entries
 from .errors import CheckpointError, ConfigError, DatasetFormatError, DegenerateInputError
-from .retrieval import CandidateDB, block_rows, row_blocks, unsettled
+from .retrieval import CandidateDB, row_blocks, unsettled
 
 # Seed-derivation tags keep the independent random streams apart.
 _DB_TAG = 101
@@ -92,48 +94,41 @@ def block_slice(block: int, block_len: int, feature_dim: int) -> slice:
     return slice(block * block_len, (block + 1) * block_len)
 
 
-@dataclass
-class TurnMeta:
-    block: int        # which coordinate block this turn addressed
-    distractor: bool  # True if the query was replaced by pure noise
+class Transaction(NamedTuple):
+    """Views of one dataset row: its (N, D) queries and (N,) target ids."""
 
-
-@dataclass
-class TransactionMeta:
-    """Generation-time facts needed by oracle baselines and probe experiments."""
-
-    reference_id: int
-    turns: list[TurnMeta]
-
-
-@dataclass
-class Transaction:
-    """One multi-turn retrieval episode of exactly the dataset's N_max turns.
-
-    A turn's ground-truth feature is the dataset db's row for its target id.
-    """
-
-    queries: np.ndarray     # (N, D) float32 query feature per turn
-    target_ids: np.ndarray  # (N,) int64 per-turn ground-truth item id
-    meta: TransactionMeta | None = None
-
-    def __post_init__(self):
-        self.queries = np.asarray(self.queries, dtype=np.float32)
-        self.target_ids = np.asarray(self.target_ids, dtype=np.int64)
-        if self.target_ids.shape != (self.queries.shape[0],):
-            raise DegenerateInputError("Transaction: inconsistent turn counts")
+    queries: np.ndarray
+    target_ids: np.ndarray
 
     @property
     def num_turns(self) -> int:
-        return self.queries.shape[0]
+        return len(self.queries)
 
 
 @dataclass
 class SyntheticDataset:
-    task: TaskConfig  # the task the transactions were drawn from
+    """T transactions of the task's N turns each, as stacked arrays.
+
+    A turn's ground-truth feature is the db's row for its target id.
+    """
+
+    task: TaskConfig        # the task the transactions were drawn from
     db: CandidateDB
-    transactions: list[Transaction]
-    split: str = "train"
+    queries: np.ndarray     # (T, N, D) float32 query feature per turn
+    target_ids: np.ndarray  # (T, N) int64 per-turn ground-truth id
+    refs: np.ndarray        # (T,) int64 reference id each transaction starts from
+    blocks: np.ndarray      # (T, N) int64 coordinate block each turn reveals
+    distractor: np.ndarray  # (T, N) bool, True where the query is pure noise
+    split: str
+
+    def __post_init__(self):
+        t, n, d = len(self.queries), self.task.max_turns, self.db.dim
+        shapes = [a.shape for a in (self.queries, self.target_ids, self.refs, self.blocks,
+                                    self.distractor)]
+        if shapes != [(t, n, d), (t, n), (t,), (t, n), (t, n)]:
+            raise DegenerateInputError(
+                f"SyntheticDataset: queries, target ids, refs, blocks and distractor flags "
+                f"of shapes {shapes} do not hold the same {t} transactions of {n} turns")
 
     @property
     def max_turns(self) -> int:
@@ -142,6 +137,11 @@ class SyntheticDataset:
     @property
     def feature_dim(self) -> int:
         return self.db.dim
+
+    @property
+    def transactions(self) -> list[Transaction]:
+        """Each row's views, for readers that take one transaction at a time."""
+        return [Transaction(q, t) for q, t in zip(self.queries, self.target_ids)]
 
 
 def _db_key(config: TaskConfig) -> tuple[int, int, int]:
@@ -226,135 +226,117 @@ def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray
     return ids
 
 
-@dataclass
-class _Draws:
-    """One chunk's random draws, a row per transaction."""
+def _draw(ds: SyntheticDataset, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Draw transactions ``rows`` of ``ds``.
 
-    refs: np.ndarray        # (n,) reference row
-    targets: np.ndarray     # (n,) row whose blocks the turns reveal
-    blocks: np.ndarray      # (n, N) block each turn addresses
-    distractor: np.ndarray  # (n, N) bool
-    noise: np.ndarray       # (n, N, block_len) noise on a revealed block; 0 on a distractor
-    queries: np.ndarray     # (n, N, D) float32; only the distractor turns are filled
-
-
-def _draw(config: TaskConfig, split_tag: int, first: int, count: int) -> _Draws:
-    """The draws of transactions ``first .. first + count - 1``.
-
-    Each transaction draws from its own generator, keyed by its index, so
-    generation order never affects content.
+    Their refs, blocks, distractor flags and distractor turns' queries are
+    written into ``ds``. Returned are each one's target row, and the noise
+    on each turn's revealed block (0 on a distractor), shaped
+    (n, N, block_len). Each transaction draws from its own generator, keyed
+    by its index, so generation order never affects content.
     """
+    config = ds.task
     turns, dim = config.max_turns, config.feature_dim
-    d = _Draws(np.empty(count, np.int64), np.empty(count, np.int64),
-               np.empty((count, turns), np.int64), np.zeros((count, turns), bool),
-               np.zeros((count, turns, config.block_len)),
-               np.empty((count, turns, dim), np.float32))
-    for k in range(count):
+    targets = np.empty(rows.stop - rows.start, np.int64)
+    noise = np.zeros((len(targets), turns, config.block_len))
+    for k, i in enumerate(range(rows.start, rows.stop)):
         rng = np.random.default_rng(
-            np.random.SeedSequence([_TXN_TAG, config.seed, split_tag, first + k]))
-        d.refs[k], d.targets[k] = rng.choice(config.db_size, size=2, replace=False)
-        d.blocks[k] = rng.permutation(config.blocks)[:turns]
+            np.random.SeedSequence([_TXN_TAG, config.seed, _SPLIT_TAGS[ds.split], i]))
+        ds.refs[i], targets[k] = rng.choice(config.db_size, size=2, replace=False)
+        ds.blocks[i] = rng.permutation(config.blocks)[:turns]
         for n in range(turns):
             if rng.random() < config.distractor_prob:
-                d.distractor[k, n] = True
-                noise = rng.normal(size=dim)
-                d.queries[k, n] = noise / np.linalg.norm(noise)
+                ds.distractor[i, n] = True
+                draw = rng.normal(size=dim)
+                ds.queries[i, n] = draw / np.linalg.norm(draw)
             else:
-                d.noise[k, n] = rng.normal(0.0, config.noise_std, size=config.block_len)
-    return d
+                noise[k, n] = rng.normal(0.0, config.noise_std, size=config.block_len)
+    return targets, noise
 
 
-def _assemble(d: _Draws, features64: np.ndarray, block_len: int, composites: np.ndarray) -> None:
-    """Fill ``d.queries``' revealing turns and each turn's clean composite.
+def _assemble(ds: SyntheticDataset, rows: slice, targets: np.ndarray, noise: np.ndarray,
+              features64: np.ndarray, composites: np.ndarray) -> None:
+    """Fill the revealing turns' queries of ``ds``'s ``rows``, and each
+    turn's clean composite.
 
-    ``composites[k, n]`` is transaction k's composite after turn n. Rows of
-    ``features64`` are addressed by position, which equals id in a db from
-    ``make_db`` (its ids are ``np.arange``). Each value is the elementwise
-    result one transaction at a time would give: a copied feature, or a
-    float64 sum cast once to float32.
+    ``composites[k, n]`` is the chunk's transaction k's composite after turn
+    n. Rows of ``features64`` are addressed by position, which equals id in
+    a db from ``make_db`` (its ids are ``np.arange``). Each value is the
+    elementwise result one transaction at a time would give: a copied
+    feature, or a float64 sum cast once to float32.
     """
-    rows = np.arange(len(d.refs))[:, None]
-    composite = features64[d.refs]
-    for n in range(d.blocks.shape[1]):
-        cols = d.blocks[:, n, None] * block_len + np.arange(block_len)
-        revealed = features64[d.targets[:, None], cols]
-        query = features64[d.refs]
-        query[rows, cols] = revealed + d.noise[:, n]
-        live = ~d.distractor[:, n]
-        np.copyto(d.queries[:, n], query, where=live[:, None])
-        composite[rows[live], cols[live]] = revealed[live]
+    refs, blocks, distractor, queries = (ds.refs[rows], ds.blocks[rows], ds.distractor[rows],
+                                         ds.queries[rows])
+    block_len = ds.task.block_len
+    k = np.arange(len(refs))[:, None]
+    composite = features64[refs]
+    for n in range(blocks.shape[1]):
+        cols = blocks[:, n, None] * block_len + np.arange(block_len)
+        revealed = features64[targets[:, None], cols]
+        query = features64[refs]
+        query[k, cols] = revealed + noise[:, n]
+        live = ~distractor[:, n]
+        np.copyto(queries[:, n], query, where=live[:, None])
+        composite[k[live], cols[live]] = revealed[live]
         composites[:, n] = composite
-
-
-def _transactions(queries: np.ndarray, target_ids: np.ndarray, refs: np.ndarray,
-                  blocks: np.ndarray, distractor: np.ndarray) -> list[Transaction]:
-    """A transaction, with its meta, per row of the stacked arrays."""
-    return [Transaction(q, t, TransactionMeta(ref, [TurnMeta(b, f) for b, f in zip(bs, fs)]))
-            for q, t, ref, bs, fs in zip(queries, target_ids, refs.tolist(), blocks.tolist(),
-                                         distractor.tolist())]
 
 
 def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
     """Block-reveal transactions where turns become pure noise with
     probability ``config.distractor_prob``; ground truth ignores such turns.
 
-    Transactions are made a chunk at a time: each draws from its own
-    generator, then array operations build the whole chunk's queries and
-    composites turn by turn, and one GEMM finds its ground truth.
+    Transactions are made a chunk at a time, straight into the dataset's
+    arrays: each draws from its own generator, then array operations build
+    the whole chunk's queries and composites turn by turn, and one GEMM
+    finds its ground truth.
     """
     if split not in _SPLIT_TAGS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_TAGS)}")
     if count < 1:
         raise ValueError("dataset must contain at least one transaction")
     db = make_db(config)
+    turns, dim = config.max_turns, config.feature_dim
+    ds = SyntheticDataset(config, db, np.empty((count, turns, dim), np.float32),
+                          np.empty((count, turns), np.int64), np.empty(count, np.int64),
+                          np.empty((count, turns), np.int64), np.zeros((count, turns), bool),
+                          split)
     # one upcast per call; each chunk's GEMM then reads it directly
     features64 = db.features.astype(np.float64)
-    turns = config.max_turns
-    chunk = max(1, block_rows(db, 8) // turns)
-    buffer = np.empty((min(chunk, count), turns, config.feature_dim))
-    transactions = []
-    for start in range(0, count, chunk):
-        d = _draw(config, _SPLIT_TAGS[split], start, min(chunk, count - start))
-        composites = buffer[:len(d.refs)]
-        _assemble(d, features64, config.block_len, composites)
-        composites = composites.reshape(-1, config.feature_dim)
+    chunks = row_blocks(count, 8 * len(db) * turns)
+    buffer = np.empty((chunks[0].stop, turns, dim))
+    for rows in chunks:
+        targets, noise = _draw(ds, rows)
+        composites = buffer[:len(targets)]
+        _assemble(ds, rows, targets, noise, features64, composites)
+        composites = composites.reshape(-1, dim)
         # as np.linalg.norm computes a vector's: one dot per row, so the same
         # sum; a float64 array, so that db.row_norms * norm stays float64
         norms = np.maximum(np.sqrt([c.dot(c) for c in composites]), 1e-30)
-        target_ids = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
-        transactions += _transactions(d.queries, target_ids, d.refs, d.blocks, d.distractor)
-    return SyntheticDataset(config, db, transactions, split)
-
-
-def gen_block_reveal(config: TaskConfig, count: int, split: str = "train") -> SyntheticDataset:
-    """Progressive block-reveal transactions with no distractor turns."""
-    return gen_distractor(dataclasses.replace(config, distractor_prob=0.0), count, split)
+        ds.target_ids[rows] = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
+    return ds
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
+def _entries(dataset: SyntheticDataset) -> dict[str, np.ndarray]:
+    """The dataset's arrays by the name of the file entry that stores each, in file order."""
+    return {"db.ids": dataset.db.ids, "db.features": dataset.db.features,
+            "queries": dataset.queries, "target_ids": dataset.target_ids,
+            "meta.ref": dataset.refs, "meta.block": dataset.blocks,
+            "meta.distractor": dataset.distractor.view(np.uint8)}
+
+
 def save_dataset(dataset: SyntheticDataset, path: str) -> None:
     """Write ``dataset`` as one checkpoint container (deterministic bytes).
 
-    Every transaction must carry its generation metadata. The file is
-    replaced atomically: a failed write leaves ``path`` as it was.
+    The file is replaced atomically: a failed write leaves ``path`` as it was.
     """
-    txns = dataset.transactions
     header = json.dumps({"task": dataclasses.asdict(dataset.task), "split": dataset.split},
                         sort_keys=True, separators=(",", ":"))
-    save_entries(path, {
-        "header": np.frombuffer(header.encode("utf-8"), np.uint8),
-        "db.ids": dataset.db.ids,
-        "db.features": dataset.db.features,
-        "queries": np.stack([t.queries for t in txns]),
-        "target_ids": np.stack([t.target_ids for t in txns]),
-        "meta.ref": np.array([t.meta.reference_id for t in txns], np.int64),
-        "meta.block": np.array([[m.block for m in t.meta.turns] for t in txns], np.int64),
-        "meta.distractor": np.array([[m.distractor for m in t.meta.turns] for t in txns],
-                                    np.uint8),
-    })
+    save_entries(path, {"header": np.frombuffer(header.encode("utf-8"), np.uint8),
+                        **_entries(dataset)})
 
 
 def load_dataset(path: str) -> SyntheticDataset:
@@ -434,16 +416,14 @@ def load_dataset(path: str) -> SyntheticDataset:
             db = _LOADED_DBS[key] = CandidateDB(ids, features)
         except DegenerateInputError as e:
             raise bad("db.ids", f"and 'db.features' make no candidate db: {e}") from None
-    return SyntheticDataset(task, db, _transactions(
-        entries["queries"], entries["target_ids"], entries["meta.ref"], blocks,
-        entries["meta.distractor"].astype(bool)), raw["split"])
+    # the flags were checked to be 0 or 1, so they view as bools
+    return SyntheticDataset(task, db, entries["queries"], entries["target_ids"],
+                            entries["meta.ref"], blocks, entries["meta.distractor"].view(bool),
+                            raw["split"])
 
 
 def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:
     """Structural equality over everything that serialization preserves."""
-    # the meta dataclasses compare field by field
-    return ((a.task, a.split, len(a.transactions)) == (b.task, b.split, len(b.transactions))
-            and np.array_equal(a.db.ids, b.db.ids) and np.array_equal(a.db.features, b.db.features)
-            and all(np.array_equal(ta.queries, tb.queries) and ta.meta == tb.meta
-                    and np.array_equal(ta.target_ids, tb.target_ids)
-                    for ta, tb in zip(a.transactions, b.transactions)))
+    return ((a.task, a.split) == (b.task, b.split)
+            and all(np.array_equal(x, y) for x, y in zip(_entries(a).values(),
+                                                          _entries(b).values())))

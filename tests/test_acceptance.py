@@ -20,7 +20,7 @@ from cmntm.cascade import CascadeConfig
 from cmntm.config import TrainConfig
 from cmntm.ntm import HeadParams, address
 from cmntm.retrieval import CandidateDB, batch_loss, rank, recall_at_k, similarity_scores
-from cmntm.synthdata import TaskConfig, gen_block_reveal
+from cmntm.synthdata import TaskConfig, gen_distractor
 
 
 def _line(n: int, ok: bool, detail: str) -> None:
@@ -33,8 +33,8 @@ def _line(n: int, ok: bool, detail: str) -> None:
 def desk_models():
     """Desk-defaults cascade and LSTM baseline trained on the block-reveal task."""
     cfg = TrainConfig()  # cmntm, C=2, 50 epochs, seed 0
-    train_ds = gen_block_reveal(cfg.task, cfg.train_count, split="train")
-    val_ds = gen_block_reveal(cfg.task, cfg.val_count, split="val")
+    train_ds = gen_distractor(cfg.task, cfg.train_count, split="train")
+    val_ds = gen_distractor(cfg.task, cfg.val_count, split="val")
     start = time.perf_counter()
     cascade = harness.train(cfg, train_ds=train_ds, val_ds=val_ds)
     cascade_secs = time.perf_counter() - start

@@ -27,7 +27,6 @@ from cmntm.errors import (
     CmntmError,
     ConfigError,
     DegenerateInputError,
-    ShapeError,
     TimingMonotonicityError,
     TrainingDivergedError,
 )
@@ -40,15 +39,7 @@ from cmntm.retrieval import (
     top_k,
     transaction_loss,
 )
-from cmntm.synthdata import (
-    SyntheticDataset,
-    TaskConfig,
-    Transaction,
-    TransactionMeta,
-    TurnMeta,
-    gen_block_reveal,
-    gen_distractor,
-)
+from cmntm.synthdata import SyntheticDataset, TaskConfig, gen_distractor
 
 
 # Epoch 1 of the CI smoke run (its tiny.json config and generated data, one
@@ -71,7 +62,7 @@ def tiny_cfg(**overrides) -> TrainConfig:
 
 @pytest.fixture(scope="module")
 def tiny_val():
-    return gen_block_reveal(TINY_TASK, count=8, split="val")
+    return gen_distractor(TINY_TASK, count=8, split="val")
 
 
 @pytest.fixture(scope="module")
@@ -82,10 +73,16 @@ def trained_run(tmp_path_factory):
     return cfg, harness.train(cfg, out_dir=str(out)).checkpoint_path
 
 
-def _turn_targets(ds) -> list[Tensor]:
-    """Each turn's ground-truth features, gathered from the db as ``train`` does."""
-    rows = np.array([[ds.db.index_of(t) for t in txn.target_ids] for txn in ds.transactions])
-    return [Tensor(ds.db.features[rows[:, n]]) for n in range(rows.shape[1])]
+def _batch(ds) -> tuple[np.ndarray, list[Tensor]]:
+    """The dataset as one train batch: its queries and each turn's target features."""
+    return harness.stack_batch(ds, np.arange(len(ds.queries)), ds.db.rows_of(ds.target_ids))
+
+
+def _rows(ds, index) -> SyntheticDataset:
+    """The dataset's transactions at ``index``."""
+    return dataclasses.replace(ds, queries=ds.queries[index], target_ids=ds.target_ids[index],
+                               refs=ds.refs[index], blocks=ds.blocks[index],
+                               distractor=ds.distractor[index])
 
 
 def _drop(*names):
@@ -577,9 +574,8 @@ class TestTraining:
         cfg = tiny_cfg(seed=seed)
         model = harness.build_model(cfg)
         model.set_training(True)
-        ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-        queries = harness.stack_batch(ds.transactions, 2)
-        targets = _turn_targets(ds)
+        ds = gen_distractor(dataclasses.replace(TINY_TASK, seed=seed), count=4)
+        queries, targets = _batch(ds)
 
         def loss_once(record: bool):
             state = model.initial_state(
@@ -603,9 +599,9 @@ class TestTraining:
 
     def test_non_finite_loss_aborts_with_diagnostics(self):
         cfg = tiny_cfg(epochs=1, batch_size=4, train_count=4, val_count=4)
-        train_ds = gen_block_reveal(TINY_TASK, count=4, split="train")
-        val_ds = gen_block_reveal(TINY_TASK, count=4, split="val")
-        train_ds.transactions[0].queries[0, :] = np.nan
+        train_ds = gen_distractor(TINY_TASK, count=4, split="train")
+        val_ds = gen_distractor(TINY_TASK, count=4, split="val")
+        train_ds.queries[0, 0] = np.nan
         with pytest.raises(TrainingDivergedError, match="parameter norms"):
             harness.train(cfg, train_ds=train_ds, val_ds=val_ds)
 
@@ -616,19 +612,25 @@ class TestTraining:
         result = harness.train(cfg)
         assert result.metrics[0]["train_loss"] == 0.0
 
-    def test_stack_batch_rejects_mixed_lengths(self):
-        ds = gen_block_reveal(TINY_TASK, count=3)
-        with pytest.raises(ShapeError):
-            harness.stack_batch(ds.transactions, expected_turns=3)
+    def test_stack_batch_takes_each_turns_target_features(self, tiny_val):
+        # reversed ids, so that a target's db row is not its id
+        db = CandidateDB(tiny_val.db.ids[::-1], tiny_val.db.features)
+        ds = dataclasses.replace(tiny_val, db=db)
+        rows = np.array([5, 0, 2])
+        queries, targets = harness.stack_batch(ds, rows, db.rows_of(ds.target_ids))
+        assert queries.tobytes() == np.stack([ds.queries[r] for r in rows]).tobytes()
+        assert len(targets) == ds.max_turns
+        for n, target in enumerate(targets):
+            expected = np.stack([db.feature_of(ds.target_ids[r, n]) for r in rows])
+            assert target.data.tobytes() == expected.tobytes()
 
 
 # ----------------------------------------------------------- backward contract
 
 def _model_step_tape(model, seed: int = 0):
     """Record one training forward of ``model`` on four tiny transactions."""
-    ds = gen_block_reveal(dataclasses.replace(TINY_TASK, seed=seed), count=4)
-    queries = harness.stack_batch(ds.transactions, 2)
-    targets = _turn_targets(ds)
+    ds = gen_distractor(dataclasses.replace(TINY_TASK, seed=seed), count=4)
+    queries, targets = _batch(ds)
     state = model.initial_state([np.random.default_rng(seed + i) for i in range(4)])
     with Tape() as tape:
         preds, _ = model.forward_transaction(queries, state)
@@ -958,8 +960,8 @@ class TestMetrics:
 def _gemv_report(final_preds: np.ndarray, dataset) -> dict:
     """``_recall_report`` by one ``similarity_scores`` GEMV and one ``rank_of`` per row."""
     db = dataset.db
-    ranks = [rank_of(similarity_scores(pred, db), db.ids, db.index_of(txn.target_ids[-1]))
-             for pred, txn in zip(final_preds, dataset.transactions, strict=True)]
+    ranks = [rank_of(similarity_scores(pred, db), db.ids, db.index_of(target))
+             for pred, target in zip(final_preds, dataset.target_ids[:, -1], strict=True)]
     report = {"count": len(ranks)}
     for k in harness.RECALL_KS:
         report[f"r{k}"] = sum(r < k for r in ranks) / len(ranks)
@@ -971,7 +973,7 @@ def _assert_matches_gemv(preds: np.ndarray, ds) -> None:
     """The batched report equals the GEMV loop's, over all rows and row by row."""
     assert harness._recall_report(preds, ds) == _gemv_report(preds, ds)
     for j in range(len(preds)):
-        one = dataclasses.replace(ds, transactions=ds.transactions[j:j + 1])
+        one = _rows(ds, slice(j, j + 1))
         assert harness._recall_report(preds[j:j + 1], one) == _gemv_report(preds[j:j + 1], one)
 
 
@@ -981,8 +983,10 @@ def _one_turn_dataset(db: CandidateDB, targets) -> SyntheticDataset:
     The task only gives the db's shape and one turn: nothing here is drawn from it.
     """
     task = TaskConfig(feature_dim=db.dim, blocks=1, max_turns=1, db_size=len(db))
-    return SyntheticDataset(task, db, [Transaction(np.zeros((1, db.dim)), [t]) for t in targets],
-                            "val")
+    targets = np.asarray(targets, np.int64)
+    return SyntheticDataset(task, db, np.zeros((len(targets), 1, db.dim), np.float32),
+                            targets[:, None], targets, np.zeros((len(targets), 1), np.int64),
+                            np.zeros((len(targets), 1), bool), "val")
 
 
 class TestEvaluation:
@@ -997,7 +1001,7 @@ class TestEvaluation:
         # sees the exact same draws
         model = harness.build_model(tiny_cfg())
         full = harness.predict_dataset(model, tiny_val, 8, seed=0)
-        subset = dataclasses.replace(tiny_val, transactions=tiny_val.transactions[:3])
+        subset = _rows(tiny_val, slice(0, 3))
         part = harness.predict_dataset(model, subset, 8, seed=0)
         assert part.tobytes() == full[:3].tobytes()
 
@@ -1013,8 +1017,8 @@ class TestEvaluation:
         # under shuffled ids, and integer predictions, half of them copies
         # of the target row: exact score ties, the target's twin included.
         rng = np.random.default_rng(seed)
-        ds = gen_block_reveal(TaskConfig(), count=40, split="val")
-        targets = [int(t.target_ids[-1]) for t in ds.transactions]
+        ds = gen_distractor(TaskConfig(), count=40, split="val")
+        targets = ds.target_ids[:, -1].tolist()
         if seed % 2:
             rows = rng.integers(-1, 2, size=(128, 32)).astype(np.float32)
             rows[np.all(rows == 0, axis=1), 0] = 1.0
@@ -1102,8 +1106,8 @@ class TestEvaluation:
 
     def test_counts_that_split_into_uneven_chunks(self, monkeypatch):
         rng = np.random.default_rng(3)
-        ds = gen_block_reveal(TaskConfig(), count=40, split="val")
-        preds = np.stack([ds.db.feature_of(t.target_ids[-1]) for t in ds.transactions])
+        ds = gen_distractor(TaskConfig(), count=40, split="val")
+        preds = np.stack([ds.db.feature_of(t) for t in ds.target_ids[:, -1]])
         preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
         # a block holds 3 float32 rows of the 256-row db (13 chunks of 3 and one
         # of 1), or 1 float64 row
@@ -1115,8 +1119,8 @@ class TestEvaluation:
         {3: np.nan}, {3: 0.0}, {3: np.inf}, {2: 0.0, 7: np.nan}, {2: np.nan, 7: 0.0},
     ], ids=["nan", "zero", "inf", "zero-then-nan", "nan-then-zero"])
     def test_unscorable_predictions_raise_as_the_gemv_loop_does(self, monkeypatch, bad):
-        ds = gen_block_reveal(TaskConfig(), count=10, split="val")
-        preds = np.stack([ds.db.feature_of(t.target_ids[-1]) for t in ds.transactions])
+        ds = gen_distractor(TaskConfig(), count=10, split="val")
+        preds = np.stack([ds.db.feature_of(t) for t in ds.target_ids[:, -1]])
         for row, value in bad.items():
             preds[row] = value
         monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 5 * 4 * 256)  # two chunks of 5
@@ -1137,20 +1141,20 @@ class TestEvaluation:
             assert top_k(scores, ids, k).tolist() == rank(scores, ids).ids[:k].tolist()
 
     def test_non_finite_prediction_raises(self, tiny_val):
-        preds = np.full((len(tiny_val.transactions), 8), np.nan, dtype=np.float32)
+        preds = np.full((len(tiny_val.queries), 8), np.nan, dtype=np.float32)
         with pytest.raises(DegenerateInputError, match="non-finite"):
             harness._recall_report(preds, tiny_val)
 
     def test_mean_model_matches_running_mean(self, tiny_val):
         preds = harness.predict_dataset(MeanModel(), tiny_val, 8, seed=0)
-        queries = np.stack([t.queries for t in tiny_val.transactions])
+        queries = tiny_val.queries
         oracle = np.cumsum(queries, axis=1) / np.arange(1, 3).reshape(1, 2, 1)
         np.testing.assert_allclose(preds, oracle, atol=1e-6)
 
     def test_ewma_model_matches_recursion(self, tiny_val):
         alpha = 0.5
         preds = harness.predict_dataset(EwmaModel(alpha), tiny_val, 8, seed=0)
-        queries = np.stack([t.queries for t in tiny_val.transactions])
+        queries = tiny_val.queries
         running = queries[:, 0]
         np.testing.assert_allclose(preds[:, 0], running, atol=1e-6)
         running = alpha * queries[:, 1] + (1 - alpha) * running
@@ -1162,7 +1166,7 @@ class TestEvaluation:
 class TestExperiments:
     def test_ablation_single_depth_reports_zero_change(self, tmp_path, tiny_val):
         cfg = tiny_cfg(epochs=1, train_count=8)
-        train_ds = gen_block_reveal(TINY_TASK, count=8, split="train")
+        train_ds = gen_distractor(TINY_TASK, count=8, split="train")
         rows = harness.ablate_num_memories(cfg, [1], out_dir=str(tmp_path),
                                            train_ds=train_ds, val_ds=tiny_val)
         assert len(rows) == 1
@@ -1174,7 +1178,7 @@ class TestExperiments:
 
     def test_ablation_row_per_depth(self, tiny_val):
         cfg = tiny_cfg(epochs=1, train_count=8)
-        train_ds = gen_block_reveal(TINY_TASK, count=8, split="train")
+        train_ds = gen_distractor(TINY_TASK, count=8, split="train")
         rows = harness.ablate_num_memories(cfg, [1, 2], train_ds=train_ds, val_ds=tiny_val)
         assert [row["C"] for row in rows] == [1, 2]
         assert rows[0]["pct_change_vs_first"] == 0.0
@@ -1196,22 +1200,10 @@ class TestExperiments:
         saved = json.load(open(tmp_path / "turn_importance.json"))
         assert saved["spread"] == report["spread"]
 
-    def test_turn_importance_needs_metadata(self, tiny_val):
-        stripped = dataclasses.replace(
-            tiny_val,
-            transactions=[dataclasses.replace(t, meta=None) for t in tiny_val.transactions])
-        model = harness.build_model(tiny_cfg())
-        baseline = harness.build_model(tiny_cfg(model="lstm"))
-        with pytest.raises(DegenerateInputError):
-            harness.turn_importance(model, baseline, stripped, eval_batch_size=8, seed=0)
-
     @pytest.mark.parametrize("experiment", ["turn_importance", "memory_retention"])
     def test_block_past_the_feature_end_raises(self, tiny_val, experiment):
         # block 4 of length 2 would slice coordinates 8:10 of an 8-dim feature
-        meta_turns = [TurnMeta(4, False)] * tiny_val.max_turns
-        ds = dataclasses.replace(tiny_val, transactions=[
-            dataclasses.replace(t, meta=TransactionMeta(t.meta.reference_id, meta_turns))
-            for t in tiny_val.transactions])
+        ds = dataclasses.replace(tiny_val, blocks=np.full_like(tiny_val.blocks, 4))
         model = harness.build_model(tiny_cfg())
         with pytest.raises(DegenerateInputError, match="block 4 of length 2"):
             if experiment == "turn_importance":
@@ -1232,7 +1224,7 @@ class TestExperiments:
 
     def test_turn_order_single_turn_overlap_is_one(self):
         task = TaskConfig(feature_dim=8, blocks=4, max_turns=1, db_size=16, seed=0)
-        ds = gen_block_reveal(task, count=6, split="val")
+        ds = gen_distractor(task, count=6, split="val")
         model = harness.build_model(tiny_cfg())
         report = harness.turn_order_experiment(model, ds, count=6, eval_batch_size=8, seed=0)
         assert report["mean_top5_overlap"] == 1.0
@@ -1289,7 +1281,7 @@ class TestExperiments:
         assert [row["C"] for row in rows] == [1, 2]
         assert rows[0]["mean_r5_r8"] is None
         restored = harness.restore_model(harness.load_checkpoint(path))
-        dataset = gen_block_reveal(TINY_TASK, count=32, split="val")  # the transactions timed
+        dataset = gen_distractor(TINY_TASK, count=32, split="val")  # the transactions timed
         expected = harness.evaluate_model(restored, dataset, cfg.eval_batch_size, cfg.seed)
         assert rows[1]["mean_r5_r8"] == expected["mean_r5_r8"]
 

@@ -44,6 +44,7 @@ class TestCandidateDB:
         db = CandidateDB(ids=[40, 10, 30], features=np.eye(3))
         assert db.index_of(30) == 2
         np.testing.assert_array_equal(db.feature_of(10), [0.0, 1.0, 0.0])
+        np.testing.assert_array_equal(db.rows_of([[30, 40], [10, 10]]), [[2, 0], [1, 1]])
 
     def test_rejects_non_2d_features(self):
         with pytest.raises(ShapeError):
@@ -69,8 +70,13 @@ class TestCandidateDB:
 
     def test_unknown_id_raises(self, rng):
         db = _random_db(rng, count=5, dim=3)
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="unknown candidate id 99"):
             db.index_of(99)
+        # below, between and above the db's ids
+        sparse = CandidateDB(ids=[40, 10, 30], features=np.eye(3))
+        for unknown in (5, 20, 50):
+            with pytest.raises(KeyError, match=rf"unknown candidate id {unknown}\b"):
+                sparse.rows_of([10, unknown, 30])
 
     def test_row_norms_are_the_feature_row_norms(self, rng):
         db = _random_db(rng, count=12, dim=5)

@@ -15,15 +15,12 @@ import pytest
 from cmntm import checkpoint as ckpt_io
 from cmntm import retrieval, synthdata
 from cmntm.errors import CheckpointError, DatasetFormatError, DegenerateInputError
-from cmntm.retrieval import CandidateDB, block_rows, rank, recall_at_k, similarity_scores
+from cmntm.retrieval import CandidateDB, rank, recall_at_k, row_blocks, similarity_scores
 from cmntm.synthdata import (
+    SyntheticDataset,
     TaskConfig,
-    Transaction,
-    TransactionMeta,
-    TurnMeta,
     block_slice,
     datasets_equal,
-    gen_block_reveal,
     gen_distractor,
     load_dataset,
     make_db,
@@ -67,34 +64,34 @@ class TestTaskConfig:
 
 class TestGeneration:
     def test_shapes_and_dtypes(self):
-        ds = gen_block_reveal(SMALL, count=6)
+        ds = gen_distractor(SMALL, count=6)
         assert ds.feature_dim == 16 and ds.max_turns == 4
-        assert len(ds.transactions) == 6
-        for txn in ds.transactions:
-            assert txn.queries.shape == (4, 16) and txn.queries.dtype == np.float32
-            assert txn.target_ids.shape == (4,) and txn.target_ids.dtype == np.int64
+        assert {name: (str(a.dtype), a.shape) for name, a in _arrays(ds).items()} == {
+            "queries": ("float32", (6, 4, 16)), "target_ids": ("int64", (6, 4)),
+            "refs": ("int64", (6,)), "blocks": ("int64", (6, 4)),
+            "distractor": ("bool", (6, 4))}
 
     def test_db_rows_unit_norm(self):
         db = make_db(SMALL)
         np.testing.assert_allclose(np.linalg.norm(db.features, axis=1), 1.0, atol=1e-6)
 
     def test_same_seed_reproduces(self):
-        a = gen_block_reveal(SMALL, count=5)
-        b = gen_block_reveal(SMALL, count=5)
+        a = gen_distractor(SMALL, count=5)
+        b = gen_distractor(SMALL, count=5)
         assert datasets_equal(a, b)
 
     def test_different_seed_differs(self):
-        a = gen_block_reveal(SMALL, count=5)
-        b = gen_block_reveal(TaskConfig(**{**SMALL.__dict__, "seed": 8}), count=5)
+        a = gen_distractor(SMALL, count=5)
+        b = gen_distractor(TaskConfig(**{**SMALL.__dict__, "seed": 8}), count=5)
         assert not datasets_equal(a, b)
 
     def test_splits_share_db_but_not_transactions(self):
         # a task of its own, so that no other test's dataset holds its db
         cfg = dataclasses.replace(SMALL, db_size=40, seed=21)
-        a = gen_block_reveal(cfg, count=5, split="train")
-        b = gen_block_reveal(cfg, count=5, split="val")
+        a = gen_distractor(cfg, count=5, split="train")
+        b = gen_distractor(cfg, count=5, split="val")
         assert a.db is b.db is make_db(cfg)
-        assert not np.array_equal(a.transactions[0].queries, b.transactions[0].queries)
+        assert not np.array_equal(a.queries[0], b.queries[0])
         # shared, so nothing may write through it
         for array in (a.db.ids, a.db.features, a.db.row_norms):
             with pytest.raises(ValueError, match="read-only"):
@@ -140,54 +137,51 @@ class TestGeneration:
     def test_count_extension_is_a_prefix(self):
         # per-transaction seeding: asking for more data never rewrites
         # earlier transactions, also when the longer run adds a chunk
-        chunk = block_rows(make_db(CHUNKY), 8) // CHUNKY.max_turns
+        chunk = _chunk(CHUNKY, 25)
         assert chunk == 8
         for cfg, short_count, long_count in [(SMALL, 4, 9), (CHUNKY, 4, 9),
                                              (CHUNKY, chunk, chunk + 1), (CHUNKY, 7, 25)]:
             short = gen_distractor(dataclasses.replace(cfg, distractor_prob=0.5), short_count)
             long = gen_distractor(dataclasses.replace(cfg, distractor_prob=0.5), long_count)
-            long.transactions = long.transactions[:short_count]
-            assert datasets_equal(short, long), (cfg.db_size, short_count, long_count)
+            assert datasets_equal(short, _head(long, short_count)), (cfg.db_size, short_count,
+                                                                    long_count)
 
     def test_turn_blocks_are_disjoint(self):
-        ds = gen_block_reveal(SMALL, count=20)
-        for txn in ds.transactions:
-            blocks = [t.block for t in txn.meta.turns]
+        ds = gen_distractor(SMALL, count=20)
+        for blocks in ds.blocks.tolist():
             assert len(set(blocks)) == len(blocks)
             assert all(0 <= b < SMALL.blocks for b in blocks)
 
     def test_reference_differs_from_final_target_feature_source(self):
-        ds = gen_block_reveal(TaskConfig(feature_dim=16, blocks=4, max_turns=4,
+        ds = gen_distractor(TaskConfig(feature_dim=16, blocks=4, max_turns=4,
                                          db_size=32, noise_std=0.0, seed=3), count=30)
-        for txn in ds.transactions:
-            assert txn.meta.reference_id != int(txn.target_ids[-1])
+        assert np.all(ds.refs != ds.target_ids[:, -1])
 
     def test_bad_split_rejected(self):
         with pytest.raises(ValueError):
-            gen_block_reveal(SMALL, count=2, split="dev")
+            gen_distractor(SMALL, count=2, split="dev")
 
     def test_zero_count_rejected(self):
         with pytest.raises(ValueError):
-            gen_block_reveal(SMALL, count=0)
+            gen_distractor(SMALL, count=0)
 
 
 # --------------------------------------------------------------------- oracle
 
-def oracle_features(txn: Transaction, db: CandidateDB, block_len: int) -> np.ndarray:
-    """Per-turn composites a construction-aware oracle would retrieve with.
+def oracle_features(ds: SyntheticDataset, i: int) -> np.ndarray:
+    """Per-turn composites a construction-aware oracle would retrieve with
+    for transaction ``i``.
 
     Starting from the reference feature, each non-distractor turn's revealed
     block values (as stored in the query, noise included) overwrite the
-    composite. Requires generation metadata.
+    composite.
     """
-    if txn.meta is None:
-        raise DegenerateInputError("oracle_features: transaction has no generation metadata")
-    composite = db.feature_of(txn.meta.reference_id).astype(np.float64).copy()
-    out = np.empty_like(txn.queries, dtype=np.float64)
-    for n, turn_meta in enumerate(txn.meta.turns):
-        if not turn_meta.distractor:
-            sl = block_slice(turn_meta.block, block_len, db.dim)
-            composite[sl] = txn.queries[n][sl]
+    composite = ds.db.feature_of(ds.refs[i]).astype(np.float64)
+    out = np.empty_like(ds.queries[i], dtype=np.float64)
+    for n, (block, distractor) in enumerate(zip(ds.blocks[i].tolist(), ds.distractor[i])):
+        if not distractor:
+            sl = block_slice(block, ds.task.block_len, ds.feature_dim)
+            composite[sl] = ds.queries[i, n][sl]
         out[n] = composite
     return out.astype(np.float32)
 
@@ -196,70 +190,57 @@ class TestOracle:
     def test_noiseless_oracle_reaches_perfect_final_recall(self):
         cfg = TaskConfig(feature_dim=32, blocks=4, max_turns=4, db_size=256,
                          noise_std=0.0, seed=0)
-        ds = gen_block_reveal(cfg, count=200)
-        rankings, targets = [], []
-        for txn in ds.transactions:
-            feats = oracle_features(txn, ds.db, cfg.block_len)
-            rankings.append(rank(similarity_scores(feats[-1], ds.db), ds.db.ids))
-            targets.append(int(txn.target_ids[-1]))
+        ds = gen_distractor(cfg, count=200)
+        rankings = [rank(similarity_scores(oracle_features(ds, i)[-1], ds.db), ds.db.ids)
+                    for i in range(len(ds.queries))]
+        targets = ds.target_ids[:, -1]
         assert recall_at_k(rankings, targets, k=1) == 1.0
 
     def test_noisy_oracle_stays_near_perfect(self):
         cfg = TaskConfig(feature_dim=32, blocks=4, max_turns=4, db_size=256,
                          noise_std=0.1, seed=0)
-        ds = gen_block_reveal(cfg, count=1000)
-        rankings, targets = [], []
-        for txn in ds.transactions:
-            feats = oracle_features(txn, ds.db, cfg.block_len)
-            rankings.append(rank(similarity_scores(feats[-1], ds.db), ds.db.ids))
-            targets.append(int(txn.target_ids[-1]))
+        ds = gen_distractor(cfg, count=1000)
+        rankings = [rank(similarity_scores(oracle_features(ds, i)[-1], ds.db), ds.db.ids)
+                    for i in range(len(ds.queries))]
+        targets = ds.target_ids[:, -1]
         assert recall_at_k(rankings, targets, k=1) > 0.95
 
     def test_oracle_first_turn_mixes_reference_and_query_block(self):
-        ds = gen_block_reveal(SMALL, count=3)
-        txn = ds.transactions[0]
-        feats = oracle_features(txn, ds.db, SMALL.block_len)
-        ref = ds.db.feature_of(txn.meta.reference_id)
-        sl = block_slice(txn.meta.turns[0].block, SMALL.block_len, SMALL.feature_dim)
-        expected = ref.copy()
-        expected[sl] = txn.queries[0][sl]
+        ds = gen_distractor(SMALL, count=3)
+        feats = oracle_features(ds, 0)
+        sl = block_slice(int(ds.blocks[0, 0]), SMALL.block_len, SMALL.feature_dim)
+        expected = ds.db.feature_of(ds.refs[0]).copy()
+        expected[sl] = ds.queries[0, 0][sl]
         np.testing.assert_allclose(feats[0], expected, atol=1e-7)
-
-    def test_oracle_requires_metadata(self):
-        ds = gen_block_reveal(SMALL, count=1)
-        txn = ds.transactions[0]
-        bare = Transaction(txn.queries, txn.target_ids, meta=None)
-        with pytest.raises(DegenerateInputError):
-            oracle_features(bare, ds.db, SMALL.block_len)
 
     def test_oracle_rejects_a_block_past_the_feature_end(self):
         # D=16 holds blocks 0-3 of length 4; block 5 is inside [0, D) but
         # ends past the feature
-        ds = gen_block_reveal(SMALL, count=1)
-        txn = ds.transactions[0]
-        txn.meta.turns[1].block = 5
+        ds = gen_distractor(SMALL, count=1)
+        ds.blocks[0, 1] = 5
         with pytest.raises(DegenerateInputError, match="block 5 of length 4"):
-            oracle_features(txn, ds.db, SMALL.block_len)
+            oracle_features(ds, 0)
 
 
 # ---------------------------------------------------------- chunked ground truth
 
-def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
-    """Queries, target ids and meta drawn one transaction at a time, as
-    generation draws them, with each turn's target found by its own float64
-    GEMV over the db."""
+def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float) -> dict:
+    """The dataset's arrays drawn one transaction at a time, as generation
+    draws them, with each turn's target found by its own float64 GEMV over
+    the db."""
     db = make_db(cfg)
     features64 = db.features.astype(np.float64)
-    queries, target_ids, metas = [], [], []
+    queries, target_ids, refs, blocks, flags = [], [], [], [], []
     for index in range(count):
         rng = np.random.default_rng(np.random.SeedSequence(
             [synthdata._TXN_TAG, cfg.seed, synthdata._SPLIT_TAGS["train"], index]))
         ref, tgt = (int(v) for v in rng.choice(cfg.db_size, size=2, replace=False))
+        refs.append(ref)
         composite = db.feature_of(ref).astype(np.float64)
-        turns = []
         for block in rng.permutation(cfg.blocks)[:cfg.max_turns]:
             distractor = rng.random() < distractor_prob
-            turns.append(TurnMeta(int(block), distractor))
+            blocks.append(int(block))
+            flags.append(distractor)
             if distractor:
                 noise = rng.normal(size=cfg.feature_dim)
                 query = noise / np.linalg.norm(noise)
@@ -272,21 +253,19 @@ def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
             queries.append(query.astype(np.float32))
             norms = db.row_norms * max(np.linalg.norm(composite), 1e-30)
             target_ids.append(int(db.ids[np.argmax(features64 @ composite / norms)]))
-        metas.append(TransactionMeta(reference_id=ref, turns=turns))
-    return np.stack(queries), target_ids, metas
+    shape = (count, cfg.max_turns)
+    return {"queries": np.stack(queries).reshape(*shape, -1),
+            "target_ids": np.array(target_ids).reshape(shape), "refs": np.array(refs),
+            "blocks": np.array(blocks).reshape(shape), "distractor": np.array(flags).reshape(shape)}
 
 
 def _assert_matches_gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float):
     ds = gen_distractor(dataclasses.replace(cfg, distractor_prob=distractor_prob), count)
-    queries, target_ids, metas = _gemv_reference(cfg, count, distractor_prob)
-    np.testing.assert_array_equal(np.concatenate([t.queries for t in ds.transactions]), queries)
-    assert [int(i) for t in ds.transactions for i in t.target_ids] == target_ids
-    # the dataclasses compare field by field, and the types of the values
-    # must be the ones the file writer accepts
-    assert [t.meta for t in ds.transactions] == metas
-    for meta in (t.meta for t in ds.transactions):
-        assert type(meta.reference_id) is int
-        assert all(type(t.block) is int and type(t.distractor) is bool for t in meta.turns)
+    reference = _gemv_reference(cfg, count, distractor_prob)
+    # equal values of the dtypes the file writer takes
+    for name, array in _arrays(ds).items():
+        np.testing.assert_array_equal(array, reference[name], err_msg=name)
+        assert array.dtype == reference[name].dtype, name
 
 
 class TestChunkedGroundTruth:
@@ -297,7 +276,7 @@ class TestChunkedGroundTruth:
 
     def test_scale_preset_past_one_chunk_equals_one_gemv_per_turn(self):
         cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3)
-        chunk = block_rows(make_db(cfg), 8) // cfg.max_turns
+        chunk = _chunk(cfg, 17)
         assert chunk == 16
         _assert_matches_gemv_reference(cfg, chunk + 1, distractor_prob=0.3)
 
@@ -310,7 +289,7 @@ class TestChunkedGroundTruth:
                             lambda *args: chunks.append(args) or nearest_ids(*args))
         cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3,
                          distractor_prob=0.3)
-        gen_distractor(cfg, block_rows(make_db(cfg), 8) // cfg.max_turns)
+        gen_distractor(cfg, _chunk(cfg, 16))
         [(db, features64, composites, norms)] = chunks
         # as _nearest_ids and _nearest_id compute them
         block = composites @ features64.T
@@ -354,44 +333,71 @@ class TestChunkedGroundTruth:
 # ---------------------------------------------------------------- distractors
 
 class TestDistractors:
-    def test_zero_probability_matches_block_reveal(self):
-        cfg = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32,
-                         distractor_prob=0.0, seed=11)
-        assert datasets_equal(gen_distractor(cfg, count=8), gen_block_reveal(cfg, count=8))
-
-    def test_block_reveal_ignores_distractor_prob(self):
-        base = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32, seed=11)
-        noisy = TaskConfig(**{**base.__dict__, "distractor_prob": 0.7})
-        assert datasets_equal(gen_block_reveal(base, count=8), gen_block_reveal(noisy, count=8))
-
     def test_all_distractor_turns_keep_ground_truth_at_reference(self):
         # pure-noise turns never update the composite, so every turn's
         # nearest candidate stays the reference itself
         cfg = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32,
                          distractor_prob=1.0, seed=5)
         ds = gen_distractor(cfg, count=10)
-        for txn in ds.transactions:
-            assert all(t.distractor for t in txn.meta.turns)
-            assert all(int(i) == txn.meta.reference_id for i in txn.target_ids)
-            np.testing.assert_allclose(np.linalg.norm(txn.queries, axis=1), 1.0, atol=1e-5)
+        assert np.all(ds.distractor)
+        np.testing.assert_array_equal(ds.target_ids, np.repeat(ds.refs[:, None], 4, axis=1))
+        np.testing.assert_allclose(np.linalg.norm(ds.queries, axis=2), 1.0, atol=1e-5)
 
     def test_distractor_flags_mix_at_half_probability(self):
         cfg = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32,
                          distractor_prob=0.5, seed=5)
         ds = gen_distractor(cfg, count=50)
-        flags = [t.distractor for txn in ds.transactions for t in txn.meta.turns]
-        assert 0.3 < np.mean(flags) < 0.7
+        assert 0.3 < np.mean(ds.distractor) < 0.7
 
 
-# --------------------------------------------------------------- transactions
+# ------------------------------------------------------------------- dataset
 
-class TestPadding:
-    def test_transaction_validates_turn_counts(self, rng):
-        q = rng.normal(size=(2, 4)).astype(np.float32)
-        with pytest.raises(DegenerateInputError):
-            Transaction(q, np.array([1]))
-        with pytest.raises(DegenerateInputError):
-            Transaction(q, np.array([1, 2, 3]))
+def _arrays(ds: SyntheticDataset) -> dict[str, np.ndarray]:
+    """The dataset's per-transaction arrays by field name."""
+    return {name: getattr(ds, name)
+            for name in ("queries", "target_ids", "refs", "blocks", "distractor")}
+
+
+def _head(ds: SyntheticDataset, count: int) -> SyntheticDataset:
+    """The dataset's first ``count`` transactions."""
+    return dataclasses.replace(ds, **{name: a[:count] for name, a in _arrays(ds).items()})
+
+
+def _chunk(cfg: TaskConfig, count: int) -> int:
+    """Transactions per chunk when ``gen_distractor`` makes ``count`` of ``cfg``'s:
+    its float64 scores of every turn against the db fit one score block."""
+    first = row_blocks(count, 8 * cfg.db_size * cfg.max_turns)[0]
+    return first.stop - first.start
+
+
+class TestDataset:
+    @pytest.mark.parametrize("name, cut", [
+        ("queries", np.s_[:, :-1]), ("queries", np.s_[:, :, :-1]), ("target_ids", np.s_[:-1]),
+        ("target_ids", np.s_[:, :-1]), ("refs", np.s_[:-1]), ("blocks", np.s_[:, :-1]),
+        ("distractor", np.s_[:-1]),
+    ], ids=["queries-turns", "queries-width", "target_ids-rows", "target_ids-turns", "refs-rows",
+            "blocks-turns", "distractor-rows"])
+    def test_arrays_must_agree_in_transactions_and_turns(self, name, cut):
+        ds = gen_distractor(SMALL, count=3)
+        with pytest.raises(DegenerateInputError, match="do not hold the same 3 transactions "
+                                                       "of 4 turns"):
+            dataclasses.replace(ds, **{name: getattr(ds, name)[cut]})
+
+    @pytest.mark.parametrize("change", [
+        "queries", "target_ids", "refs", "blocks", "distractor", "task", "split"])
+    def test_one_changed_element_makes_datasets_unequal(self, change):
+        ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=3)
+        other = dataclasses.replace(ds, **{name: a.copy() for name, a in _arrays(ds).items()})
+        assert datasets_equal(other, ds)
+        if change == "task":
+            other.task = dataclasses.replace(ds.task, noise_std=0.5)
+        elif change == "split":
+            other.split = "val"
+        else:
+            array = getattr(other, change)
+            last = (-1,) * array.ndim
+            array[last] = ~array[last] if array.dtype == bool else array[last] + 1
+        assert not datasets_equal(other, ds)
 
 
 # -------------------------------------------------------------- serialization
@@ -402,7 +408,7 @@ ENTRIES = ("header", "db.ids", "db.features", "queries", "target_ids", "meta.ref
 
 def _saved(tmp_path, ds=None, name="ds.bin") -> str:
     path = str(tmp_path / name)
-    save_dataset(gen_block_reveal(SMALL, count=3) if ds is None else ds, path)
+    save_dataset(gen_distractor(SMALL, count=3) if ds is None else ds, path)
     return path
 
 
@@ -442,18 +448,18 @@ class TestSerialization:
         assert loaded.task == ds.task and loaded.split == "val"
 
     def test_same_dataset_saves_identical_bytes(self, tmp_path):
-        p1 = _saved(tmp_path, gen_block_reveal(SMALL, count=4), "a.bin")
-        p2 = _saved(tmp_path, gen_block_reveal(SMALL, count=4), "b.bin")
+        p1 = _saved(tmp_path, gen_distractor(SMALL, count=4), "a.bin")
+        p2 = _saved(tmp_path, gen_distractor(SMALL, count=4), "b.bin")
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_round_trip_is_bit_exact(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=3)
+        ds = gen_distractor(SMALL, count=3)
         loaded = load_dataset(_saved(tmp_path, ds))
-        for a, b in zip(ds.transactions, loaded.transactions):
-            assert a.queries.tobytes() == b.queries.tobytes()
+        for name, array in _arrays(ds).items():
+            assert getattr(loaded, name).tobytes() == array.tobytes(), name
 
     def test_file_holds_the_task_and_the_stacked_arrays(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=3, split="val")
+        ds = gen_distractor(SMALL, count=3, split="val")
         entries = ckpt_io.load_entries(_saved(tmp_path, ds))
         assert tuple(entries) == ENTRIES
         assert json.loads(entries["header"].tobytes()) == {
@@ -466,11 +472,11 @@ class TestSerialization:
 
     def test_failed_save_keeps_the_existing_file(self, tmp_path):
         path = tmp_path / "ds.bin"
-        save_dataset(gen_block_reveal(SMALL, count=2), str(path))
+        save_dataset(gen_distractor(SMALL, count=2), str(path))
         before = path.read_bytes()
-        broken = gen_block_reveal(SMALL, count=3)
+        broken = gen_distractor(SMALL, count=3)
         # float64 queries: the container raises after the header and the db are written
-        broken.transactions[-1].queries = broken.transactions[-1].queries.astype(np.float64)
+        broken.queries = broken.queries.astype(np.float64)
         with pytest.raises(CheckpointError, match="'queries' must be float32"):
             save_dataset(broken, str(path))
         assert path.read_bytes() == before
@@ -507,7 +513,7 @@ class TestSerialization:
     def test_truncation_at_every_field_offset_is_rejected(self, tmp_path):
         # a one-transaction, one-turn split is short enough to cut at every byte
         tiny = TaskConfig(feature_dim=4, blocks=2, max_turns=1, db_size=8)
-        path = _saved(tmp_path, gen_block_reveal(tiny, count=1))
+        path = _saved(tmp_path, gen_distractor(tiny, count=1))
         data = open(path, "rb").read()
         for size in range(len(data)):
             open(path, "wb").write(data[:size])
@@ -518,7 +524,7 @@ class TestSerialization:
         # the container reads each payload once, into its array: a load that
         # also held the file's bytes would peak near twice its size. The
         # queries are 90% of this file, so the db's norms add little.
-        ds = gen_block_reveal(TaskConfig(feature_dim=768, db_size=200), count=500)
+        ds = gen_distractor(TaskConfig(feature_dim=768, db_size=200), count=500)
         path = _saved(tmp_path, ds, "big.bin")
         tracemalloc.start()
         try:
@@ -532,7 +538,7 @@ class TestSerialization:
     def test_loaded_splits_share_one_db(self, tmp_path):
         # a task of its own, so that no other test's dataset holds its db
         cfg = TaskConfig(feature_dim=768, blocks=4, max_turns=4, db_size=2000, seed=33)
-        paths = [_saved(tmp_path, gen_block_reveal(cfg, count=4, split=split), f"{split}.bin")
+        paths = [_saved(tmp_path, gen_distractor(cfg, count=4, split=split), f"{split}.bin")
                  for split in ("train", "val")]
         drawn = weakref.ref(make_db(cfg))
         gc.collect()
@@ -551,11 +557,11 @@ class TestSerialization:
         assert make_db(cfg).features.tobytes() == train.db.features.tobytes()
 
     def test_a_load_takes_the_drawn_db_its_file_holds(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=3)
+        ds = gen_distractor(SMALL, count=3)
         assert load_dataset(_saved(tmp_path, ds)).db is ds.db
 
     def test_a_file_with_another_db_value_gets_its_own_db(self, tmp_path):
-        ds = gen_block_reveal(SMALL, count=3)
+        ds = gen_distractor(SMALL, count=3)
         features = ds.db.features.copy()
         features[3, 5] = np.nextafter(features[3, 5], np.float32(2))
         changed = load_dataset(_rewritten(_saved(tmp_path, ds), _set("db.features", (3, 5),
@@ -720,13 +726,9 @@ def _digests(dataset, path) -> tuple[str, str]:
     save_dataset(dataset, str(path))
     with open(path, "rb") as fh:
         file_digest = hashlib.sha256(fh.read()).hexdigest()
-    txns = dataset.transactions
     arrays = hashlib.sha256()
-    for part in (dataset.db.ids, dataset.db.features,
-                 np.stack([t.queries for t in txns]), np.stack([t.target_ids for t in txns]),
-                 np.array([t.meta.reference_id for t in txns], np.int64),
-                 np.array([[m.block for m in t.meta.turns] for t in txns], np.int64),
-                 np.array([[m.distractor for m in t.meta.turns] for t in txns], np.uint8)):
+    for part in (dataset.db.ids, dataset.db.features, dataset.queries, dataset.target_ids,
+                 dataset.refs, dataset.blocks, dataset.distractor.astype(np.uint8)):
         arrays.update(np.ascontiguousarray(part).tobytes())
     return file_digest, arrays.hexdigest()
 
@@ -738,7 +740,7 @@ class TestGoldenData:
 
     def test_desk_split_with_distractors_past_one_chunk_is_pinned(self, tmp_path):
         cfg = TaskConfig(distractor_prob=0.3)
-        assert block_rows(make_db(cfg), 8) // cfg.max_turns == 640
+        assert _chunk(cfg, 700) == 640
         assert _digests(gen_distractor(cfg, count=700), tmp_path / "desk.bin") == (
             DESK_DISTRACTOR_FILE_SHA256, DESK_DISTRACTOR_ARRAYS_SHA256)
 
@@ -749,7 +751,5 @@ class TestGoldenData:
 
     def test_scale_preset_transactions_are_pinned(self):
         ds = gen_distractor(TaskConfig(feature_dim=768, db_size=10000, max_turns=4), count=8)
-        queries = np.stack([t.queries for t in ds.transactions])
-        target_ids = np.stack([t.target_ids for t in ds.transactions])
-        digest = hashlib.sha256(queries.tobytes() + target_ids.tobytes()).hexdigest()
+        digest = hashlib.sha256(ds.queries.tobytes() + ds.target_ids.tobytes()).hexdigest()
         assert digest == SCALE_TXN_SHA256

@@ -102,10 +102,8 @@ def _load_eval_dataset(args: argparse.Namespace, cfg: TrainConfig):
     if not args.data:
         return gen_distractor(cfg.task, cfg.val_count, split="val")
     dataset = load_dataset(args.data)
-    differs = harness._differing_keys(dataclasses.asdict(dataset.task),
-                                      dataclasses.asdict(cfg.task))
-    if differs:
-        raise ConfigError(f"{args.data}: its task differs from {args.checkpoint}'s in {differs}")
+    harness.require_task(dataset.task, cfg.task, ConfigError,
+                         f"{args.data}: its task differs from {args.checkpoint}'s")
     return dataset
 
 
@@ -146,11 +144,9 @@ def _cmd_ablate_memories(args: argparse.Namespace) -> int:
 def _cmd_turn_importance(args: argparse.Namespace) -> int:
     ckpt, model = _restored(args.checkpoint)
     base_ckpt, baseline = _restored(args.baseline_checkpoint)
-    differs = harness._differing_keys(dataclasses.asdict(base_ckpt.cfg.task),
-                                      dataclasses.asdict(ckpt.cfg.task))
-    if differs:
-        raise CheckpointError(f"{args.baseline_checkpoint}: its task differs from "
-                              f"{args.checkpoint}'s in {differs}")
+    harness.require_task(base_ckpt.cfg.task, ckpt.cfg.task, CheckpointError,
+                         f"{args.baseline_checkpoint}: its task differs from "
+                         f"{args.checkpoint}'s")
     dataset = _load_eval_dataset(args, ckpt.cfg)
     summary = harness.turn_importance(model, baseline, dataset, ckpt.cfg.eval_batch_size,
                                       ckpt.cfg.seed, out_dir=args.out)

@@ -71,16 +71,11 @@ def _new_model(cfg: TrainConfig, rng: np.random.Generator | None):
     return MeanModel()
 
 
-def stack_batch(dataset: SyntheticDataset, rows: np.ndarray,
-                target_rows: np.ndarray) -> tuple[np.ndarray, list[Tensor]]:
+def stack_batch(dataset: SyntheticDataset, rows: np.ndarray) -> tuple[np.ndarray, list[Tensor]]:
     """The train batch of ``dataset``'s transactions ``rows``: their (B, N, D)
-    queries and each turn's (B, D) target features.
-
-    ``target_rows`` is ``dataset.db.rows_of(dataset.target_ids)``, which the
-    caller maps once for every batch it takes.
-    """
-    features = dataset.db.features
-    return dataset.queries[rows], [Tensor(features[target_rows[rows, n]])
+    queries and each turn's (B, D) target features."""
+    features, targets = dataset.db.features, dataset.target_ids[rows]
+    return dataset.queries[rows], [Tensor(features[targets[:, n]])
                                    for n in range(dataset.max_turns)]
 
 
@@ -181,22 +176,21 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
     there: perfbench's validation phase is rooted at ``evaluate_model``,
     whose own time may be at most a quarter of the phase.
     """
-    db = dataset.db
-    rows = db.rows_of(dataset.target_ids[:, -1])
-    if len(rows) != len(final_preds):
+    db, finals = dataset.db, dataset.target_ids[:, -1]
+    if len(finals) != len(final_preds):
         raise ShapeError("_recall_report", f"{len(final_preds)} predictions for "
-                                           f"{len(rows)} transactions")
+                                           f"{len(finals)} transactions")
     ks = np.array(RECALL_KS)
     hits = np.zeros(len(ks), dtype=np.int64)
-    for chunk in row_blocks(len(rows), final_preds.itemsize * len(db)):
-        preds, targets = final_preds[chunk], rows[chunk]
+    for chunk in row_blocks(len(finals), final_preds.itemsize * len(db)):
+        preds, targets = final_preds[chunk], finals[chunk]
         lo, exact = unsettled(similarity_scores(preds, db), targets, db.dim, ks)
         for j in np.flatnonzero(exact):
             lo[j] = rank_of(similarity_scores(preds[j], db), db.ids, targets[j])
         hits += np.count_nonzero(lo[:, None] < ks, axis=0)
-    report = {"count": len(rows)}
+    report = {"count": len(finals)}
     for k, hit in zip(RECALL_KS, hits):
-        report[f"r{k}"] = int(hit) / len(rows)
+        report[f"r{k}"] = int(hit) / len(finals)
     report["mean_r5_r8"] = (report["r5"] + report["r8"]) / 2.0
     return report
 
@@ -305,9 +299,9 @@ def default_datasets(cfg: TrainConfig, train_ds: SyntheticDataset | None = None,
     ``ConfigError`` names the split and the task keys that differ.
     """
     for split, ds in (("train", train_ds), ("val", val_ds)):
-        if ds is not None and ds.task != cfg.task:
-            differs = _differing_keys(dataclasses.asdict(ds.task), dataclasses.asdict(cfg.task))
-            raise ConfigError(f"{split} split's task differs from config.task in {differs}")
+        if ds is not None:
+            require_task(ds.task, cfg.task, ConfigError,
+                         f"{split} split's task differs from config.task")
     if train_ds is None:
         train_ds = gen_distractor(cfg.task, cfg.train_count, split="train")
     if val_ds is None:
@@ -353,6 +347,15 @@ def _diverged_message(epoch: int, batch_index: int, loss_value: float,
     detail = ", ".join(f"{name}={value:.3e}" for name, value in worst)
     return (f"non-finite loss {loss_value!r} at epoch {epoch}, batch {batch_index}; "
             f"largest parameter norms: {detail}")
+
+
+def require_task(task: TaskConfig, expected: TaskConfig, error: type[CmntmError],
+                 message: str) -> None:
+    """Raise ``error`` with ``message`` and the task keys that differ, unless
+    ``task`` equals ``expected``."""
+    if task != expected:
+        differs = _differing_keys(dataclasses.asdict(task), dataclasses.asdict(expected))
+        raise error(f"{message} in {differs}")
 
 
 def _differing_keys(a: dict, b: dict, prefix: str = "") -> list[str]:
@@ -407,7 +410,6 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
         opt.step_count = ckpt.adam_step
         start_epoch = ckpt.epoch
     trainable = len(params) > 0
-    target_rows = train_ds.db.rows_of(train_ds.target_ids)
     metrics_rows: list[dict] = []
     count = len(train_ds.queries)
     metrics_path = None
@@ -427,7 +429,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             idx = order[start:start + cfg.batch_size]
             if len(idx) < 2:
                 continue
-            queries, targets = stack_batch(train_ds, idx, target_rows)
+            queries, targets = stack_batch(train_ds, idx)
             state = model.initial_state([_rng(_TRAIN_MEM_TAG, cfg.seed, epoch, i) for i in idx])
             try:
                 with Tape() as tape:
@@ -570,7 +572,7 @@ def _suffix_queries(dataset: SyntheticDataset, entry_turn: int) -> np.ndarray:
     blocks = dataset.blocks[:, entry_turn:, None]
     # a block that ends past the feature raises here, as its slice would
     block_slice(int(blocks.max()), block_len, dataset.feature_dim)
-    granted = db.features[db.rows_of(dataset.target_ids[:, entry_turn - 1])]
+    granted = db.features[dataset.target_ids[:, entry_turn - 1]]
     own = np.arange(dataset.feature_dim) // block_len == blocks
     return np.where(own, queries, granted[:, None])
 
@@ -710,10 +712,8 @@ def timing_experiment(cascade_configs: Sequence[CascadeConfig], task: TaskConfig
         if loaded.cfg.cascade not in cascade_configs:
             raise CheckpointError(f"{checkpoint_path}: its cascade {loaded.cfg.cascade} "
                                   f"matches no timed configuration")
-        if loaded.cfg.task != task:
-            differs = _differing_keys(dataclasses.asdict(loaded.cfg.task), dataclasses.asdict(task))
-            raise CheckpointError(f"{checkpoint_path}: its task differs from the timed task "
-                                  f"in {differs}")
+        require_task(loaded.cfg.task, task, CheckpointError,
+                     f"{checkpoint_path}: its task differs from the timed task")
     dataset = gen_distractor(task, max(txn_count, 32), split="val")
     rows = []
     for cc in cascade_configs:

@@ -22,41 +22,34 @@ SCORE_BLOCK_BYTES = 5 << 20
 
 @dataclass
 class CandidateDB:
-    """Fixed candidate set: integer ids aligned with feature rows.
+    """Fixed candidate set: candidate ``i`` is feature row ``i``.
 
-    ``row_norms`` holds each feature row's L2 norm, computed once here for
-    every db-wide cosine, a block of rows at a time (``row_blocks``) so that
-    no temporary the size of the db is built. ``ids`` and ``features`` are
-    read-only views of the given arrays, so writes through the db raise
-    instead of leaving the norms or the id order stale; the caller must not
-    change the arrays it passed in either.
+    ``ids`` is ``np.arange(len(db))``, kept for the rankings, which break
+    ties by id. ``row_norms`` holds each feature row's L2 norm, computed
+    once here for every db-wide cosine, a block of rows at a time
+    (``row_blocks``) so that no temporary the size of the db is built.
+    ``features`` is a read-only view of the given array, so writes through
+    the db raise instead of leaving the norms stale; the caller must not
+    change the array it passed in either.
     """
 
-    ids: np.ndarray       # (count,) unique integers
     features: np.ndarray  # (count, D), read-only
+    ids: np.ndarray = field(init=False, repr=False)        # (count,) 0..count-1, read-only
     row_norms: np.ndarray = field(init=False, repr=False)  # (count,)
 
     def __post_init__(self):
-        self.ids = np.asarray(self.ids, dtype=np.int64).view()
         self.features = np.asarray(self.features).view()
-        self.ids.flags.writeable = self.features.flags.writeable = False
+        self.features.flags.writeable = False
         if self.features.ndim != 2:
             raise ShapeError("CandidateDB", f"features must be 2-d, got {self.features.shape}")
-        if self.ids.shape != (self.features.shape[0],):
-            raise ShapeError("CandidateDB",
-                             f"{self.ids.shape[0]} ids for {self.features.shape[0]} feature rows")
         if len(self) < 2:
             raise DegenerateInputError("CandidateDB: need at least 2 candidates")
-        # rows in ascending id order, and those ids: rows_of's search
-        self._order = np.argsort(self.ids)
-        self._sorted_ids = self.ids[self._order]
-        if np.any(self._sorted_ids[1:] == self._sorted_ids[:-1]):
-            raise DegenerateInputError("CandidateDB: duplicate candidate ids")
+        self.ids = np.arange(len(self), dtype=np.int64)
         # each row's norm reduces that row alone, so blocking changes no bit
         self.row_norms = np.concatenate([
             np.linalg.norm(self.features[rows], axis=1)
             for rows in row_blocks(len(self), self.features.itemsize * self.dim)])
-        self.row_norms.flags.writeable = False
+        self.ids.flags.writeable = self.row_norms.flags.writeable = False
         if np.any(self.row_norms <= COSINE_EPS):
             raise DegenerateInputError("CandidateDB: zero-norm candidate feature")
 
@@ -67,23 +60,12 @@ class CandidateDB:
     def dim(self) -> int:
         return self.features.shape[1]
 
-    def rows_of(self, ids) -> np.ndarray:
-        """The feature row of each id in ``ids``, an array of the same shape.
-
-        An id that is not in the db raises ``KeyError``.
-        """
-        ids = np.asarray(ids)
-        at = np.searchsorted(self._sorted_ids, ids).clip(max=len(self) - 1)
-        unknown = self._sorted_ids[at] != ids
-        if unknown.any():
-            raise KeyError(f"CandidateDB: unknown candidate id {ids[unknown][0]}")
-        return self._order[at]
-
     def index_of(self, candidate_id: int) -> int:
-        return int(self.rows_of(candidate_id))
-
-    def feature_of(self, candidate_id: int) -> np.ndarray:
-        return self.features[self.index_of(candidate_id)]
+        """The feature row of ``candidate_id``, which is the id itself; an id
+        outside the db raises ``KeyError``."""
+        if not 0 <= candidate_id < len(self):
+            raise KeyError(f"CandidateDB: unknown candidate id {candidate_id}")
+        return int(candidate_id)
 
 
 @dataclass

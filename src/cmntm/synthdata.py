@@ -109,7 +109,8 @@ class Transaction(NamedTuple):
 class SyntheticDataset:
     """T transactions of the task's N turns each, as stacked arrays.
 
-    A turn's ground-truth feature is the db's row for its target id.
+    An id is a row of the db: a turn's ground-truth feature is
+    ``db.features[target_id]``, so every id must lie in ``[0, len(db))``.
     """
 
     task: TaskConfig        # the task the transactions were drawn from
@@ -129,6 +130,11 @@ class SyntheticDataset:
             raise DegenerateInputError(
                 f"SyntheticDataset: queries, target ids, refs, blocks and distractor flags "
                 f"of shapes {shapes} do not hold the same {t} transactions of {n} turns")
+        for name, ids in (("target ids", self.target_ids), ("refs", self.refs)):
+            outside = (ids < 0) | (ids >= len(self.db))
+            if outside.any():
+                raise DegenerateInputError(f"SyntheticDataset: {name} must lie in "
+                                           f"[0, {len(self.db)}), got {ids[outside][0]}")
 
     @property
     def max_turns(self) -> int:
@@ -176,20 +182,19 @@ def make_db(config: TaskConfig) -> CandidateDB:
     key = _db_key(config)
     db = _DBS.get(key)
     if db is None:
-        db = _DBS[key] = CandidateDB(np.arange(config.db_size), _db_features(config))
+        db = _DBS[key] = CandidateDB(_db_features(config))
     return db
 
 
-def _holds(db: CandidateDB, ids: np.ndarray, features: np.ndarray) -> bool:
-    """Whether ``db``'s ids and float32 features equal these, byte for byte.
+def _holds(db: CandidateDB, features: np.ndarray) -> bool:
+    """Whether ``db``'s float32 features equal these, byte for byte.
 
     The caller found ``db`` by the task's ``_db_key``, so the shapes agree.
     The features are compared as int32 bit patterns, a block of rows at a
     time, so -0.0 differs from 0.0 and no full-size temporary is built.
     """
-    return (np.array_equal(db.ids, ids)
-            and all(np.array_equal(db.features[rows].view(np.int32), features[rows].view(np.int32))
-                    for rows in row_blocks(len(features), 4 * db.dim)))
+    return all(np.array_equal(db.features[rows].view(np.int32), features[rows].view(np.int32))
+               for rows in row_blocks(len(features), 4 * db.dim))
 
 
 def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> int:
@@ -200,7 +205,7 @@ def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> 
     NEP 50 even below it.
     """
     norms = db.row_norms * np.maximum(np.linalg.norm(vector), 1e-30)
-    return int(db.ids[np.argmax(features64 @ vector / norms)])
+    return int(np.argmax(features64 @ vector / norms))
 
 
 def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,
@@ -220,17 +225,16 @@ def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray
         cosines[i:i + 64] /= norms[i:i + 64, None] * db.row_norms
     best = np.argmax(cosines, axis=1)
     _, exact = unsettled(cosines, best, db.dim, (1,))
-    ids = db.ids[best]
     for j in np.flatnonzero(exact):
-        ids[j] = _nearest_id(db, features64, composites[j])
-    return ids
+        best[j] = _nearest_id(db, features64, composites[j])
+    return best
 
 
 def _draw(ds: SyntheticDataset, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     """Draw transactions ``rows`` of ``ds``.
 
     Their refs, blocks, distractor flags and distractor turns' queries are
-    written into ``ds``. Returned are each one's target row, and the noise
+    written into ``ds``. Returned are each one's target id, and the noise
     on each turn's revealed block (0 on a distractor), shaped
     (n, N, block_len). Each transaction draws from its own generator, keyed
     by its index, so generation order never affects content.
@@ -260,10 +264,9 @@ def _assemble(ds: SyntheticDataset, rows: slice, targets: np.ndarray, noise: np.
     turn's clean composite.
 
     ``composites[k, n]`` is the chunk's transaction k's composite after turn
-    n. Rows of ``features64`` are addressed by position, which equals id in
-    a db from ``make_db`` (its ids are ``np.arange``). Each value is the
-    elementwise result one transaction at a time would give: a copied
-    feature, or a float64 sum cast once to float32.
+    n. An id is its row of ``features64``. Each value is the elementwise
+    result one transaction at a time would give: a copied feature, or a
+    float64 sum cast once to float32.
     """
     refs, blocks, distractor, queries = (ds.refs[rows], ds.blocks[rows], ds.distractor[rows],
                                          ds.queries[rows])
@@ -296,8 +299,9 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
         raise ValueError("dataset must contain at least one transaction")
     db = make_db(config)
     turns, dim = config.max_turns, config.feature_dim
+    # the ids start as 0, a row of the db, since the dataset checks them
     ds = SyntheticDataset(config, db, np.empty((count, turns, dim), np.float32),
-                          np.empty((count, turns), np.int64), np.empty(count, np.int64),
+                          np.zeros((count, turns), np.int64), np.zeros(count, np.int64),
                           np.empty((count, turns), np.int64), np.zeros((count, turns), bool),
                           split)
     # one upcast per call; each chunk's GEMM then reads it directly
@@ -345,13 +349,13 @@ def load_dataset(path: str) -> SyntheticDataset:
     The container checks its own structure (magic, sizes, truncation,
     duplicate names). This checks what the entries mean: the header's task
     passes the checks a config file's task gets, every entry is present with
-    the dtype and shape the task gives it, values are finite, target and
-    reference ids lie in the db, blocks in ``[0, task.blocks)``, and
-    distractor flags are 0 or 1. A failure raises ``DatasetFormatError``
-    naming the entry.
+    the dtype and shape the task gives it, ``db.ids`` is 0..S-1 (an id is
+    its row), values are finite, target and reference ids lie in
+    ``[0, S)``, blocks in ``[0, task.blocks)``, and distractor flags are 0
+    or 1. A failure raises ``DatasetFormatError`` naming the entry.
 
-    The split takes a live db of its task whose ids and features equal the
-    file's byte for byte, ``make_db``'s or an earlier load's, so loaded
+    The split takes a live db of its task whose features equal the file's
+    byte for byte, ``make_db``'s or an earlier load's, so loaded
     splits hold one db. Otherwise it builds its own, which later loads may
     take and ``make_db`` never returns.
     """
@@ -397,12 +401,13 @@ def load_dataset(path: str) -> SyntheticDataset:
                             f"got {got.dtype} of shape {got.shape}")
     if t == (0,):
         raise bad("queries", "holds no transactions")
-    ids, blocks = entries["db.ids"], entries["meta.block"]
+    blocks, targets, refs = entries["meta.block"], entries["target_ids"], entries["meta.ref"]
     for name, wrong, what in (
+            ("db.ids", entries["db.ids"] != np.arange(s), "an id other than its row"),
             ("db.features", ~np.isfinite(entries["db.features"]), "a non-finite value"),
             ("queries", ~np.isfinite(entries["queries"]), "a non-finite value"),
-            ("target_ids", ~np.isin(entries["target_ids"], ids), "an id not in the db"),
-            ("meta.ref", ~np.isin(entries["meta.ref"], ids), "an id not in the db"),
+            ("target_ids", (targets < 0) | (targets >= s), "an id not in the db"),
+            ("meta.ref", (refs < 0) | (refs >= s), "an id not in the db"),
             ("meta.block", (blocks < 0) | (blocks >= task.blocks),
              f"a block outside [0, {task.blocks})"),
             ("meta.distractor", entries["meta.distractor"] > 1, "a flag other than 0 or 1")):
@@ -410,16 +415,15 @@ def load_dataset(path: str) -> SyntheticDataset:
             raise bad(name, f"holds {what}: {entries[name][wrong][0]}")
     features, key = entries["db.features"], _db_key(task)
     db = next((live for live in (_DBS.get(key), _LOADED_DBS.get(key))
-               if live is not None and _holds(live, ids, features)), None)
+               if live is not None and _holds(live, features)), None)
     if db is None:
         try:
-            db = _LOADED_DBS[key] = CandidateDB(ids, features)
+            db = _LOADED_DBS[key] = CandidateDB(features)
         except DegenerateInputError as e:
-            raise bad("db.ids", f"and 'db.features' make no candidate db: {e}") from None
+            raise bad("db.features", f"makes no candidate db: {e}") from None
     # the flags were checked to be 0 or 1, so they view as bools
-    return SyntheticDataset(task, db, entries["queries"], entries["target_ids"],
-                            entries["meta.ref"], blocks, entries["meta.distractor"].view(bool),
-                            raw["split"])
+    return SyntheticDataset(task, db, entries["queries"], targets, refs, blocks,
+                            entries["meta.distractor"].view(bool), raw["split"])
 
 
 def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:

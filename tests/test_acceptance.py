@@ -123,7 +123,7 @@ def test_criterion_3_oracle_equivalence():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
         feats = rng.normal(size=(100, 12))
-        db = CandidateDB(ids=np.arange(100), features=feats)
+        db = CandidateDB(feats)
         queries = rng.normal(size=(25, 12))
         targets = rng.integers(0, 100, size=25)
         rankings = [rank(similarity_scores(q, db), db.ids) for q in queries]

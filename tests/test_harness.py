@@ -75,7 +75,7 @@ def trained_run(tmp_path_factory):
 
 def _batch(ds) -> tuple[np.ndarray, list[Tensor]]:
     """The dataset as one train batch: its queries and each turn's target features."""
-    return harness.stack_batch(ds, np.arange(len(ds.queries)), ds.db.rows_of(ds.target_ids))
+    return harness.stack_batch(ds, np.arange(len(ds.queries)))
 
 
 def _rows(ds, index) -> SyntheticDataset:
@@ -613,15 +613,12 @@ class TestTraining:
         assert result.metrics[0]["train_loss"] == 0.0
 
     def test_stack_batch_takes_each_turns_target_features(self, tiny_val):
-        # reversed ids, so that a target's db row is not its id
-        db = CandidateDB(tiny_val.db.ids[::-1], tiny_val.db.features)
-        ds = dataclasses.replace(tiny_val, db=db)
-        rows = np.array([5, 0, 2])
-        queries, targets = harness.stack_batch(ds, rows, db.rows_of(ds.target_ids))
+        ds, rows = tiny_val, np.array([5, 0, 2])
+        queries, targets = harness.stack_batch(ds, rows)
         assert queries.tobytes() == np.stack([ds.queries[r] for r in rows]).tobytes()
         assert len(targets) == ds.max_turns
         for n, target in enumerate(targets):
-            expected = np.stack([db.feature_of(ds.target_ids[r, n]) for r in rows])
+            expected = np.stack([ds.db.features[ds.target_ids[r, n]] for r in rows])
             assert target.data.tobytes() == expected.tobytes()
 
 
@@ -1014,21 +1011,21 @@ class TestEvaluation:
     @pytest.mark.parametrize("seed", range(6))
     def test_recall_report_matches_rank_and_recall_at_k(self, seed):
         # desk-sized db (256 x 32). Odd seeds use ternary rows, each twice,
-        # under shuffled ids, and integer predictions, half of them copies
-        # of the target row: exact score ties, the target's twin included.
+        # in shuffled rows, and integer predictions, half of them copies of
+        # the target row: exact score ties, the target's twin included.
         rng = np.random.default_rng(seed)
         ds = gen_distractor(TaskConfig(), count=40, split="val")
         targets = ds.target_ids[:, -1].tolist()
         if seed % 2:
             rows = rng.integers(-1, 2, size=(128, 32)).astype(np.float32)
             rows[np.all(rows == 0, axis=1), 0] = 1.0
-            ds = dataclasses.replace(ds, db=CandidateDB(rng.permutation(256),
-                                                        np.repeat(rows, 2, axis=0)))
+            twins = np.repeat(rows, 2, axis=0)[rng.permutation(256)]
+            ds = dataclasses.replace(ds, db=CandidateDB(twins))
             preds = rng.integers(-2, 3, size=(40, 32)).astype(np.float32)
             preds[np.all(preds == 0, axis=1), 0] = 1.0
-            preds[::2] = [ds.db.feature_of(t) for t in targets[::2]]
+            preds[::2] = ds.db.features[targets[::2]]
         else:
-            preds = np.stack([ds.db.feature_of(t) for t in targets])
+            preds = ds.db.features[targets]
             preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
         rankings = [rank(similarity_scores(p, ds.db), ds.db.ids) for p in preds]
         if seed % 2:
@@ -1042,7 +1039,7 @@ class TestEvaluation:
 
     def test_block_scores_lie_within_the_bound_of_gemv_scores(self):
         rng = np.random.default_rng(0)
-        db = CandidateDB(np.arange(2000), rng.normal(size=(2000, 768)).astype(np.float32))
+        db = CandidateDB(rng.normal(size=(2000, 768)).astype(np.float32))
         for dtype in (np.float32, np.float64):
             preds = rng.normal(size=(20, 768)).astype(dtype)
             block = similarity_scores(preds, db)
@@ -1077,14 +1074,15 @@ class TestEvaluation:
             winners = unit + 0.05 * rng.normal(size=(above, dim))
             nudged = target + 1e-7 * rng.normal(size=(trial % 3, dim))
             rows = np.vstack([winners, [target] * 3, nudged, rest[1:]]).astype(np.float32)
+            # the row built at p goes to row ids[p] of the db
             ids = rng.permutation(len(rows))
             if trial % 4 < 2:  # the target takes the lowest id of its exact copies
                 ids[above:above + 3] = np.sort(ids[above:above + 3])
-            db = CandidateDB(ids, rows)
+            db = CandidateDB(rows[np.argsort(ids)])
             ds = _one_turn_dataset(db, [int(ids[above])])
             preds = pred.astype(np.float32)[None]
             scores = similarity_scores(preds[0], db)
-            places.add(rank_of(scores, ids, above))
+            places.add(rank_of(scores, db.ids, ids[above]))
             before = len(rescored)
             assert harness._recall_report(preds, ds) == _gemv_report(preds, ds)
             assert len(rescored) == before + 1
@@ -1092,10 +1090,9 @@ class TestEvaluation:
 
     def test_random_rows_over_a_10k_db(self):
         rng = np.random.default_rng(7)
-        db = CandidateDB(rng.permutation(10_000),
-                         rng.normal(size=(10_000, 768)).astype(np.float32))
-        targets = rng.choice(db.ids, size=300, replace=False)
-        feats = np.stack([db.feature_of(t) for t in targets])
+        db = CandidateDB(rng.normal(size=(10_000, 768)).astype(np.float32))
+        targets = rng.choice(len(db), size=300, replace=False)
+        feats = db.features[targets]
         # noise from none to ten times the signal spreads the targets' ranks
         scale = np.geomspace(1e-3, 10.0, 300)[:, None]
         preds = (feats + scale * rng.normal(size=feats.shape)).astype(np.float32)
@@ -1107,7 +1104,7 @@ class TestEvaluation:
     def test_counts_that_split_into_uneven_chunks(self, monkeypatch):
         rng = np.random.default_rng(3)
         ds = gen_distractor(TaskConfig(), count=40, split="val")
-        preds = np.stack([ds.db.feature_of(t) for t in ds.target_ids[:, -1]])
+        preds = ds.db.features[ds.target_ids[:, -1]]
         preds = preds + rng.normal(0.0, 0.25, size=preds.shape).astype(np.float32)
         # a block holds 3 float32 rows of the 256-row db (13 chunks of 3 and one
         # of 1), or 1 float64 row
@@ -1120,7 +1117,7 @@ class TestEvaluation:
     ], ids=["nan", "zero", "inf", "zero-then-nan", "nan-then-zero"])
     def test_unscorable_predictions_raise_as_the_gemv_loop_does(self, monkeypatch, bad):
         ds = gen_distractor(TaskConfig(), count=10, split="val")
-        preds = np.stack([ds.db.feature_of(t) for t in ds.target_ids[:, -1]])
+        preds = ds.db.features[ds.target_ids[:, -1]]
         for row, value in bad.items():
             preds[row] = value
         monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", 5 * 4 * 256)  # two chunks of 5

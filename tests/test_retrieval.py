@@ -27,7 +27,7 @@ from cmntm.retrieval import (
 
 def _random_db(rng, count=100, dim=16):
     feats = rng.normal(size=(count, dim))
-    return CandidateDB(ids=np.arange(count), features=feats)
+    return CandidateDB(feats)
 
 
 # ---------------------------------------------------------------- CandidateDB
@@ -38,45 +38,28 @@ class TestCandidateDB:
         assert len(db) == 10
         assert db.dim == 4
         assert db.index_of(7) == 7
-        np.testing.assert_array_equal(db.feature_of(3), db.features[3])
-
-    def test_ids_need_not_be_contiguous(self):
-        db = CandidateDB(ids=[40, 10, 30], features=np.eye(3))
-        assert db.index_of(30) == 2
-        np.testing.assert_array_equal(db.feature_of(10), [0.0, 1.0, 0.0])
-        np.testing.assert_array_equal(db.rows_of([[30, 40], [10, 10]]), [[2, 0], [1, 1]])
+        assert db.ids.dtype == np.int64 and db.ids.tolist() == list(range(10))
 
     def test_rejects_non_2d_features(self):
         with pytest.raises(ShapeError):
-            CandidateDB(ids=[0, 1], features=np.ones(2))
-
-    def test_rejects_misaligned_ids(self):
-        with pytest.raises(ShapeError):
-            CandidateDB(ids=[0, 1, 2], features=np.eye(2))
+            CandidateDB(np.ones(2))
 
     def test_rejects_single_candidate(self):
         with pytest.raises(DegenerateInputError):
-            CandidateDB(ids=[0], features=np.ones((1, 3)))
-
-    def test_rejects_duplicate_ids(self):
-        with pytest.raises(DegenerateInputError):
-            CandidateDB(ids=[5, 5], features=np.eye(2))
+            CandidateDB(np.ones((1, 3)))
 
     def test_rejects_zero_norm_feature(self):
         feats = np.eye(3)
         feats[1] = 0.0
         with pytest.raises(DegenerateInputError):
-            CandidateDB(ids=[0, 1, 2], features=feats)
+            CandidateDB(feats)
 
-    def test_unknown_id_raises(self, rng):
+    @pytest.mark.parametrize("unknown", [-1, 5, 99])
+    def test_unknown_id_raises(self, rng, unknown):
+        # an id is its row: -1 must not wrap round to the last one
         db = _random_db(rng, count=5, dim=3)
-        with pytest.raises(KeyError, match="unknown candidate id 99"):
-            db.index_of(99)
-        # below, between and above the db's ids
-        sparse = CandidateDB(ids=[40, 10, 30], features=np.eye(3))
-        for unknown in (5, 20, 50):
-            with pytest.raises(KeyError, match=rf"unknown candidate id {unknown}\b"):
-                sparse.rows_of([10, unknown, 30])
+        with pytest.raises(KeyError, match=rf"unknown candidate id {unknown}\b"):
+            db.index_of(unknown)
 
     def test_row_norms_are_the_feature_row_norms(self, rng):
         db = _random_db(rng, count=12, dim=5)
@@ -87,11 +70,11 @@ class TestCandidateDB:
         with pytest.raises(ValueError):
             db.features[0, 0] = 5.0
         with pytest.raises(ValueError):
-            db.feature_of(2)[:] = 0.0
+            db.ids[0] = 5
 
     def test_callers_array_stays_writable(self, rng):
         feats = rng.normal(size=(6, 3)).astype(np.float32)
-        db = CandidateDB(ids=np.arange(6), features=feats)
+        db = CandidateDB(feats)
         assert feats.flags.writeable
         assert np.shares_memory(db.features, feats)  # a view, not a copy
 
@@ -106,7 +89,7 @@ def test_row_norms_computed_by_blocks_equal_one_norm(seed, count, dim, dtype, bl
     feats = (np.random.default_rng(seed).normal(size=(count, dim)) * scale).astype(dtype)
     block_bytes = block_rows * feats.itemsize * dim
     with mock.patch.object(retrieval, "SCORE_BLOCK_BYTES", block_bytes):
-        db = CandidateDB(np.arange(count), feats)
+        db = CandidateDB(feats)
     expected = np.linalg.norm(feats, axis=1)
     assert db.row_norms.dtype == expected.dtype
     assert db.row_norms.tobytes() == expected.tobytes()
@@ -117,7 +100,7 @@ def test_row_norms_computed_by_blocks_equal_one_norm(seed, count, dim, dtype, bl
 class TestSimilarityScores:
     def test_hand_computed_cosines(self):
         feats = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        db = CandidateDB(ids=[0, 1, 2], features=feats)
+        db = CandidateDB(feats)
         scores = similarity_scores(np.array([1.0, 0.0]), db)
         np.testing.assert_allclose(scores, [1.0, 0.0, 1.0 / math.sqrt(2.0)], atol=1e-12)
 
@@ -132,8 +115,8 @@ class TestSimilarityScores:
         # reorder them
         feats = rng.normal(size=(30, 8))
         scales = rng.uniform(0.1, 10.0, size=(30, 1))
-        a = CandidateDB(ids=np.arange(30), features=feats)
-        b = CandidateDB(ids=np.arange(30), features=feats * scales)
+        a = CandidateDB(feats)
+        b = CandidateDB(feats * scales)
         q = rng.normal(size=8)
         np.testing.assert_array_equal(
             rank(similarity_scores(q, a), a.ids).ids, rank(similarity_scores(q, b), b.ids).ids)
@@ -168,7 +151,7 @@ class TestSimilarityScores:
             np.testing.assert_allclose(scores[row], similarity_scores(queries[row], db),
                                        rtol=0, atol=1e-12)
         # norms whose product passes a quarter of the largest float64
-        huge = CandidateDB(np.arange(3), np.diag([1e154, 1.0, 1.0, 1.0])[:3])
+        huge = CandidateDB(np.diag([1e154, 1.0, 1.0, 1.0])[:3])
         scores = similarity_scores(np.diag([1e154, 1.0, 1.0, 1.0])[:2], huge)
         assert np.isnan(scores[0]).all() and scores[1].tolist() == [0.0, 1.0, 0.0]
 
@@ -196,7 +179,7 @@ def test_similarity_scores_with_cached_norms_is_bit_equal(seed, count, dim, dtyp
     rng = np.random.default_rng(seed)
     feats = (rng.normal(size=(count, dim)) * scale).astype(dtype)
     feats[np.linalg.norm(feats, axis=1) <= 1e-6, 0] = 1.0
-    db = CandidateDB(ids=np.arange(count), features=feats)
+    db = CandidateDB(feats)
     query = rng.normal(size=dim).astype(dtype)
     qn = np.linalg.norm(query)
     old = np.clip(feats @ query / np.maximum(qn * np.linalg.norm(feats, axis=1), ad.COSINE_EPS),

@@ -176,7 +176,7 @@ def oracle_features(ds: SyntheticDataset, i: int) -> np.ndarray:
     block values (as stored in the query, noise included) overwrite the
     composite.
     """
-    composite = ds.db.feature_of(ds.refs[i]).astype(np.float64)
+    composite = ds.db.features[ds.refs[i]].astype(np.float64)
     out = np.empty_like(ds.queries[i], dtype=np.float64)
     for n, (block, distractor) in enumerate(zip(ds.blocks[i].tolist(), ds.distractor[i])):
         if not distractor:
@@ -209,7 +209,7 @@ class TestOracle:
         ds = gen_distractor(SMALL, count=3)
         feats = oracle_features(ds, 0)
         sl = block_slice(int(ds.blocks[0, 0]), SMALL.block_len, SMALL.feature_dim)
-        expected = ds.db.feature_of(ds.refs[0]).copy()
+        expected = ds.db.features[ds.refs[0]].copy()
         expected[sl] = ds.queries[0, 0][sl]
         np.testing.assert_allclose(feats[0], expected, atol=1e-7)
 
@@ -236,7 +236,7 @@ def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float) -> dict
             [synthdata._TXN_TAG, cfg.seed, synthdata._SPLIT_TAGS["train"], index]))
         ref, tgt = (int(v) for v in rng.choice(cfg.db_size, size=2, replace=False))
         refs.append(ref)
-        composite = db.feature_of(ref).astype(np.float64)
+        composite = db.features[ref].astype(np.float64)
         for block in rng.permutation(cfg.blocks)[:cfg.max_turns]:
             distractor = rng.random() < distractor_prob
             blocks.append(int(block))
@@ -246,10 +246,10 @@ def _gemv_reference(cfg: TaskConfig, count: int, distractor_prob: float) -> dict
                 query = noise / np.linalg.norm(noise)
             else:
                 sl = block_slice(int(block), cfg.block_len, cfg.feature_dim)
-                query = db.feature_of(ref).astype(np.float64)
-                query[sl] = db.feature_of(tgt)[sl] + rng.normal(0.0, cfg.noise_std,
-                                                                size=cfg.block_len)
-                composite[sl] = db.feature_of(tgt)[sl]
+                query = db.features[ref].astype(np.float64)
+                query[sl] = db.features[tgt][sl] + rng.normal(0.0, cfg.noise_std,
+                                                              size=cfg.block_len)
+                composite[sl] = db.features[tgt][sl]
             queries.append(query.astype(np.float32))
             norms = db.row_norms * max(np.linalg.norm(composite), 1e-30)
             target_ids.append(int(db.ids[np.argmax(features64 @ composite / norms)]))
@@ -304,7 +304,7 @@ class TestChunkedGroundTruth:
         # generated dbs are unit-norm; this one makes the row norms matter
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(300, 16)) * rng.uniform(0.1, 10.0, size=(300, 1))
-        db = CandidateDB(np.arange(300), feats.astype(np.float32))
+        db = CandidateDB(feats.astype(np.float32))
         features64 = db.features.astype(np.float64)
         composites = rng.normal(size=(40, 16))
         norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
@@ -312,11 +312,11 @@ class TestChunkedGroundTruth:
             synthdata._nearest_id(db, features64, c) for c in composites]
 
     def test_near_tie_keeps_the_lower_row_via_the_gemv(self, monkeypatch):
-        # rows 2 and 5 are the same feature under ids 50 and 10: np.argmax
-        # picks the lower row, so the id is 50, whichever way the GEMM rounds
+        # rows 2 and 5 are the same feature: np.argmax picks the lower row,
+        # so the id is 2, whichever way the GEMM rounds
         feats = np.random.default_rng(3).normal(size=(8, 16))
         feats[5] = feats[2]
-        db = CandidateDB(np.array([0, 1, 50, 3, 4, 10, 6, 7]), feats.astype(np.float32))
+        db = CandidateDB(feats.astype(np.float32))
         features64 = db.features.astype(np.float64)
         composites = features64[[2, 6]]
         norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
@@ -324,7 +324,7 @@ class TestChunkedGroundTruth:
         gemv = synthdata._nearest_id
         monkeypatch.setattr(synthdata, "_nearest_id",
                             lambda *args: fallbacks.append(args[2]) or gemv(*args))
-        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [50, 6]
+        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [2, 6]
         # only the tied composite is searched again
         assert len(fallbacks) == 1
         np.testing.assert_array_equal(fallbacks[0], composites[0])
@@ -382,6 +382,16 @@ class TestDataset:
         with pytest.raises(DegenerateInputError, match="do not hold the same 3 transactions "
                                                        "of 4 turns"):
             dataclasses.replace(ds, **{name: getattr(ds, name)[cut]})
+
+    @pytest.mark.parametrize("name", ["target_ids", "refs"])
+    @pytest.mark.parametrize("bad", [-1, 32])
+    def test_ids_must_be_rows_of_the_db(self, name, bad):
+        # an id indexes db.features, where -1 would wrap round to the last row
+        ds = gen_distractor(SMALL, count=3)
+        ids = getattr(ds, name).copy()
+        ids.flat[1] = bad
+        with pytest.raises(DegenerateInputError, match=rf"must lie in \[0, 32\), got {bad}$"):
+            dataclasses.replace(ds, **{name: ids})
 
     @pytest.mark.parametrize("change", [
         "queries", "target_ids", "refs", "blocks", "distractor", "task", "split"])
@@ -636,10 +646,20 @@ class TestSerialization:
                            match="entry 'meta.ref' holds an id not in the db: 9999"):
             load_dataset(bad)
 
-    def test_duplicate_db_id_rejected(self, tmp_path):
-        bad = _rewritten(_saved(tmp_path), _set("db.ids", 31, 0))
-        with pytest.raises(DatasetFormatError, match="'db.ids' and 'db.features' make no "
-                                                     "candidate db: .*duplicate candidate ids"):
+    @pytest.mark.parametrize("ids, first", [
+        (np.r_[:31, 0], 0), (np.arange(32)[::-1], 31), (np.arange(1, 33), 1),
+    ], ids=["duplicate", "reversed", "shifted"])
+    def test_db_ids_other_than_their_rows_are_rejected(self, tmp_path, ids, first):
+        # an id is its row, so the file's db.ids must be 0..S-1
+        bad = _rewritten(_saved(tmp_path), lambda e: e.update({"db.ids": ids.astype(np.int64)}))
+        with pytest.raises(DatasetFormatError,
+                           match=f"entry 'db.ids' holds an id other than its row: {first}$"):
+            load_dataset(bad)
+
+    def test_a_zero_db_feature_row_is_rejected(self, tmp_path):
+        bad = _rewritten(_saved(tmp_path), _set("db.features", 3, 0.0))
+        with pytest.raises(DatasetFormatError, match="entry 'db.features' makes no candidate "
+                                                     "db: CandidateDB: zero-norm"):
             load_dataset(bad)
 
     @pytest.mark.parametrize("block", [-1, 4, 5], ids=["negative", "blocks", "past-blocks"])

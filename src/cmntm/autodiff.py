@@ -17,11 +17,12 @@ caller drops them, without waiting for the cyclic garbage collector.
 
 The module holds only the primitives the model and its loss run. The
 memory stage runs on fused primitives (``lstm_cell``, ``head_mlp``,
-``ntm_address``, ``erase_add`` and ``weighted_read``), each one tape node.
+``ntm_address``, ``erase_add`` and ``weighted_read``), and train-mode batch
+norm on ``batch_norm``, each one tape node.
 
 Primitives take ``Tensor`` operands. The binary elementwise ops (``add``,
-``sub``, ``mul``, ``div`` and ``power``) also take a Python scalar on either
-side, which runs in the other operand's dtype.
+``sub``, ``mul`` and ``div``) also take a Python scalar on either side,
+which runs in the other operand's dtype.
 
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
@@ -285,38 +286,6 @@ def div(a, b) -> Tensor:
         return ga, gb
 
     return _record((a, b), out, backward)
-
-
-def power(base, exponent) -> Tensor:
-    """Elementwise ``base ** exponent`` with broadcasting.
-
-    Negative bases are rejected unless every exponent value is an integer;
-    zero bases with negative exponents are rejected. The derivative w.r.t. the
-    exponent uses the limit value 0 where the base is 0.
-    """
-    base, exponent = _as_tensors(base, exponent)
-    bx, ex = base.data, exponent.data
-    try:
-        _check_power_domain("power", bx, ex)
-        out = bx ** ex
-    except ValueError:
-        raise ShapeError("power", f"incompatible shapes {bx.shape} and {ex.shape}") from None
-
-    def backward(g):
-        gb = g * ex * bx ** (ex - 1)
-        safe = np.where(bx > 0, bx, 1.0)
-        ge = g * out * np.where(bx > 0, np.log(safe), 0.0)
-        return _unbroadcast(gb, bx.shape), _unbroadcast(ge, ex.shape)
-
-    return _record((base, exponent), out, backward)
-
-
-def _check_power_domain(op: str, bx: np.ndarray, ex: np.ndarray) -> None:
-    if bx.size and bx.min() <= 0:
-        if np.any(bx < 0) and np.any(np.mod(ex, 1.0) != 0):
-            raise DomainError(f"{op}: negative base with non-integer exponent")
-        if np.any((bx == 0) & (ex < 0)):
-            raise DomainError(f"{op}: zero base with negative exponent")
 
 
 # ---------------------------------------------------------------------------
@@ -645,7 +614,11 @@ def ntm_address(memory: Tensor, key: Tensor, strength: Tensor, gate: Tensor, shi
     shifted = terms[:, 0]
     for i in range(1, len(fwd)):
         shifted = shifted + terms[:, i]
-    _check_power_domain("ntm_address", shifted, ex)
+    if shifted.size and shifted.min() <= 0:
+        if np.any(shifted < 0) and np.any(np.mod(ex, 1.0) != 0):
+            raise DomainError("ntm_address: negative base with non-integer exponent")
+        if np.any((shifted == 0) & (ex < 0)):
+            raise DomainError("ntm_address: zero base with negative exponent")
     powered = shifted ** ex
     total = powered.sum(axis=1, keepdims=True)
     if not total.all():
@@ -717,13 +690,54 @@ def erase_add(memory: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tens
 BN_EPS, BN_MOMENTUM = 1e-5, 0.1
 
 
+def batch_norm(x: Tensor, scale: Tensor, shift: Tensor) -> tuple[Tensor, np.ndarray, np.ndarray]:
+    """Normalize a (B, D) batch by its own per-feature statistics.
+
+    Returns ``(scale * (x - mean) / sqrt(var + BN_EPS) + shift, mean, var)``,
+    where ``mean`` and the biased ``var`` are (D,) arrays; only the first
+    output carries a gradient. ``scale`` and ``shift`` are (D,). A batch needs
+    at least 2 rows, since a single row has no variance to normalize by. Like
+    the fused memory-stage ops above, it is one tape node that replays its
+    unfused chain's expressions and adjoints.
+    """
+    xd, sc, sh = x.data, scale.data, shift.data
+    if xd.ndim != 2 or not sc.shape == sh.shape == (xd.shape[1],):
+        raise ShapeError("batch_norm", f"input {xd.shape} does not fit scale {sc.shape} "
+                                       f"and shift {sh.shape}")
+    count = xd.shape[0]
+    if count < 2:
+        raise DomainError("batch_norm: train mode needs a batch of at least 2 rows")
+    eps, half = np.asarray(BN_EPS, dtype=xd.dtype), np.asarray(-0.5, dtype=xd.dtype)
+    mean = xd.mean(axis=0, keepdims=True)
+    centered = xd - mean
+    var = (centered * centered).mean(axis=0, keepdims=True)
+    floored = var + eps
+    inv = floored ** half
+    normalized = centered * inv
+    out = normalized * sc + sh
+
+    def backward(g):
+        g_norm = g * sc
+        g_centered = g_norm * inv
+        g_inv = (g_norm * centered).sum(axis=0, keepdims=True)
+        g_sq = np.broadcast_to(g_inv * half * floored ** (half - 1), xd.shape) / count
+        # the square's two uses of centered, summed as the tape sums them
+        g_sq_centered = g_sq * centered
+        g_centered = g_centered + g_sq_centered
+        g_centered += g_sq_centered
+        g_mean = (-g_centered).sum(axis=0, keepdims=True)
+        return (g.sum(axis=0), (g * normalized).sum(axis=0), g_centered,
+                np.broadcast_to(g_mean, xd.shape) / count)
+
+    return _record((shift, scale, x, x), out, backward), mean[0], var[0]
+
+
 class BatchNorm:
     """Per-feature batch normalization with learnable scale and shift.
 
-    Train mode normalizes by batch statistics (biased variance) and updates
+    Train mode normalizes by batch statistics (``batch_norm``) and updates
     running statistics with momentum ``BN_MOMENTUM``; eval mode normalizes by
-    the running statistics. Train mode needs a batch of at least 2 rows, since
-    a single row has no variance to normalize by.
+    the running statistics.
     """
 
     def __init__(self, dim: int, dtype=np.float32):
@@ -744,21 +758,14 @@ class BatchNorm:
         if x.data.ndim != 2 or x.data.shape[1] != dim:
             raise ShapeError("batch_norm", f"expected (batch, {dim}) input, got {x.data.shape}")
         if self.training:
-            if x.data.shape[0] < 2:
-                raise DomainError("batch_norm: train mode needs a batch of at least 2 rows")
-            mean = reduce_mean(x, axis=0, keepdims=True)
-            centered = sub(x, mean)
-            var = reduce_mean(mul(centered, centered), axis=0, keepdims=True)
+            out, mean, var = batch_norm(x, self.scale, self.shift)
             m = BN_MOMENTUM
             # in place, so a buffers() dict stays live across train steps
-            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean.data[0]
-            self.running_var[...] = (1.0 - m) * self.running_var + m * var.data[0]
-            inv = power(add(var, BN_EPS), -0.5)
-            normalized = mul(centered, inv)
-        else:
-            inv = 1.0 / np.sqrt(self.running_var.astype(x.data.dtype) + BN_EPS)
-            normalized = mul(sub(x, Tensor(self.running_mean.astype(x.data.dtype))),
-                             Tensor(inv))
+            self.running_mean[...] = (1.0 - m) * self.running_mean + m * mean
+            self.running_var[...] = (1.0 - m) * self.running_var + m * var
+            return out
+        inv = 1.0 / np.sqrt(self.running_var.astype(x.data.dtype) + BN_EPS)
+        normalized = mul(sub(x, Tensor(self.running_mean.astype(x.data.dtype))), Tensor(inv))
         return add(mul(normalized, self.scale), self.shift)
 
 

@@ -446,7 +446,14 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             if trainable:
                 opt.zero_grad()
                 tape.backward(loss)
-                clip_gradients(params, cfg.grad_clip)
+                grad_norm = clip_gradients(params, cfg.grad_clip)
+                if not np.isfinite(grad_norm):
+                    # NaN passes clip_gradients unscaled; Adam would write it into the weights
+                    bad = [name for name, p in params.items()
+                           if p.grad is not None and not np.isfinite(p.grad).all()]
+                    raise TrainingDivergedError(
+                        f"non-finite gradient norm {grad_norm!r} at epoch {epoch}, batch "
+                        f"{batch_index}; non-finite gradients in {', '.join(bad) or 'none'}")
                 opt.step()
             loss_sum += loss_value
             loss_batches += 1
@@ -530,7 +537,9 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
         cfg_c = dataclasses.replace(cfg, model="cmntm",
                                     cascade=dataclasses.replace(cfg.cascade, num_stages=int(c)))
         result = train(cfg_c, train_ds=train_ds, val_ds=val_ds, log=log)
-        report = evaluate_model(result.model, val_ds, cfg.eval_batch_size, cfg.seed)
+        # train's last epoch already scored val with this batch size and seed
+        report = (result.metrics[-1] if result.metrics
+                  else evaluate_model(result.model, val_ds, cfg.eval_batch_size, cfg.seed))
         rows.append({"C": int(c), "r5": report["r5"], "r8": report["r8"],
                      "mean_r5_r8": report["mean_r5_r8"]})
     base = rows[0]["mean_r5_r8"]

@@ -1,13 +1,14 @@
-"""Unfused autodiff primitives: the reference the fused memory-stage ops are tested against.
+"""Unfused autodiff primitives: the reference the fused ops are tested against.
 
 The model runs its memory stage on the fused ops of ``cmntm.autodiff``
 (``lstm_cell``, ``head_mlp``, ``ntm_address``, ``erase_add`` and
-``weighted_read``). The primitives here are the ones those ops fold
-together. Tests chain them to rebuild a stage step op by op, and compare
-values and gradients with the fused ops bit for bit. Each one records its node
-through ``autodiff._record`` and shares the engine's private numerics
-(``_sigmoid_values``, ``_roll_indices``), so a chain evaluates the same numpy
-expressions the fused ops replay.
+``weighted_read``), and train-mode batch norm on ``batch_norm``. The
+primitives here are the ones those ops fold together. Tests chain them to
+rebuild a stage step or a batch norm op by op (``batch_norm_chain``), and
+compare values and gradients with the fused ops bit for bit. Each one records
+its node through ``autodiff._record`` and shares the engine's private numerics
+(``_as_tensors``, ``_unbroadcast``, ``_sigmoid_values``, ``_roll_indices``),
+so a chain evaluates the same numpy expressions the fused ops replay.
 """
 from __future__ import annotations
 
@@ -17,7 +18,44 @@ import numpy as np
 
 from cmntm import autodiff as ad
 from cmntm.autodiff import Tensor
-from cmntm.errors import ShapeError
+from cmntm.errors import DomainError, ShapeError
+
+
+def power(base, exponent) -> Tensor:
+    """Elementwise ``base ** exponent`` with broadcasting; either side may be a scalar.
+
+    Negative bases are rejected unless every exponent value is an integer;
+    zero bases with negative exponents are rejected. The derivative w.r.t. the
+    exponent uses the limit value 0 where the base is 0.
+    """
+    base, exponent = ad._as_tensors(base, exponent)
+    bx, ex = base.data, exponent.data
+    try:
+        if bx.size and bx.min() <= 0:
+            if np.any(bx < 0) and np.any(np.mod(ex, 1.0) != 0):
+                raise DomainError("power: negative base with non-integer exponent")
+            if np.any((bx == 0) & (ex < 0)):
+                raise DomainError("power: zero base with negative exponent")
+        out = bx ** ex
+    except ValueError:
+        raise ShapeError("power", f"incompatible shapes {bx.shape} and {ex.shape}") from None
+
+    def backward(g):
+        gb = g * ex * bx ** (ex - 1)
+        safe = np.where(bx > 0, bx, 1.0)
+        ge = g * out * np.where(bx > 0, np.log(safe), 0.0)
+        return ad._unbroadcast(gb, bx.shape), ad._unbroadcast(ge, ex.shape)
+
+    return ad._record((base, exponent), out, backward)
+
+
+def batch_norm_chain(x: Tensor, scale: Tensor, shift: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """``autodiff.batch_norm`` as nine primitives; ``mean`` and ``var`` stay (1, D)."""
+    mean = ad.reduce_mean(x, axis=0, keepdims=True)
+    centered = ad.sub(x, mean)
+    var = ad.reduce_mean(ad.mul(centered, centered), axis=0, keepdims=True)
+    normalized = ad.mul(centered, power(ad.add(var, ad.BN_EPS), -0.5))
+    return ad.add(ad.mul(normalized, scale), shift), mean, var
 
 
 def clamp_min(t: Tensor, lo: float) -> Tensor:

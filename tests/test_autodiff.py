@@ -9,8 +9,10 @@ import pytest
 import reference_ops
 from hypothesis import given, settings, strategies as st
 from reference_ops import (
+    batch_norm_chain,
     circular_convolution,
     clamp_min,
+    power,
     sigmoid,
     softmax,
     softplus,
@@ -25,6 +27,7 @@ from cmntm.autodiff import (
     Tape,
     Tensor,
     add,
+    batch_norm,
     concat,
     div,
     erase_add,
@@ -38,7 +41,6 @@ from cmntm.autodiff import (
     mul,
     no_grad,
     ntm_address,
-    power,
     reduce_mean,
     reduce_sum,
     sub,
@@ -178,6 +180,43 @@ def test_batchnorm_zero_scale_outputs_shift():
     bn.shift.data[:] = [3.0, -1.0]
     out = bn(Tensor(np.random.default_rng(0).standard_normal((5, 2))))
     assert np.allclose(out.data, [3.0, -1.0], atol=1e-6)
+
+
+def test_train_mode_batchnorm_records_one_node():
+    bn = BatchNorm(3)
+    x = Tensor(np.random.default_rng(0).standard_normal((4, 3)), requires_grad=True)
+    with Tape() as tape:
+        bn(x)
+    assert len(tape) == 1
+    assert tape._nodes[0].backward.__qualname__.startswith("batch_norm.")
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("seed", range(3))
+def test_batch_norm_is_bit_identical_to_primitive_chain(dtype, seed):
+    # x comes out of a matmul and is used again after the batch norm, so its
+    # gradient sums a later use with both of the batch norm's uses
+    rng = np.random.default_rng(seed)
+
+    def arr(*shape):
+        return rng.standard_normal(shape).astype(dtype)
+
+    x0, w, scale, shift = arr(32, 16), arr(16, 32), arr(32), arr(32)
+    w_out, w_x = arr(32, 32), arr(32, 32)
+    results = []
+    for op in (batch_norm, batch_norm_chain):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in (x0, w, scale, shift)]
+        with Tape() as tape:
+            x = matmul(leaves[0], leaves[1])
+            out, mean, var = op(x, leaves[2], leaves[3])
+            loss = add(reduce_sum(mul(out, Tensor(w_out))), reduce_sum(mul(x, Tensor(w_x))))
+        tape.backward(loss)
+        stats = [(t.data if isinstance(t, Tensor) else t).reshape(-1) for t in (mean, var)]
+        results.append([out.data, *stats] + [leaf.grad for leaf in leaves])
+    fused, chain = results
+    for name, a, b in zip(["out", "mean", "var", "x0", "w", "scale", "shift"], fused, chain):
+        assert a.dtype == b.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +399,17 @@ def test_power_domain_errors():
         power(Tensor([-1.0]), Tensor([0.5]))
     with pytest.raises(DomainError):
         power(Tensor([0.0]), Tensor([-1.0]))
+
+
+def test_ntm_address_sharpen_domain_errors():
+    memory, key = Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 2)))
+    strength, gate, shift = Tensor([[1.0]]), Tensor([[0.0]]), Tensor([[0.0, 1.0, 0.0]])
+    with pytest.raises(DomainError, match="negative base"):
+        ntm_address(memory, key, strength, gate, shift, Tensor([[1.5]]),
+                    Tensor([[-0.5, 1.0, 0.5]]), (-1, 0, 1))
+    with pytest.raises(DomainError, match="zero base"):
+        ntm_address(memory, key, strength, gate, shift, Tensor([[-1.0]]),
+                    Tensor([[0.0, 1.0, 0.0]]), (-1, 0, 1))
 
 
 def test_matmul_shape_error():
@@ -553,6 +603,11 @@ def _primitive_cases():
         w = rng.standard_normal((2, 5))
         return lambda: _weighted(circular_convolution(w_t, s_t), w), [w_t, s_t]
 
+    def build_batch_norm(rng):
+        x, scale, shift = _param(rng, 5, 4), _param(rng, 4), _param(rng, 4)
+        w = rng.standard_normal((5, 4))
+        return lambda: _weighted(batch_norm(x, scale, shift)[0], w), [x, scale, shift]
+
     def build_batchnorm(rng):
         bn = BatchNorm(4, dtype=np.float64)
         x = _param(rng, 5, 4)
@@ -643,6 +698,7 @@ def _primitive_cases():
         "clamp_min": build_clamp_min,
         "weighted_read": build_weighted_read,
         "circular_convolution": build_circular_conv,
+        "batch_norm": build_batch_norm,
         "batchnorm": build_batchnorm,
         "lstm_cell": build_lstm_cell,
         "lstm_cell_shared": build_lstm_cell_shared,
@@ -695,7 +751,7 @@ def test_every_engine_primitive_has_a_caller_in_the_package():
                     if name != own:
                         called.add(name)
     recording = _recording_functions(autodiff)
-    assert "power" in recording
+    assert "batch_norm" in recording
     unused = [name for name in recording if name not in called]
     assert not unused, f"engine primitives only tests call: {unused}"
 

@@ -605,6 +605,45 @@ class TestTraining:
         with pytest.raises(TrainingDivergedError, match="parameter norms"):
             harness.train(cfg, train_ds=train_ds, val_ds=val_ds)
 
+    def test_non_finite_gradient_aborts_before_the_adam_step(self, monkeypatch):
+        models, steps = [], []
+        build, backward, step = harness.build_model, Tape.backward, harness.Adam.step
+
+        def capture_model(cfg):
+            models.append(build(cfg))
+            return models[-1]
+
+        def nan_on_second_batch(tape, loss):
+            backward(tape, loss)
+            if len(steps) == 1:
+                models[0].parameters()["fusion.w"].grad[0, 0] = np.nan
+
+        def counted_step(opt):
+            steps.append(opt.step_count)
+            step(opt)
+
+        monkeypatch.setattr(harness, "build_model", capture_model)
+        monkeypatch.setattr(Tape, "backward", nan_on_second_batch)
+        monkeypatch.setattr(harness.Adam, "step", counted_step)
+        with pytest.raises(TrainingDivergedError) as e:
+            harness.train(tiny_cfg(epochs=1))
+        assert str(e.value) == ("non-finite gradient norm nan at epoch 1, batch 1; "
+                                "non-finite gradients in fusion.w")
+        assert steps == [0]
+        assert np.isfinite(models[0].parameters()["fusion.w"].data).all()
+
+    def test_desk_train_step_records_132_tape_nodes(self):
+        cfg = TrainConfig()
+        model = harness.build_model(cfg)
+        model.set_training(True)
+        ds = gen_distractor(cfg.task, count=cfg.batch_size, split="train")
+        queries, targets = _batch(ds)
+        state = model.initial_state([np.random.default_rng(i) for i in range(cfg.batch_size)])
+        with Tape() as tape:
+            preds, _ = model.forward_transaction(queries, state)
+            transaction_loss(preds, targets)
+        assert len(tape) == 132
+
     def test_single_transaction_batches_are_dropped(self):
         # in-batch negatives need >= 2 rows, so a lone trailing transaction
         # contributes no step
@@ -1179,6 +1218,28 @@ class TestExperiments:
         rows = harness.ablate_num_memories(cfg, [1, 2], train_ds=train_ds, val_ds=tiny_val)
         assert [row["C"] for row in rows] == [1, 2]
         assert rows[0]["pct_change_vs_first"] == 0.0
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_ablation_scores_each_depth_once(self, monkeypatch, tiny_val, epochs):
+        # train's last epoch already scored val; only an untrained depth needs a pass
+        calls = []
+        evaluate = harness.evaluate_model
+
+        def counted(model, *args):
+            calls.append(model)
+            return evaluate(model, *args)
+
+        monkeypatch.setattr(harness, "evaluate_model", counted)
+        cfg = tiny_cfg(epochs=epochs, train_count=8)
+        train_ds = gen_distractor(TINY_TASK, count=8, split="train")
+        rows = harness.ablate_num_memories(cfg, [1, 2], train_ds=train_ds, val_ds=tiny_val)
+        passes = max(epochs, 1)
+        assert len(calls) == 2 * passes
+        # each row is the last pass over its depth's final model
+        for row, model in zip(rows, calls[passes - 1::passes]):
+            report = evaluate(model, tiny_val, cfg.eval_batch_size, cfg.seed)
+            for key in ("r5", "r8", "mean_r5_r8"):
+                assert row[key] == report[key], key
 
     def test_turn_importance_full_history_equals_standard_eval(self, tmp_path, tiny_val):
         model = harness.build_model(tiny_cfg())

@@ -456,7 +456,7 @@ def _chain_address(memory, params, w_prev):
     denom = ref.clamp_min(ad.mul(key_norm, row_norm), ad.COSINE_EPS)
     content = ref.softmax(ad.mul(params.strength, ad.div(dots, denom)))
     gated = ad.add(ad.mul(params.gate, content), ad.mul(ad.sub(1.0, params.gate), w_prev))
-    powered = ad.power(ref.circular_convolution(gated, params.shift, SHIFT_OFFSETS), params.sharpen)
+    powered = ref.power(ref.circular_convolution(gated, params.shift, SHIFT_OFFSETS), params.sharpen)
     return ad.div(powered, ad.reduce_sum(powered, axis=1, keepdims=True))
 
 

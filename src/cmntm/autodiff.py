@@ -15,14 +15,15 @@ A tape references its tensors and no tensor references its tape, so a tape
 and everything it recorded are freed by reference counting as soon as the
 caller drops them, without waiting for the cyclic garbage collector.
 
-The module holds only the primitives the model and its loss run. The
-memory stage runs on fused primitives (``lstm_cell``, ``head_mlp``,
-``ntm_address``, ``erase_add`` and ``weighted_read``), and train-mode batch
-norm on ``batch_norm``, each one tape node.
+The module holds only the primitives the model runs. The memory stage runs
+on fused primitives (``lstm_cell``, ``head_mlp``, ``ntm_address``,
+``erase_add`` and ``weighted_read``), and train-mode batch norm on
+``batch_norm``, each one tape node. The per-turn loss is one node too,
+``retrieval.batch_loss``, recorded through ``_record`` like the ops here.
 
 Primitives take ``Tensor`` operands. The binary elementwise ops (``add``,
-``sub``, ``mul`` and ``div``) also take a Python scalar on either side,
-which runs in the other operand's dtype.
+``sub`` and ``mul``) also take a Python scalar on either side, which runs in
+the other operand's dtype.
 
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
@@ -57,9 +58,10 @@ def _stack() -> list:
 class Tensor:
     """Dense array with an optional gradient slot.
 
-    Values are stored row-major (C order), except that ``transpose`` returns
-    a view of its input. ``grad`` is ``None`` until a backward pass reaches
-    the tensor as a leaf, after which it matches ``data``'s shape.
+    Values are float32 or float64 arrays, not always C-contiguous:
+    ``head_mlp``'s strength and gate are column views of one array.
+    ``grad`` is ``None`` until a backward pass reaches the tensor as a leaf,
+    after which it matches ``data``'s shape.
     Tensors and tapes are single-owner: never mutate one from two threads.
     """
 
@@ -270,24 +272,6 @@ def mul(a, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def div(a, b) -> Tensor:
-    a, b = _as_tensors(a, b)
-    # all() is false exactly when a zero is present; avoids a temporary bool array
-    if not b.data.all():
-        raise DomainError("div: division by zero")
-    try:
-        out = a.data / b.data
-    except ValueError:
-        raise ShapeError("div", f"incompatible shapes {a.data.shape} and {b.data.shape}") from None
-
-    def backward(g):
-        ga = _unbroadcast(g / b.data, a.data.shape)
-        gb = _unbroadcast(-g * out / b.data, b.data.shape)
-        return ga, gb
-
-    return _record((a, b), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # structural ops
 
@@ -304,17 +288,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
                 a.data.T @ g if b.requires_grad else None)
 
     return _record((a, b), out, backward)
-
-
-def transpose(t: Tensor) -> Tensor:
-    """Swap the axes of a 2-d tensor; the result is a view of ``t``'s values."""
-    if t.data.ndim != 2:
-        raise ShapeError("transpose", f"expected a 2-d operand, got {t.data.shape}")
-
-    def backward(g):
-        return (g.T,)
-
-    return _record((t,), t.data.T, backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -337,31 +310,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _record(ts, out, backward)
 
 
-def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    out = t.data.sum(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, t.data.shape),)
-
-    return _record((t,), out, backward)
-
-
-def reduce_mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    count = t.data.size if axis is None else t.data.shape[axis]
-    out = t.data.mean(axis=axis, keepdims=keepdims)
-
-    def backward(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, t.data.shape) / count,)
-
-    return _record((t,), out, backward)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities
 
@@ -370,47 +318,6 @@ def _sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Overflow-free logistic function: 1/(1+e) or e/(1+e) with e = exp(-|x|)."""
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-def log(t: Tensor) -> Tensor:
-    if t.data.size and not t.data.min() > 0:
-        raise DomainError("log: non-positive input")
-    out = np.log(t.data)
-
-    def backward(g):
-        return (g / t.data,)
-
-    return _record((t,), out, backward)
-
-
-def exp(t: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(t.data)
-    if out.size:
-        m = out.max()
-        if m == np.inf or m != m:
-            raise DomainError("exp: overflow or invalid input")
-
-    def backward(g):
-        return (g * out,)
-
-    return _record((t,), out, backward)
-
-
-def l2norm(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
-    """Euclidean norm; the subgradient at an exactly-zero vector is 0."""
-    sq = (t.data * t.data).sum(axis=axis, keepdims=keepdims)
-    out = np.sqrt(sq)
-
-    def backward(g):
-        gg, nn = g, out
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-            nn = np.expand_dims(nn, axis)
-        safe = np.where(nn > 0, nn, 1.0)
-        return (gg * t.data / safe,)
-
-    return _record((t,), out, backward)
 
 
 # ---------------------------------------------------------------------------

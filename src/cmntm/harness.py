@@ -186,7 +186,7 @@ def _recall_report(final_preds: np.ndarray, dataset: SyntheticDataset) -> dict:
         preds, targets = final_preds[chunk], finals[chunk]
         lo, exact = unsettled(similarity_scores(preds, db), targets, db.dim, ks)
         for j in np.flatnonzero(exact):
-            lo[j] = rank_of(similarity_scores(preds[j], db), db.ids, targets[j])
+            lo[j] = rank_of(similarity_scores(preds[j], db), targets[j])
         hits += np.count_nonzero(lo[:, None] < ks, axis=0)
     report = {"count": len(finals)}
     for k, hit in zip(RECALL_KS, hits):
@@ -556,7 +556,7 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
 
 def _top5(pred: np.ndarray, db: CandidateDB) -> set[int]:
     """The ids of the five candidates in ``db`` that score best against ``pred``."""
-    return {int(v) for v in top_k(similarity_scores(pred, db), db.ids, 5)}
+    return {int(v) for v in top_k(similarity_scores(pred, db), 5)}
 
 
 TURN_IMPORTANCE_PROTOCOL = (
@@ -677,7 +677,7 @@ def memory_retention_experiment(model, dataset: SyntheticDataset,
             block_norms[block] = np.linalg.norm(sub, axis=1)
         denom = np.maximum(block_norms[block] * max(np.linalg.norm(revealed), 1e-30), 1e-30)
         sims = sub @ revealed / denom
-        match_sets.append(set(int(v) for v in top_k(sims, db.ids, top_l)))
+        match_sets.append(set(int(v) for v in top_k(sims, top_l)))
     stateful_preds = _predict(model, queries, eval_batch_size, seed)
     reset_preds = np.concatenate([_predict(model, queries[:, turn:turn + 1], eval_batch_size, seed)
                                   for turn in range(n)], axis=1)

@@ -1,8 +1,8 @@
 """Retrieval scoring, ranking, recall metrics, and the contrastive loss.
 
 Scoring and ranking are plain numpy (nothing downstream differentiates
-through a ranking); the loss is built from autodiff primitives so gradients
-flow back into the model.
+through a ranking); the loss records autodiff tape nodes so gradients flow
+back into the model.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import COSINE_EPS, Tensor
-from .errors import DegenerateInputError, ShapeError
+from .errors import DegenerateInputError, DomainError, ShapeError
 
 # Budget for one (rows, db) score block scored by a single GEMM: about 5 MB.
 SCORE_BLOCK_BYTES = 5 << 20
@@ -24,10 +24,11 @@ SCORE_BLOCK_BYTES = 5 << 20
 class CandidateDB:
     """Fixed candidate set: candidate ``i`` is feature row ``i``.
 
-    ``ids`` is ``np.arange(len(db))``, kept for the rankings, which break
-    ties by id. ``row_norms`` holds each feature row's L2 norm, computed
-    once here for every db-wide cosine, a block of rows at a time
-    (``row_blocks``) so that no temporary the size of the db is built.
+    ``ids`` is ``np.arange(len(db))``, kept for ``rank``, which breaks ties
+    by id; ``top_k`` and ``rank_of`` break them by row, the same order.
+    ``row_norms`` holds each feature row's L2 norm, computed once here for
+    every db-wide cosine, a block of rows at a time (``row_blocks``) so that
+    no temporary the size of the db is built.
     ``features`` is a read-only view of the given array, so writes through
     the db raise instead of leaving the norms stale; the caller must not
     change the array it passed in either.
@@ -185,29 +186,32 @@ def rank(scores: np.ndarray, ids: np.ndarray) -> RankingResult:
     return RankingResult(ids=ids[order], scores=scores[order])
 
 
-def top_k(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """The first ``k`` ids of ``rank(scores, ids)`` without sorting every score.
+def top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """The rows of the ``k`` best scores, best first, ties broken by ascending
+    row: on a db, whose ids are its rows, the first ``k`` ids of
+    ``rank(scores, db.ids)``, without sorting every score.
 
     Every score tied with the k-th best stays in the partial sort, so ties
-    still break by ascending id.
+    still break by row.
     """
     if not 1 <= k <= len(scores):
         raise ValueError(f"top_k: k must be in [1, {len(scores)}], got {k}")
     _check_finite("top_k", scores)
     kth = -np.partition(-scores, k - 1)[k - 1]
     top = np.flatnonzero(scores >= kth)
-    return ids[top[np.lexsort((ids[top], -scores[top]))][:k]]
+    # top ascends, so a stable sort breaks ties by row
+    return top[np.argsort(-scores[top], kind="stable")][:k]
 
 
-def rank_of(scores: np.ndarray, ids: np.ndarray, row: int) -> int:
-    """0-based place of the candidate at ``row`` in ``rank(scores, ids)``.
+def rank_of(scores: np.ndarray, row: int) -> int:
+    """0-based place of ``row`` in ``top_k``'s order over all of ``scores``.
 
-    With s = scores[row], the place is #(scores > s) + #(scores == s and
-    id < ids[row]), so it is counted without sorting.
+    With s = scores[row], the place is #(scores > s) + #(scores[:row] == s),
+    so it is counted without sorting.
     """
     _check_finite("rank_of", scores)
     s = scores[row]
-    return int(np.count_nonzero(scores > s) + np.count_nonzero((scores == s) & (ids < ids[row])))
+    return int(np.count_nonzero(scores > s) + np.count_nonzero(scores[:row] == s))
 
 
 def recall_at_k(rankings: Sequence[RankingResult], targets: Sequence[int], k: int) -> float:
@@ -234,29 +238,56 @@ def batch_loss(predictions: Tensor, targets: Tensor) -> Tensor:
     Row i's positive is target i; every other target row in the batch is a
     negative. No temperature is applied and accidental duplicate targets are
     not deduplicated. A batch of one has no negatives and scores exactly 0.
+    Non-finite logits raise ``DomainError``.
+
+    One tape node. Like the fused ops of ``autodiff``, it evaluates the
+    numpy expressions of its 13-primitive chain (``batch_loss_chain`` in
+    ``tests/reference_ops.py``) in the chain's order, and its backward
+    replays the chain's adjoints in reverse tape order, so values and
+    gradients are bit-identical to the chain's.
     """
-    if predictions.data.ndim != 2 or targets.data.ndim != 2:
+    p, t = predictions.data, targets.data
+    if p.ndim != 2 or t.ndim != 2:
         raise ShapeError("batch_loss",
-                         f"expected 2-d predictions/targets, got {predictions.data.shape} and {targets.data.shape}")
-    if predictions.data.shape != targets.data.shape:
-        raise ShapeError("batch_loss",
-                         f"shape mismatch: {predictions.data.shape} vs {targets.data.shape}")
-    b = predictions.data.shape[0]
-    pred_norms = ad.l2norm(predictions, axis=1, keepdims=True)
-    tar_norms = ad.l2norm(targets, axis=1, keepdims=True)
-    if np.any(pred_norms.data <= COSINE_EPS) or np.any(tar_norms.data <= COSINE_EPS):
+                         f"expected 2-d predictions/targets, got {p.shape} and {t.shape}")
+    if p.shape != t.shape:
+        raise ShapeError("batch_loss", f"shape mismatch: {p.shape} vs {t.shape}")
+    b = p.shape[0]
+    p_norm = np.sqrt((p * p).sum(axis=1, keepdims=True))
+    t_norm = np.sqrt((t * t).sum(axis=1, keepdims=True))
+    if np.any(p_norm <= COSINE_EPS) or np.any(t_norm <= COSINE_EPS):
         raise DegenerateInputError("batch_loss: zero-norm row")
     if b == 1:
-        return Tensor(np.zeros((), dtype=predictions.data.dtype))
+        return Tensor(np.zeros((), dtype=p.dtype))
     # the guard above makes every norm exceed COSINE_EPS, so no floor is needed
-    pn = ad.div(predictions, pred_norms)
-    tn = ad.div(targets, tar_norms)
-    sims = ad.matmul(pn, ad.transpose(tn))
-    exp_sims = ad.exp(sims)
-    log_denom = ad.log(ad.reduce_sum(exp_sims, axis=1))
-    eye = Tensor(np.eye(b, dtype=predictions.data.dtype))
-    diag = ad.reduce_sum(ad.mul(sims, eye), axis=1)
-    return ad.reduce_mean(ad.sub(log_denom, diag))
+    pn, tn = p / p_norm, t / t_norm
+    sims = pn @ tn.T
+    exp_sims = np.exp(sims)
+    # a cosine's exp is finite unless the cosine is NaN
+    if not np.isfinite(exp_sims.max()):
+        raise DomainError("batch_loss: non-finite logits")
+    row_sums = exp_sims.sum(axis=1)
+    eye = np.eye(b, dtype=p.dtype)
+    loss = (np.log(row_sums) - (sims * eye).sum(axis=1)).mean()
+
+    def backward(g):
+        g_terms = np.broadcast_to(g, (b,)) / b
+        # sims feeds the diagonal and the exp; the tape summed them in that order
+        g_sims = (-g_terms)[:, None] * eye + (g_terms / row_sums)[:, None] * exp_sims
+        # each side's gradient is the div's term, then the norm's
+        g_t_div = g_t_norm = g_p_div = g_p_norm = None
+        if targets.requires_grad:
+            g_tn = (pn.T @ g_sims).T
+            g_t_div = g_tn / t_norm
+            g_t_norm = (-g_tn * tn / t_norm).sum(axis=1, keepdims=True) * t / t_norm
+        if predictions.requires_grad:
+            g_pn = g_sims @ tn
+            g_p_div = g_pn / p_norm
+            g_p_norm = (-g_pn * pn / p_norm).sum(axis=1, keepdims=True) * p / p_norm
+        return g_t_div, g_p_div, g_t_norm, g_p_norm
+
+    # a tensor passed as both inputs gets its four terms in the chain's tape order
+    return ad._record((targets, predictions, targets, predictions), loss, backward)
 
 
 def transaction_loss(predictions: Sequence[Tensor], targets: Sequence[Tensor]) -> Tensor:

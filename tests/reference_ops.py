@@ -2,9 +2,10 @@
 
 The model runs its memory stage on the fused ops of ``cmntm.autodiff``
 (``lstm_cell``, ``head_mlp``, ``ntm_address``, ``erase_add`` and
-``weighted_read``), and train-mode batch norm on ``batch_norm``. The
-primitives here are the ones those ops fold together. Tests chain them to
-rebuild a stage step or a batch norm op by op (``batch_norm_chain``), and
+``weighted_read``), train-mode batch norm on ``batch_norm``, and its per-turn
+loss on ``cmntm.retrieval.batch_loss``. The primitives here are the ones those
+ops fold together. Tests chain them to rebuild a stage step, a batch norm
+(``batch_norm_chain``) or a turn's loss (``batch_loss_chain``) op by op, and
 compare values and gradients with the fused ops bit for bit. Each one records
 its node through ``autodiff._record`` and shares the engine's private numerics
 (``_as_tensors``, ``_unbroadcast``, ``_sigmoid_values``, ``_roll_indices``),
@@ -17,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from cmntm import autodiff as ad
-from cmntm.autodiff import Tensor
-from cmntm.errors import DomainError, ShapeError
+from cmntm.autodiff import COSINE_EPS, Tensor
+from cmntm.errors import DegenerateInputError, DomainError, ShapeError
 
 
 def power(base, exponent) -> Tensor:
@@ -49,11 +50,125 @@ def power(base, exponent) -> Tensor:
     return ad._record((base, exponent), out, backward)
 
 
+def div(a, b) -> Tensor:
+    a, b = ad._as_tensors(a, b)
+    # all() is false exactly when a zero is present; avoids a temporary bool array
+    if not b.data.all():
+        raise DomainError("div: division by zero")
+    try:
+        out = a.data / b.data
+    except ValueError:
+        raise ShapeError("div", f"incompatible shapes {a.data.shape} and {b.data.shape}") from None
+
+    def backward(g):
+        ga = ad._unbroadcast(g / b.data, a.data.shape)
+        gb = ad._unbroadcast(-g * out / b.data, b.data.shape)
+        return ga, gb
+
+    return ad._record((a, b), out, backward)
+
+
+def transpose(t: Tensor) -> Tensor:
+    """Swap the axes of a 2-d tensor; the result is a view of ``t``'s values."""
+    if t.data.ndim != 2:
+        raise ShapeError("transpose", f"expected a 2-d operand, got {t.data.shape}")
+
+    def backward(g):
+        return (g.T,)
+
+    return ad._record((t,), t.data.T, backward)
+
+
+def reduce_sum(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    out = t.data.sum(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        gg = g
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(gg, axis)
+        return (np.broadcast_to(gg, t.data.shape),)
+
+    return ad._record((t,), out, backward)
+
+
+def reduce_mean(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    count = t.data.size if axis is None else t.data.shape[axis]
+    out = t.data.mean(axis=axis, keepdims=keepdims)
+
+    def backward(g):
+        gg = g
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(gg, axis)
+        return (np.broadcast_to(gg, t.data.shape) / count,)
+
+    return ad._record((t,), out, backward)
+
+
+def log(t: Tensor) -> Tensor:
+    if t.data.size and not t.data.min() > 0:
+        raise DomainError("log: non-positive input")
+    out = np.log(t.data)
+
+    def backward(g):
+        return (g / t.data,)
+
+    return ad._record((t,), out, backward)
+
+
+def exp(t: Tensor) -> Tensor:
+    with np.errstate(over="ignore"):
+        out = np.exp(t.data)
+    if out.size:
+        m = out.max()
+        if m == np.inf or m != m:
+            raise DomainError("exp: overflow or invalid input")
+
+    def backward(g):
+        return (g * out,)
+
+    return ad._record((t,), out, backward)
+
+
+def l2norm(t: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
+    """Euclidean norm; the subgradient at an exactly-zero vector is 0."""
+    sq = (t.data * t.data).sum(axis=axis, keepdims=keepdims)
+    out = np.sqrt(sq)
+
+    def backward(g):
+        gg, nn = g, out
+        if axis is not None and not keepdims:
+            gg = np.expand_dims(gg, axis)
+            nn = np.expand_dims(nn, axis)
+        safe = np.where(nn > 0, nn, 1.0)
+        return (gg * t.data / safe,)
+
+    return ad._record((t,), out, backward)
+
+
+def batch_loss_chain(predictions: Tensor, targets: Tensor) -> Tensor:
+    """``retrieval.batch_loss`` as 13 primitives, 10 when targets need no grad."""
+    b = predictions.data.shape[0]
+    pred_norms = l2norm(predictions, axis=1, keepdims=True)
+    tar_norms = l2norm(targets, axis=1, keepdims=True)
+    if np.any(pred_norms.data <= COSINE_EPS) or np.any(tar_norms.data <= COSINE_EPS):
+        raise DegenerateInputError("batch_loss: zero-norm row")
+    if b == 1:
+        return Tensor(np.zeros((), dtype=predictions.data.dtype))
+    pn = div(predictions, pred_norms)
+    tn = div(targets, tar_norms)
+    sims = ad.matmul(pn, transpose(tn))
+    exp_sims = exp(sims)
+    log_denom = log(reduce_sum(exp_sims, axis=1))
+    eye = Tensor(np.eye(b, dtype=predictions.data.dtype))
+    diag = reduce_sum(ad.mul(sims, eye), axis=1)
+    return reduce_mean(ad.sub(log_denom, diag))
+
+
 def batch_norm_chain(x: Tensor, scale: Tensor, shift: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """``autodiff.batch_norm`` as nine primitives; ``mean`` and ``var`` stay (1, D)."""
-    mean = ad.reduce_mean(x, axis=0, keepdims=True)
+    mean = reduce_mean(x, axis=0, keepdims=True)
     centered = ad.sub(x, mean)
-    var = ad.reduce_mean(ad.mul(centered, centered), axis=0, keepdims=True)
+    var = reduce_mean(ad.mul(centered, centered), axis=0, keepdims=True)
     normalized = ad.mul(centered, power(ad.add(var, ad.BN_EPS), -0.5))
     return ad.add(ad.mul(normalized, scale), shift), mean, var
 

@@ -12,15 +12,22 @@ from reference_ops import (
     batch_norm_chain,
     circular_convolution,
     clamp_min,
+    div,
+    exp,
+    l2norm,
+    log,
     power,
+    reduce_mean,
+    reduce_sum,
     sigmoid,
     softmax,
     softplus,
     take_slice,
     tanh,
+    transpose,
 )
 
-from cmntm import autodiff
+from cmntm import autodiff, retrieval
 from cmntm.autodiff import (
     BN_MOMENTUM,
     BatchNorm,
@@ -29,25 +36,19 @@ from cmntm.autodiff import (
     add,
     batch_norm,
     concat,
-    div,
     erase_add,
-    exp,
     gradient_check,
     head_mlp,
-    l2norm,
-    log,
     lstm_cell,
     matmul,
     mul,
     no_grad,
     ntm_address,
-    reduce_mean,
-    reduce_sum,
     sub,
-    transpose,
     weighted_read,
 )
 from cmntm.errors import DomainError, ShapeError
+from cmntm.retrieval import batch_loss
 
 
 def _param(rng, *shape):
@@ -674,6 +675,15 @@ def _primitive_cases():
         w = rng.standard_normal((2, 4, 3))
         return lambda: _weighted(erase_add(memory, w_t, vec, vec), w), [memory, w_t, vec]
 
+    def build_batch_loss(rng):
+        preds, tars = _param(rng, 4, 3), _param(rng, 4, 3)
+        return lambda: batch_loss(preds, tars), [preds, tars]
+
+    def build_batch_loss_shared(rng):
+        # one tensor as both predictions and targets
+        x = _param(rng, 4, 3)
+        return lambda: batch_loss(x, x), [x]
+
     return {
         "add": binary(add),
         "add_broadcast": build_add_broadcast,
@@ -698,6 +708,8 @@ def _primitive_cases():
         "clamp_min": build_clamp_min,
         "weighted_read": build_weighted_read,
         "circular_convolution": build_circular_conv,
+        "batch_loss": build_batch_loss,
+        "batch_loss_shared": build_batch_loss_shared,
         "batch_norm": build_batch_norm,
         "batchnorm": build_batchnorm,
         "lstm_cell": build_lstm_cell,
@@ -729,8 +741,9 @@ def _recording_functions(module) -> list[str]:
 
 def test_every_recording_primitive_has_a_gradcheck_case():
     cases = _primitive_cases()
-    recording = _recording_functions(autodiff) + _recording_functions(reference_ops)
-    assert "weighted_read" in recording and "lstm_cell" in recording
+    recording = (_recording_functions(autodiff) + _recording_functions(retrieval)
+                 + _recording_functions(reference_ops))
+    assert "weighted_read" in recording and "lstm_cell" in recording and "batch_loss" in recording
     assert "circular_convolution" in recording
     missing = [name for name in recording
                if not any(key == name or key.startswith(name + "_") for key in cases)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cmntm import autodiff as ad
 from cmntm import retrieval
 from cmntm.autodiff import Tape, Tensor, gradient_check
-from cmntm.errors import DegenerateInputError, ShapeError
+from cmntm.errors import DegenerateInputError, DomainError, ShapeError
 from cmntm.retrieval import (
     CandidateDB,
     batch_loss,
@@ -225,20 +225,20 @@ class TestRank:
        bad=st.sampled_from([np.nan, np.inf, -np.inf]))
 @settings(max_examples=100, deadline=None)
 def test_top_k_and_rank_of_match_rank_under_ties(scores, k, seed, dtype, bad):
-    # five score values force ties; shuffled, gapped ids make the tie-break matter
+    # five score values force ties; top_k and rank_of break them by row, as rank
+    # does by id when the ids are the rows
     rng = np.random.default_rng(seed)
     scores = np.asarray(scores, dtype=dtype)
-    ids = rng.choice(10 * len(scores), size=len(scores), replace=False)
+    rows = np.arange(len(scores))
     k = min(k, len(scores))
-    order = rank(scores, ids).ids
-    assert top_k(scores, ids, k).tolist() == order[:k].tolist()
-    assert [rank_of(scores, ids, row) for row in range(len(ids))] == [
-        int(np.flatnonzero(order == t)[0]) for t in ids]
+    order = rank(scores, rows).ids
+    assert top_k(scores, k).tolist() == order[:k].tolist()
+    assert [rank_of(scores, row) for row in rows] == np.argsort(order).tolist()
     scores[rng.integers(len(scores))] = bad
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        top_k(scores, ids, k)
+        top_k(scores, k)
     with pytest.raises(DegenerateInputError, match="non-finite"):
-        rank_of(scores, ids, 0)
+        rank_of(scores, 0)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -271,7 +271,7 @@ def test_rank_under_ties_matches_lexsort(scores, seed, dtype):
 @pytest.mark.parametrize("k", [0, 3])
 def test_top_k_rejects_k_outside_the_scores(k):
     with pytest.raises(ValueError, match=f"top_k: k must be in \\[1, 2\\], got {k}"):
-        top_k(np.array([0.5, 0.25]), np.array([1, 2]), k)
+        top_k(np.array([0.5, 0.25]), k)
 
 
 # ---------------------------------------------------------------- recall_at_k
@@ -424,14 +424,15 @@ class TestBatchLoss:
         err = gradient_check(lambda: batch_loss(preds, tars), [preds, tars])
         assert err <= 1e-5
 
-    def test_zero_norm_rows_raise(self):
+    @pytest.mark.parametrize("loss_fn", [batch_loss, ref.batch_loss_chain])
+    def test_zero_norm_rows_raise(self, loss_fn):
         preds = np.ones((3, 4))
         bad = preds.copy()
         bad[1] = 0.0
-        with pytest.raises(DegenerateInputError):
-            batch_loss(Tensor(bad), Tensor(preds))
-        with pytest.raises(DegenerateInputError):
-            batch_loss(Tensor(preds), Tensor(bad))
+        with pytest.raises(DegenerateInputError, match="^batch_loss: zero-norm row$"):
+            loss_fn(Tensor(bad), Tensor(preds))
+        with pytest.raises(DegenerateInputError, match="^batch_loss: zero-norm row$"):
+            loss_fn(Tensor(preds), Tensor(bad))
 
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
@@ -443,12 +444,12 @@ class TestBatchLoss:
 def _clamped_batch_loss(predictions, targets):
     # the loss as it was built with its cosine denominators floored by clamp_min
     b = predictions.data.shape[0]
-    pn = ad.div(predictions, ref.clamp_min(ad.l2norm(predictions, axis=1, keepdims=True), ad.COSINE_EPS))
-    tn = ad.div(targets, ref.clamp_min(ad.l2norm(targets, axis=1, keepdims=True), ad.COSINE_EPS))
-    sims = ad.matmul(pn, ad.transpose(tn))
-    log_denom = ad.log(ad.reduce_sum(ad.exp(sims), axis=1))
-    diag = ad.reduce_sum(ad.mul(sims, Tensor(np.eye(b, dtype=predictions.data.dtype))), axis=1)
-    return ad.reduce_mean(ad.sub(log_denom, diag))
+    pn = ref.div(predictions, ref.clamp_min(ref.l2norm(predictions, axis=1, keepdims=True), ad.COSINE_EPS))
+    tn = ref.div(targets, ref.clamp_min(ref.l2norm(targets, axis=1, keepdims=True), ad.COSINE_EPS))
+    sims = ad.matmul(pn, ref.transpose(tn))
+    log_denom = ref.log(ref.reduce_sum(ref.exp(sims), axis=1))
+    diag = ref.reduce_sum(ad.mul(sims, Tensor(np.eye(b, dtype=predictions.data.dtype))), axis=1)
+    return ref.reduce_mean(ad.sub(log_denom, diag))
 
 
 @given(seed=st.integers(0, 2**32 - 1), b=st.integers(2, 8), dim=st.integers(1, 16),
@@ -473,6 +474,44 @@ def test_batch_loss_equals_the_clamped_chain(seed, b, dim, dtype, scale, tiny):
     for got, want in zip(*results):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want)
+
+
+def _loss_and_grads(loss_fn, preds_array, tars_array, tars_grad, shared):
+    preds = Tensor(preds_array.copy(), requires_grad=True)
+    tars = preds if shared else Tensor(tars_array.copy(), requires_grad=tars_grad)
+    with Tape() as tape:
+        # a use of the predictions recorded after the loss, so that the loss's terms add
+        # onto a gradient the sweep already holds
+        loss = ad.add(loss_fn(preds, tars), ref.reduce_sum(ad.mul(preds, 0.5)))
+    tape.backward(loss)
+    return loss.data, preds.grad, tars.grad, len(tape)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("tars_grad,shared", [(False, False), (True, False), (True, True)],
+                         ids=["targets-no-grad", "targets-grad", "one-tensor"])
+@pytest.mark.parametrize("b,dim", [(1, 5), (2, 1), (7, 16), (32, 32)])
+def test_batch_loss_is_its_chain_bit_for_bit(dtype, tars_grad, shared, b, dim):
+    rng = np.random.default_rng(b * dim)
+    for scale in (1e-3, 1.0, 1e3):
+        preds, tars = ((rng.normal(size=(b, dim)) * scale).astype(dtype) for _ in range(2))
+        fused = _loss_and_grads(batch_loss, preds, tars, tars_grad, shared)
+        chain = _loss_and_grads(ref.batch_loss_chain, preds, tars, tars_grad, shared)
+        for got, want in zip(fused[:3], chain[:3]):
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # add, mul and reduce_sum, plus the fused op's one node (none for a batch of one)
+        # or the chain's nodes (only its norms for a batch of one)
+        chain_nodes = (13 if b > 1 else 2) if tars_grad else (10 if b > 1 else 1)
+        assert (fused[3], chain[3]) == (3 + (b > 1), 3 + chain_nodes)
+
+
+def test_batch_loss_rejects_non_finite_logits():
+    preds = np.ones((3, 4), dtype=np.float32)
+    preds[2, 0] = np.nan
+    with pytest.raises(DomainError, match="^batch_loss: non-finite logits$"):
+        batch_loss(Tensor(preds, requires_grad=True), Tensor(np.ones((3, 4))))
 
 
 # ----------------------------------------------------------- transaction_loss

@@ -446,6 +446,8 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             if trainable:
                 opt.zero_grad()
                 tape.backward(loss)
+                # its nodes hold the step's activations; Adam and validation need none
+                del tape
                 grad_norm = clip_gradients(params, cfg.grad_clip)
                 if not np.isfinite(grad_norm):
                     # NaN passes clip_gradients unscaled; Adam would write it into the weights

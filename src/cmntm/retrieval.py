@@ -118,6 +118,12 @@ def row_blocks(count: int, row_bytes: int) -> list[slice]:
     return [slice(start, min(start + step, count)) for start in range(0, count, step)]
 
 
+def score_gap(dtype, dim: int) -> float:
+    """``unsettled``'s 2 B = 4 (D + 1) eps of ``dtype``: two block scores of
+    that dtype further apart than this are in the same order in the GEMV's."""
+    return 4 * (dim + 1) * float(np.finfo(dtype).eps)
+
+
 def unsettled(scores: np.ndarray, cols: np.ndarray, dim: int,
               ks: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Where a GEMM score block decides each row's recall@K as a GEMV would.
@@ -132,15 +138,22 @@ def unsettled(scores: np.ndarray, cols: np.ndarray, dim: int,
     Only the dot products round differently. One of length D (``dim``),
     summed in any order, lies within gamma_D * sum|f_k v_k| <= gamma_D |f| |v|
     of the exact value, where gamma_D = D u / (1 - D u) and u = eps / 2 is
-    the score dtype's unit roundoff (Higham, "Accuracy and Stability of
-    Numerical Algorithms", section 3.1); underflow adds at most D * tiny.
-    The shared denominator is within a relative few D u' of |f| |v|, u' the
-    unit roundoff of the norms' dtype, or floored above it, so the two dot
-    products differ by at most 2 gamma_D (1 + O(D u')) after the division,
-    and the two divisions' roundings add 2 u; clipping both alike moves
-    nothing apart. That is (D + 1) eps plus smaller terms, so
+    the unit roundoff of the dtype it is summed in (Higham, "Accuracy and
+    Stability of Numerical Algorithms", section 3.1); underflow adds at
+    most D * tiny. The shared denominator is within a relative few D u' of
+    |f| |v|, u' the unit roundoff of the norms' dtype, or floored above it,
+    so the two dot products differ by at most 2 gamma_D (1 + O(D u')) after
+    the division, and the two divisions' roundings add 2 u; clipping both
+    alike moves nothing apart. That is (D + 1) eps plus smaller terms, so
     B = 2 (D + 1) eps bounds how far a GEMM score may lie from its GEMV
     score, with a margin of almost 2.
+
+    A float32 block of float32 operands may also stand for a float64 GEMV
+    of the same values, if each score is divided in float64 by the GEMV's
+    own denominator and then rounded to float32. It errs by gamma_D of
+    float32 in its sum, by that rounding, and by the GEMV's own float64
+    error: about (D + 1) eps32 / 2, so B at float32's eps bounds it with a
+    margin of almost 4.
 
     A candidate whose GEMM score exceeds the column's by more than 2 B
     therefore also beats it in the GEMV scores, and one more than 2 B below
@@ -149,7 +162,7 @@ def unsettled(scores: np.ndarray, cols: np.ndarray, dim: int,
     minus 2 B moves the gap far less than its margin.
     """
     ref = scores[np.arange(len(scores)), cols][:, None]
-    gap = 4 * (dim + 1) * np.finfo(scores.dtype).eps  # 2 B
+    gap = score_gap(scores.dtype, dim)
     # an int32 sum counts a row about 2.5 times as fast as count_nonzero
     lo = (scores > ref + gap).sum(axis=1, dtype=np.int32)
     hi = (scores >= ref - gap).sum(axis=1, dtype=np.int32) - 1  # less the column itself

@@ -11,12 +11,14 @@ identifies the final target on its own.
 ``gen_distractor`` works a chunk of transactions at a time. Each transaction
 draws from its own seeded generator, in a fixed order of calls; array
 operations then build the whole chunk's queries and clean composites, a few
-indexed writes per turn. One GEMM scores the chunk's composites against the
-db, and each turn takes its row's argmax. GEMM and GEMV round differently,
-so a turn whose best cosine lies within ``retrieval.unsettled``'s gap of
-another's is searched again with the per-turn GEMV (``_nearest_id``); every
-id thus equals a one-GEMV-per-turn search's, ties included. Chunks are cut
-by ``retrieval.row_blocks``, so that a chunk's float64 scores fit one score
+indexed writes per turn. A composite holds only db values, so one float32
+GEMM screens the chunk's composites against ``db.features``, and each turn
+takes its row's argmax. Where ``retrieval.unsettled`` finds another cosine
+within the float32 gap of the best, the candidates inside the gap are
+scored again in float64, and only a float64 near tie is searched again with
+the per-turn GEMV (``_nearest_id``); every id thus equals a
+one-float64-GEMV-per-turn search's, ties included. Chunks are cut by
+``retrieval.row_blocks``, so that a chunk's float32 scores fit one score
 block. ``make_db`` hands every split of a task the same read-only db for as
 long as some dataset holds it, and ``load_dataset`` hands a split the live
 db its file's db equals, so a process holds each task's db once.
@@ -39,7 +41,7 @@ import numpy as np
 
 from .checkpoint import load_entries, save_entries
 from .errors import CheckpointError, ConfigError, DatasetFormatError, DegenerateInputError
-from .retrieval import CandidateDB, row_blocks, unsettled
+from .retrieval import CandidateDB, row_blocks, score_gap, unsettled
 
 # Seed-derivation tags keep the independent random streams apart.
 _DB_TAG = 101
@@ -197,36 +199,61 @@ def _holds(db: CandidateDB, features: np.ndarray) -> bool:
                for rows in row_blocks(len(features), 4 * db.dim))
 
 
-def _nearest_id(db: CandidateDB, features64: np.ndarray, vector: np.ndarray) -> int:
-    """Id of the candidate with the highest cosine similarity to ``vector``.
+def _nearest_id(db: CandidateDB, vector: np.ndarray) -> int:
+    """Id of the candidate with the highest cosine similarity to the float64
+    ``vector``, from one float64 GEMV over the whole db: the search every
+    id of ``_nearest_ids`` equals. The db's float64 cast is built per call,
+    as only a float64 near tie comes here.
 
-    ``features64`` is ``db.features`` cast to float64 once by the caller.
     The floor is an ``np.float64``, so the denominators stay float64 under
     NEP 50 even below it.
     """
     norms = db.row_norms * np.maximum(np.linalg.norm(vector), 1e-30)
-    return int(np.argmax(features64 @ vector / norms))
+    return int(np.argmax(db.features.astype(np.float64) @ vector / norms))
 
 
-def _nearest_ids(db: CandidateDB, features64: np.ndarray, composites: np.ndarray,
-                 norms: np.ndarray) -> np.ndarray:
-    """``_nearest_id`` of every row of ``composites``, from one GEMM.
+def _nearest_ids(db: CandidateDB, composites: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``_nearest_id`` of every row of the float64 ``composites``, screened
+    by one float32 GEMM.
 
     ``norms[j]`` is ``np.maximum(np.linalg.norm(composites[j]), 1e-30)``, a
-    float64 array. As ``unsettled`` requires, both searches take the same
-    float64 operands, divide by the same ``db.row_norms * norm`` and do not
-    clip. The rows it marks are resolved again with ``_nearest_id``, so
-    every id is the one ``_nearest_id`` returns.
+    float64 array. A composite holds float32 db values, so its float32 cast
+    is exact and the screen multiplies ``_nearest_id``'s own operands; a
+    cast that rounded would add only u32 |f| |v|. Each screen cosine is a
+    float32 dot product divided, in float64, by ``_nearest_id``'s own
+    denominator ``db.row_norms * norm``, then rounded to float32, so it lies
+    within 2 (D + 1) eps32 of the GEMV's (``unsettled``). The norm's floor
+    and ``CandidateDB``'s keep every denominator above 1e-38, so float32
+    underflow, at most D 2^-150 in a dot product, adds under 1.2 D u32 and
+    stays inside that bound's margin too.
+
+    A row the screen leaves unsettled has the GEMV's argmax among the
+    candidates within the float32 gap of its best. Those are scored again
+    by a float64 GEMV of their rows alone, which lies within
+    2 (D + 1) eps64 of the full GEMV, and the same rule at float64's eps
+    settles the row. A float64 near tie, or a non-finite screen score,
+    falls back to ``_nearest_id``, so every id is the one it returns.
     """
-    cosines = composites @ features64.T
-    # 64 rows per division: the products are the per-row ones, in a
-    # temporary of 64 score rows (128 KB at desk)
+    cosines = composites.astype(np.float32) @ db.features.T
+    # 64 rows per division: the float64 denominators are the per-row ones,
+    # in a temporary of 64 score rows (128 KB at desk)
     for i in range(0, len(cosines), 64):
         cosines[i:i + 64] /= norms[i:i + 64, None] * db.row_norms
     best = np.argmax(cosines, axis=1)
-    _, exact = unsettled(cosines, best, db.dim, (1,))
-    for j in np.flatnonzero(exact):
-        best[j] = _nearest_id(db, features64, composites[j])
+    _, near = unsettled(cosines, best, db.dim, (1,))
+    gap = score_gap(np.float32, db.dim)
+    for j in np.flatnonzero(near):
+        row = cosines[j]
+        if np.isfinite(row).all():
+            cols = np.flatnonzero(row >= row[best[j]] - gap)
+            rescored = (db.features[cols].astype(np.float64) @ composites[j]
+                        / (norms[j] * db.row_norms[cols]))
+            top = np.argmax(rescored)
+            _, tie = unsettled(rescored[None], [top], db.dim, (1,))
+            if not tie[0]:
+                best[j] = cols[top]
+                continue
+        best[j] = _nearest_id(db, composites[j])
     return best
 
 
@@ -259,24 +286,25 @@ def _draw(ds: SyntheticDataset, rows: slice) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _assemble(ds: SyntheticDataset, rows: slice, targets: np.ndarray, noise: np.ndarray,
-              features64: np.ndarray, composites: np.ndarray) -> None:
+              composites: np.ndarray) -> None:
     """Fill the revealing turns' queries of ``ds``'s ``rows``, and each
-    turn's clean composite.
+    turn's clean float64 composite.
 
     ``composites[k, n]`` is the chunk's transaction k's composite after turn
-    n. An id is its row of ``features64``. Each value is the elementwise
+    n. An id is its row of ``ds.db.features``. Each value is the elementwise
     result one transaction at a time would give: a copied feature, or a
     float64 sum cast once to float32.
     """
     refs, blocks, distractor, queries = (ds.refs[rows], ds.blocks[rows], ds.distractor[rows],
                                          ds.queries[rows])
-    block_len = ds.task.block_len
+    features, block_len = ds.db.features, ds.task.block_len
     k = np.arange(len(refs))[:, None]
-    composite = features64[refs]
+    composite = features[refs].astype(np.float64)
     for n in range(blocks.shape[1]):
         cols = blocks[:, n, None] * block_len + np.arange(block_len)
-        revealed = features64[targets[:, None], cols]
-        query = features64[refs]
+        revealed = features[targets[:, None], cols]
+        query = features[refs]
+        # float32 revealed values upcast exactly before the noise is added
         query[k, cols] = revealed + noise[:, n]
         live = ~distractor[:, n]
         np.copyto(queries[:, n], query, where=live[:, None])
@@ -290,8 +318,8 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
 
     Transactions are made a chunk at a time, straight into the dataset's
     arrays: each draws from its own generator, then array operations build
-    the whole chunk's queries and composites turn by turn, and one GEMM
-    finds its ground truth.
+    the whole chunk's queries and composites turn by turn, and one float32
+    GEMM screens its ground truth (``_nearest_ids``).
     """
     if split not in _SPLIT_TAGS:
         raise ValueError(f"unknown split {split!r}; expected one of {sorted(_SPLIT_TAGS)}")
@@ -304,19 +332,18 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
                           np.zeros((count, turns), np.int64), np.zeros(count, np.int64),
                           np.empty((count, turns), np.int64), np.zeros((count, turns), bool),
                           split)
-    # one upcast per call; each chunk's GEMM then reads it directly
-    features64 = db.features.astype(np.float64)
-    chunks = row_blocks(count, 8 * len(db) * turns)
+    # a chunk's float32 scores fit one score block
+    chunks = row_blocks(count, 4 * len(db) * turns)
     buffer = np.empty((chunks[0].stop, turns, dim))
     for rows in chunks:
         targets, noise = _draw(ds, rows)
         composites = buffer[:len(targets)]
-        _assemble(ds, rows, targets, noise, features64, composites)
+        _assemble(ds, rows, targets, noise, composites)
         composites = composites.reshape(-1, dim)
         # as np.linalg.norm computes a vector's: one dot per row, so the same
         # sum; a float64 array, so that db.row_norms * norm stays float64
         norms = np.maximum(np.sqrt([c.dot(c) for c in composites]), 1e-30)
-        ds.target_ids[rows] = _nearest_ids(db, features64, composites, norms).reshape(-1, turns)
+        ds.target_ids[rows] = _nearest_ids(db, composites, norms).reshape(-1, turns)
     return ds
 
 

@@ -634,6 +634,28 @@ class TestTraining:
         assert steps == [0]
         assert np.isfinite(models[0].parameters()["fusion.w"].data).all()
 
+    def test_each_step_tape_is_dead_before_clipping(self, monkeypatch):
+        # a step's tape holds its activations, which clipping, Adam and
+        # validation do not need
+        tapes, alive = [], []
+
+        class TrackedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        clip = harness.clip_gradients
+
+        def checked_clip(params, max_norm):
+            alive.append(tapes[-1]() is not None)
+            return clip(params, max_norm)
+
+        monkeypatch.setattr(harness, "Tape", TrackedTape)
+        monkeypatch.setattr(harness, "clip_gradients", checked_clip)
+        harness.train(tiny_cfg(epochs=2))
+        assert len(alive) == len(tapes) >= 2
+        assert not any(alive)
+
     def test_desk_train_step_records_96_tape_nodes(self):
         cfg = TrainConfig()
         model = harness.build_model(cfg)

@@ -18,6 +18,7 @@ from cmntm.retrieval import (
     rank,
     rank_of,
     recall_at_k,
+    score_gap,
     similarity_scores,
     top_k,
     transaction_loss,
@@ -169,6 +170,13 @@ class TestSimilarityScores:
         lo, exact = unsettled(scores, np.array([1, 0, 1]), 4, (1, 2))
         assert lo[:2].tolist() == [1, 0]
         assert exact.tolist() == [False, True, True]
+        # a float32 block takes float32's gap: at the argmax, a rival half a
+        # gap below it is unsettled and one 1.5 gaps below is not
+        gap = score_gap(np.float32, 4)
+        block = np.array([[0.5, 0.5 - gap / 2, 0.0],
+                          [0.5, 0.5 - 1.5 * gap, 0.0]], np.float32)
+        lo, exact = unsettled(block, np.array([0, 0]), 4, (1,))
+        assert lo.tolist() == [0, 0] and exact.tolist() == [True, False]
 
 
 @given(seed=st.integers(0, 2**32 - 1), count=st.integers(2, 300), dim=st.integers(1, 48),

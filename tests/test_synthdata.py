@@ -30,7 +30,7 @@ from cmntm.synthdata import (
 
 SMALL = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=32, seed=7)
 # a db this large makes generation resolve 8 transactions per GEMM
-CHUNKY = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=20000, seed=7)
+CHUNKY = TaskConfig(feature_dim=16, blocks=4, max_turns=4, db_size=40000, seed=7)
 
 
 # ----------------------------------------------------------------- TaskConfig
@@ -276,40 +276,56 @@ class TestChunkedGroundTruth:
 
     def test_scale_preset_past_one_chunk_equals_one_gemv_per_turn(self):
         cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3)
-        chunk = _chunk(cfg, 17)
-        assert chunk == 16
+        chunk = _chunk(cfg, 33)
+        assert chunk == 32
         _assert_matches_gemv_reference(cfg, chunk + 1, distractor_prob=0.3)
 
-    def test_scale_cosines_lie_within_the_bound_of_gemv_cosines(self, monkeypatch):
-        # unsettled's premise for generation: at D=768 over a 10k db, the
-        # chunk's GEMM cosines lie within B = 2 (D + 1) eps of each turn's GEMV
-        chunks = []
-        nearest_ids = synthdata._nearest_ids
-        monkeypatch.setattr(synthdata, "_nearest_ids",
-                            lambda *args: chunks.append(args) or nearest_ids(*args))
+    def test_scale_screen_and_rescore_lie_within_their_bounds_of_the_gemv(self, monkeypatch):
+        # unsettled's premises for generation at D=768 over a 10k db: the
+        # chunk's float32 screen lies within B = 2 (D + 1) eps32 of each
+        # turn's float64 GEMV, and a float64 re-score of a few rows within
+        # 2 (D + 1) eps64
         cfg = TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3,
                          distractor_prob=0.3)
-        gen_distractor(cfg, _chunk(cfg, 16))
-        [(db, features64, composites, norms)] = chunks
+        [(db, composites, norms)] = _screened_chunks(monkeypatch, cfg, _chunk(cfg, 32))
+        features64 = db.features.astype(np.float64)
         # as _nearest_ids and _nearest_id compute them
-        block = composites @ features64.T
-        for row, norm in zip(block, norms):
-            row /= db.row_norms * norm
+        screen = composites.astype(np.float32) @ db.features.T
+        for row, norm in zip(screen, norms):
+            row /= norm * db.row_norms
         gemv = np.stack([features64 @ c / (db.row_norms * max(np.linalg.norm(c), 1e-30))
                          for c in composites])
-        assert block.dtype == gemv.dtype == np.float64
-        assert np.max(np.abs(block - gemv)) <= 2 * (768 + 1) * np.finfo(np.float64).eps
+        assert screen.dtype == np.float32 and gemv.dtype == np.float64
+        assert np.max(np.abs(screen - gemv)) <= 2 * (768 + 1) * np.finfo(np.float32).eps
+        # each composite's 8 best screen rows, gathered in ascending order
+        near = np.sort(np.argpartition(-screen, 8, axis=1)[:, :8], axis=1)
+        rescored = np.stack([db.features[cols].astype(np.float64) @ c / (norm * db.row_norms[cols])
+                             for cols, c, norm in zip(near, composites, norms)])
+        gemv_near = np.take_along_axis(gemv, near, axis=1)
+        assert np.max(np.abs(rescored - gemv_near)) <= 2 * (768 + 1) * np.finfo(np.float64).eps
+
+    @pytest.mark.parametrize("cfg", [
+        TaskConfig(distractor_prob=0.3),
+        TaskConfig(feature_dim=768, db_size=10000, max_turns=4, seed=3, distractor_prob=0.3),
+    ], ids=["desk", "scale"])
+    def test_composites_round_trip_through_float32(self, monkeypatch, cfg):
+        # the screen's premise: a composite holds db values only, so its
+        # float32 cast loses nothing
+        [(db, composites, norms)] = _screened_chunks(monkeypatch, cfg, _chunk(cfg, 10 ** 6))
+        assert composites.dtype == np.float64
+        assert len(composites) == _chunk(cfg, 10 ** 6) * cfg.max_turns
+        np.testing.assert_array_equal(composites.astype(np.float32).astype(np.float64),
+                                      composites)
 
     def test_rows_equal_nearest_id_on_a_db_of_unequal_norms(self):
         # generated dbs are unit-norm; this one makes the row norms matter
         rng = np.random.default_rng(5)
         feats = rng.normal(size=(300, 16)) * rng.uniform(0.1, 10.0, size=(300, 1))
         db = CandidateDB(feats.astype(np.float32))
-        features64 = db.features.astype(np.float64)
         composites = rng.normal(size=(40, 16))
         norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
-        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [
-            synthdata._nearest_id(db, features64, c) for c in composites]
+        assert synthdata._nearest_ids(db, composites, norms).tolist() == [
+            synthdata._nearest_id(db, c) for c in composites]
 
     def test_near_tie_keeps_the_lower_row_via_the_gemv(self, monkeypatch):
         # rows 2 and 5 are the same feature: np.argmax picks the lower row,
@@ -317,17 +333,54 @@ class TestChunkedGroundTruth:
         feats = np.random.default_rng(3).normal(size=(8, 16))
         feats[5] = feats[2]
         db = CandidateDB(feats.astype(np.float32))
-        features64 = db.features.astype(np.float64)
-        composites = features64[[2, 6]]
+        composites = db.features[[2, 6]].astype(np.float64)
         norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
         fallbacks = []
         gemv = synthdata._nearest_id
         monkeypatch.setattr(synthdata, "_nearest_id",
-                            lambda *args: fallbacks.append(args[2]) or gemv(*args))
-        assert synthdata._nearest_ids(db, features64, composites, norms).tolist() == [2, 6]
+                            lambda *args: fallbacks.append(args[1]) or gemv(*args))
+        assert synthdata._nearest_ids(db, composites, norms).tolist() == [2, 6]
         # only the tied composite is searched again
         assert len(fallbacks) == 1
         np.testing.assert_array_equal(fallbacks[0], composites[0])
+
+    def test_a_float32_near_tie_is_settled_by_the_float64_rescore(self, monkeypatch):
+        # row 4 is row 1 turned by about 1e-3 rad, so the composite that is
+        # row 4 scores rows 1 and 4 closer than the float32 gap but farther
+        # apart than the float64 bound: the re-score decides, without a GEMV
+        rng = np.random.default_rng(11)
+        feats = rng.normal(size=(8, 16)).astype(np.float32)
+        feats[4] = feats[1] + np.float32(1.5e-3) * rng.normal(size=16).astype(np.float32)
+        db = CandidateDB(feats)
+        composites = db.features[[4, 6]].astype(np.float64)
+        norms = np.array([max(np.linalg.norm(c), 1e-30) for c in composites])
+        expected = [synthdata._nearest_id(db, c) for c in composites]
+        assert expected == [4, 6]
+        gemv = (db.features.astype(np.float64) @ composites[0]
+                / (db.row_norms * np.linalg.norm(composites[0])))
+        assert (2 * retrieval.score_gap(np.float64, 16) < gemv[4] - gemv[1]
+                < retrieval.score_gap(np.float32, 16) / 4)
+        # the screen marks the composite, as _nearest_ids computes it
+        screen = composites.astype(np.float32) @ db.features.T
+        screen /= norms[:, None] * db.row_norms
+        _, near = retrieval.unsettled(screen, np.argmax(screen, axis=1), 16, (1,))
+        assert near.tolist() == [True, False]
+
+        def no_gemv(*args):
+            raise AssertionError("_nearest_id was called")
+        monkeypatch.setattr(synthdata, "_nearest_id", no_gemv)
+        assert synthdata._nearest_ids(db, composites, norms).tolist() == expected
+
+
+def _screened_chunks(monkeypatch, cfg: TaskConfig, count: int) -> list[tuple]:
+    """The ``(db, composites, norms)`` of each chunk that generating ``count``
+    transactions of ``cfg`` hands ``_nearest_ids``."""
+    chunks = []
+    nearest_ids = synthdata._nearest_ids
+    monkeypatch.setattr(synthdata, "_nearest_ids",
+                        lambda *args: chunks.append(args) or nearest_ids(*args))
+    gen_distractor(cfg, count)
+    return chunks
 
 
 # ---------------------------------------------------------------- distractors
@@ -365,8 +418,8 @@ def _head(ds: SyntheticDataset, count: int) -> SyntheticDataset:
 
 def _chunk(cfg: TaskConfig, count: int) -> int:
     """Transactions per chunk when ``gen_distractor`` makes ``count`` of ``cfg``'s:
-    its float64 scores of every turn against the db fit one score block."""
-    first = row_blocks(count, 8 * cfg.db_size * cfg.max_turns)[0]
+    its float32 scores of every turn against the db fit one score block."""
+    first = row_blocks(count, 4 * cfg.db_size * cfg.max_turns)[0]
     return first.stop - first.start
 
 
@@ -758,7 +811,9 @@ class TestGoldenData:
         assert _digests(gen_distractor(TaskConfig(), count=64), tmp_path / "desk.bin") == (
             DESK_FILE_SHA256, DESK_ARRAYS_SHA256)
 
-    def test_desk_split_with_distractors_past_one_chunk_is_pinned(self, tmp_path):
+    def test_desk_split_with_distractors_past_one_chunk_is_pinned(self, tmp_path, monkeypatch):
+        # half the score block cuts the split at 640, as float64 scores did
+        monkeypatch.setattr(retrieval, "SCORE_BLOCK_BYTES", retrieval.SCORE_BLOCK_BYTES // 2)
         cfg = TaskConfig(distractor_prob=0.3)
         assert _chunk(cfg, 700) == 640
         assert _digests(gen_distractor(cfg, count=700), tmp_path / "desk.bin") == (

@@ -2,8 +2,8 @@
 
 Operations execute eagerly and append themselves to the active ``Tape``; eager
 order is already topological, so ``Tape.backward`` visits each recorded node
-exactly once in reverse. A node may have several outputs (the fused
-memory-stage primitives do); it is visited once, with one gradient per output.
+exactly once in reverse. A node may have several outputs (``ntm``'s LSTM
+and head kernels do); it is visited once, with one gradient per output.
 Only leaves (tensors that require grad and that no node of the tape produced,
 such as parameters) receive a ``Tensor.grad``; an intermediate's gradient lives
 only until its producing node has used it. Gradients accumulate additively
@@ -15,15 +15,14 @@ A tape references its tensors and no tensor references its tape, so a tape
 and everything it recorded are freed by reference counting as soon as the
 caller drops them, without waiting for the cyclic garbage collector.
 
-The module holds only the primitives the model runs. The memory stage runs
-on fused primitives (``lstm_cell``, ``head_mlp``, ``ntm_address``,
-``erase_add`` and ``weighted_read``), and train-mode batch norm on
-``batch_norm``, each one tape node. The per-turn loss is one node too,
-``retrieval.batch_loss``, recorded through ``_record`` like the ops here.
+The module holds the tape, the general ops the model runs (``add``, ``mul``,
+``matmul`` and ``concat``) and batch norm, whose train mode is one tape node,
+``batch_norm``. The model's own kernels live beside their callers and record
+through ``_record`` like the ops here: the memory-stage kernels in ``ntm``
+and the per-turn loss, ``retrieval.batch_loss``.
 
-Primitives take ``Tensor`` operands. The binary elementwise ops (``add``,
-``sub`` and ``mul``) also take a Python scalar on either side, which runs in
-the other operand's dtype.
+Primitives take ``Tensor`` operands; ``add`` and ``mul`` also take a Python
+scalar as their second operand, which runs in the first operand's dtype.
 
 Values default to single precision. Construct tensors with
 ``dtype=numpy.float64`` when running finite-difference gradient checks.
@@ -59,7 +58,7 @@ class Tensor:
     """Dense array with an optional gradient slot.
 
     Values are float32 or float64 arrays, not always C-contiguous:
-    ``head_mlp``'s strength and gate are column views of one array.
+    ``ntm.head_mlp``'s strength and gate are column views of one array.
     ``grad`` is ``None`` until a backward pass reaches the tensor as a leaf,
     after which it matches ``data``'s shape.
     Tensors and tapes are single-owner: never mutate one from two threads.
@@ -182,10 +181,8 @@ class no_grad:
         return False
 
 
-def _as_tensors(a, b) -> tuple[Tensor, Tensor]:
-    """A binary op's operands as Tensors; a scalar takes the other's dtype."""
-    if type(a) is not Tensor:
-        a = Tensor(np.asarray(a, dtype=b.data.dtype if type(b) is Tensor else None))
+def _as_tensors(a: Tensor, b) -> tuple[Tensor, Tensor]:
+    """A binary op's operands as Tensors; a scalar ``b`` takes ``a``'s dtype."""
     if type(b) is not Tensor:
         b = Tensor(np.asarray(b, dtype=a.data.dtype))
     return a, b
@@ -246,19 +243,6 @@ def add(a, b) -> Tensor:
     return _record((a, b), out, backward)
 
 
-def sub(a, b) -> Tensor:
-    a, b = _as_tensors(a, b)
-    try:
-        out = a.data - b.data
-    except ValueError:
-        raise ShapeError("sub", f"incompatible shapes {a.data.shape} and {b.data.shape}") from None
-
-    def backward(g):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
-
-    return _record((a, b), out, backward)
-
-
 def mul(a, b) -> Tensor:
     a, b = _as_tensors(a, b)
     try:
@@ -311,286 +295,6 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# nonlinearities
-
-
-def _sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Overflow-free logistic function: 1/(1+e) or e/(1+e) with e = exp(-|x|)."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
-# ---------------------------------------------------------------------------
-# contraction
-
-
-# (forward, inverse) rows realizing np.roll along the last axis, one per offset
-_ROLL_CACHE: dict[tuple[int, tuple[int, ...]], tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _roll_indices(size: int, offsets: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    key = (size, offsets)
-    got = _ROLL_CACHE.get(key)
-    if got is None:
-        base = np.arange(size)
-        off = np.asarray(offsets)[:, None]
-        got = ((base - off) % size, (base + off) % size)
-        _ROLL_CACHE[key] = got
-    return got
-
-
-def weighted_read(w: Tensor, memory: Tensor) -> Tensor:
-    """Weighted sum of memory rows: (B, P) weights over (B, P, M) memory -> (B, M)."""
-    wd, mem = w.data, memory.data
-    if mem.ndim != 3 or wd.shape != mem.shape[:2]:
-        raise ShapeError("weighted_read", f"weights {wd.shape} do not fit memory {mem.shape}")
-    out = np.matmul(wd[:, None, :], mem)[:, 0, :]
-
-    def backward(g):
-        return (np.matmul(mem, g[:, :, None])[:, :, 0] if w.requires_grad else None,
-                wd[:, :, None] * g[:, None, :] if memory.requires_grad else None)
-
-    return _record((w, memory), out, backward)
-
-
-# ---------------------------------------------------------------------------
-# fused memory-stage primitives
-#
-# Each op below does the work of a chain of unfused primitives in one tape
-# node; ``tests/reference_ops.py`` keeps those primitives as the reference.
-# The forward evaluates the chain's own numpy expressions in the chain's
-# order, and the backward replays the chain's per-op adjoints in reverse tape
-# order, so values and gradients are bit-identical to the chain's. An input
-# the chain uses more than once is listed once per use, in the order the tape
-# would have visited those uses, so gradients still accumulate in
-# ``Tape.backward`` in the same order. Slices fed to exp/log/tanh are copied
-# first, as the chain's ``take_slice`` did, so those ufuncs see the same
-# contiguous layout.
-
-
-def lstm_cell(x: Tensor, wx: Tensor, hidden: Tensor, wh: Tensor, bias: Tensor,
-              cell: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step; returns ``(new hidden, new cell)``.
-
-    ``x`` is (B, D), ``wx`` (D, 4H), ``hidden`` and ``cell`` (B, H), ``wh``
-    (H, 4H), ``bias`` (4H,). Gates ``x @ wx + hidden @ wh + bias`` are ordered
-    [input, forget, cell, output]; the new cell is ``f * cell + i * tanh(g)``
-    and the new hidden state ``o * tanh(new cell)``.
-    """
-    c = cell.data
-    gates = None
-    if x.data.ndim == wx.data.ndim == hidden.data.ndim == wh.data.ndim == c.ndim == 2:
-        try:
-            gates = (x.data @ wx.data + hidden.data @ wh.data) + bias.data
-        except ValueError:
-            pass
-    if gates is None or gates.shape != (c.shape[0], 4 * c.shape[1]):
-        raise ShapeError("lstm_cell", f"input {x.data.shape}, hidden {hidden.data.shape}, weights "
-                                      f"{wx.data.shape} and {wh.data.shape}, bias "
-                                      f"{bias.data.shape} do not fit cell state {c.shape}")
-    h = c.shape[1]
-    sig = _sigmoid_values(gates)
-    i_gate, f_gate, o_gate = sig[:, :h], sig[:, h:2 * h], sig[:, 3 * h:]
-    g_cand = np.tanh(gates[:, 2 * h:3 * h].copy())
-    new_cell = f_gate * c + i_gate * g_cand
-    tanh_cell = np.tanh(new_cell)
-    new_hidden = o_gate * tanh_cell
-
-    def backward(grads):
-        g_hidden, g_cell = grads
-        g_gates = np.zeros_like(gates)
-        if g_hidden is not None:
-            g_gates[:, 3 * h:] = g_hidden * tanh_cell * o_gate * (1.0 - o_gate)
-            g_tanh = g_hidden * o_gate * (1.0 - tanh_cell * tanh_cell)
-            g_cell = g_tanh if g_cell is None else g_cell + g_tanh
-        g_i = g_cell * g_cand
-        g_gates[:, 2 * h:3 * h] = g_cell * i_gate * (1.0 - g_cand * g_cand)
-        g_gates[:, h:2 * h] = g_cell * c * f_gate * (1.0 - f_gate)
-        g_gates[:, :h] = g_i * i_gate * (1.0 - i_gate)
-        return (g_cell * f_gate, _unbroadcast(g_gates, bias.data.shape),
-                g_gates @ wh.data.T, hidden.data.T @ g_gates,
-                g_gates @ wx.data.T, x.data.T @ g_gates)
-
-    return _record((cell, bias, hidden, wh, x, wx), (new_hidden, new_cell), backward)
-
-
-def head_mlp(ctrl_out: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor,
-             width: int, write: bool) -> tuple[Tensor, ...]:
-    """A memory head: maps (B, H) controller output to addressing parameters.
-
-    The read-out ``tanh(ctrl_out @ w1 + b1) @ w2 + b2`` has columns [key
-    (width) | strength | gate | shift (3) | sharpen], then for a write head
-    [erase (width) | add (width)]. Returns ``(key, softplus(strength),
-    sigmoid(gate), softmax(shift), 1 + softplus(sharpen))`` and, for a write
-    head, ``(sigmoid(erase), add)`` after them.
-    """
-    ctrl = ctrl_out.data
-    m = width
-    x = None
-    if ctrl.ndim == w1.data.ndim == w2.data.ndim == 2:
-        try:
-            hidden = np.tanh(ctrl @ w1.data + b1.data)
-            x = hidden @ w2.data + b2.data
-        except ValueError:
-            pass
-    if x is None or x.shape != (ctrl.shape[0], m + 6 + (2 * m if write else 0)):
-        raise ShapeError("head_mlp", f"controller output {ctrl.shape} with weights "
-                                     f"{w1.data.shape} and {w2.data.shape} does not fit a "
-                                     f"{'write' if write else 'read'} head of width {m}")
-    # one elementwise pass each: sig covers the strength through erase columns
-    # (the gate and erase activations and the softplus slopes); soft holds the
-    # strength and sharpen softplus columns
-    sig = _sigmoid_values(x[:, m:(2 * m if write else m) + 6])
-    # NaN inputs pass through; divergence is caught at the loss value
-    with np.errstate(invalid="ignore"):
-        soft = np.logaddexp(np.asarray(0.0, dtype=x.dtype), x[:, m:m + 6:5].copy())
-    shift_in = x[:, m + 2:m + 5]
-    e = np.exp(shift_in - shift_in.max(axis=1, keepdims=True))
-    shift = e / e.sum(axis=1, keepdims=True)
-    gate = sig[:, 1:2]
-    outs = (x[:, :m].copy(), soft[:, :1], gate, shift, soft[:, 1:] + 1.0)
-    if write:
-        outs += (sig[:, 6:], x[:, 2 * m + 6:].copy())
-
-    def backward(grads):
-        g_key, g_strength, g_gate, g_shift, g_sharpen = grads[:5]
-        gx = np.zeros_like(x)
-        if g_key is not None:
-            gx[:, :m] = g_key
-        if g_strength is not None:
-            gx[:, m:m + 1] = g_strength * sig[:, :1]
-        if g_gate is not None:
-            gx[:, m + 1:m + 2] = g_gate * gate * (1.0 - gate)
-        if g_shift is not None:
-            dot = (g_shift * shift).sum(axis=1, keepdims=True)
-            gx[:, m + 2:m + 5] = (g_shift - dot) * shift
-        if g_sharpen is not None:
-            gx[:, m + 5:m + 6] = g_sharpen * sig[:, 5:6]
-        if write:
-            g_erase, g_add = grads[5:]
-            if g_erase is not None:
-                erase = outs[5]
-                gx[:, m + 6:2 * m + 6] = g_erase * erase * (1.0 - erase)
-            if g_add is not None:
-                gx[:, 2 * m + 6:] = g_add
-        g_pre = (gx @ w2.data.T) * (1.0 - hidden * hidden)
-        return (_unbroadcast(gx, b2.data.shape), hidden.T @ gx,
-                _unbroadcast(g_pre, b1.data.shape), g_pre @ w1.data.T, ctrl.T @ g_pre)
-
-    return _record((b2, w2, b1, ctrl_out, w1), outs, backward)
-
-
-def ntm_address(memory: Tensor, key: Tensor, strength: Tensor, gate: Tensor, shift: Tensor,
-                sharpen: Tensor, w_prev: Tensor, offsets: Sequence[int]) -> Tensor:
-    """Content + location addressing over a (B, P, M) memory; returns (B, P) weights.
-
-    Content weights are ``softmax(strength * cosine(key, row))`` with cosine
-    denominators floored at ``COSINE_EPS``; ``gate`` interpolates them with
-    ``w_prev``; the result is circularly shifted by the kernel ``shift`` over
-    ``offsets`` (``out[i] = sum_k shift[k] * w[(i - offsets[k]) mod P]``),
-    raised to ``sharpen`` and renormalized. ``key`` is (B, M); ``strength``,
-    ``gate`` and ``sharpen`` are (B, 1); ``shift`` is (B, len(offsets)).
-    """
-    mem, k, wp = memory.data, key.data, w_prev.data
-    st, gt, s, ex = strength.data, gate.data, shift.data, sharpen.data
-    if mem.ndim != 3:
-        raise ShapeError("ntm_address", f"expected (B, P, M) memory, got {mem.shape}")
-    b, p, m = mem.shape
-    if (k.shape != (b, m) or wp.shape != (b, p) or s.shape != (b, len(offsets))
-            or not st.shape == gt.shape == ex.shape == (b, 1)):
-        raise ShapeError("ntm_address", f"memory {mem.shape} with key {k.shape}, strength "
-                                        f"{st.shape}, gate {gt.shape}, shift {s.shape}, sharpen "
-                                        f"{ex.shape}, previous weights {wp.shape}")
-    dots = np.matmul(mem, k[:, :, None])[:, :, 0]
-    key_norm = np.sqrt((k * k).sum(axis=1, keepdims=True))
-    row_norm = np.sqrt((mem * mem).sum(axis=2))
-    prod = key_norm * row_norm
-    denom = np.maximum(prod, COSINE_EPS)
-    sim = dots / denom
-    scaled = st * sim
-    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    content = e / e.sum(axis=1, keepdims=True)
-    one_minus = 1.0 - gt
-    gated = gt * content + one_minus * wp
-    # np.take returns the (B, K, P) gather in C order, keeping every array
-    # below in the chain's layout; reductions over another layout can sum in
-    # another order
-    fwd, inv = _roll_indices(p, tuple(offsets))
-    rolled = np.take(gated, fwd, axis=1)
-    terms = s[:, :, None] * rolled
-    shifted = terms[:, 0]
-    for i in range(1, len(fwd)):
-        shifted = shifted + terms[:, i]
-    if shifted.size and shifted.min() <= 0:
-        if np.any(shifted < 0) and np.any(np.mod(ex, 1.0) != 0):
-            raise DomainError("ntm_address: negative base with non-integer exponent")
-        if np.any((shifted == 0) & (ex < 0)):
-            raise DomainError("ntm_address: zero base with negative exponent")
-    powered = shifted ** ex
-    total = powered.sum(axis=1, keepdims=True)
-    if not total.all():
-        raise DomainError("ntm_address: sharpened weights sum to zero")
-    w = powered / total
-
-    def backward(g):
-        g_powered = g / total + _unbroadcast(-g * w / total, total.shape)
-        g_shifted = g_powered * ex * shifted ** (ex - 1)
-        safe = np.where(shifted > 0, shifted, 1.0)
-        g_sharpen = _unbroadcast(g_powered * powered * np.where(shifted > 0, np.log(safe), 0.0),
-                                 ex.shape)
-        g_terms = s[:, :, None] * np.take(g_shifted, inv, axis=1)
-        g_gated = g_terms[:, 0]
-        for i in range(1, len(inv)):
-            g_gated = g_gated + g_terms[:, i]
-        g_shift = (g_shifted[:, None, :] * rolled).sum(axis=2)
-        g_one_minus = _unbroadcast(g_gated * wp, one_minus.shape)
-        g_content = g_gated * gt
-        dot = (g_content * content).sum(axis=1, keepdims=True)
-        g_scaled = (g_content - dot) * content
-        g_sim = g_scaled * st
-        g_dots = g_sim / denom
-        g_prod = (-g_sim * sim / denom) * (prod > COSINE_EPS)
-        g_key_norm = _unbroadcast(g_prod * row_norm, key_norm.shape)
-        g_mem_norm = g_mem_dots = None
-        if memory.requires_grad:
-            g_mem_norm = (g_prod * key_norm)[:, :, None] * mem / np.where(
-                row_norm > 0, row_norm, 1.0)[:, :, None]
-            g_mem_dots = g_dots[:, :, None] * k[:, None, :]
-        return (g_sharpen, g_shift, g_gated * one_minus, -g_one_minus,
-                _unbroadcast(g_gated * content, gt.shape), _unbroadcast(g_scaled * sim, st.shape),
-                g_mem_norm, g_key_norm * k / np.where(key_norm > 0, key_norm, 1.0),
-                np.matmul(g_dots[:, None, :], mem)[:, 0, :], g_mem_dots)
-
-    return _record((sharpen, shift, w_prev, gate, gate, strength, memory, key, key, memory),
-                   w, backward)
-
-
-def erase_add(memory: Tensor, w: Tensor, erase: Tensor, add_vec: Tensor) -> Tensor:
-    """NTM memory write: row_i <- row_i * (1 - w_i * erase) + w_i * add.
-
-    ``memory`` is (B, P, M), ``w`` is (B, P), ``erase`` and ``add_vec`` are
-    (B, M); evaluated as ``memory - memory * (w erase^T) + w add^T``.
-    """
-    mem, wd, ed, av = memory.data, w.data, erase.data, add_vec.data
-    if (mem.ndim != 3 or wd.shape != mem.shape[:2]
-            or not ed.shape == av.shape == (mem.shape[0], mem.shape[2])):
-        raise ShapeError("erase_add", f"memory {mem.shape} with weights {wd.shape}, "
-                                      f"erase {ed.shape}, add {av.shape}")
-    we = wd[:, :, None] * ed[:, None, :]
-    wa = wd[:, :, None] * av[:, None, :]
-    out = (mem - mem * we) + wa
-
-    def backward(g):
-        g_erased = -g
-        g_we = g_erased * mem
-        return (g, g_erased * we,
-                np.matmul(g, av[:, :, None])[:, :, 0], np.matmul(wd[:, None, :], g)[:, 0, :],
-                np.matmul(g_we, ed[:, :, None])[:, :, 0], np.matmul(wd[:, None, :], g_we)[:, 0, :])
-
-    return _record((memory, memory, w, add_vec, w, erase), out, backward)
-
-
-# ---------------------------------------------------------------------------
 # batch normalization
 
 # the variance floor, and the weight of each batch in the running statistics
@@ -604,7 +308,7 @@ def batch_norm(x: Tensor, scale: Tensor, shift: Tensor) -> tuple[Tensor, np.ndar
     where ``mean`` and the biased ``var`` are (D,) arrays; only the first
     output carries a gradient. ``scale`` and ``shift`` are (D,). A batch needs
     at least 2 rows, since a single row has no variance to normalize by. Like
-    the fused memory-stage ops above, it is one tape node that replays its
+    the memory-stage kernels of ``ntm``, it is one tape node that replays its
     unfused chain's expressions and adjoints.
     """
     xd, sc, sh = x.data, scale.data, shift.data
@@ -644,7 +348,8 @@ class BatchNorm:
 
     Train mode normalizes by batch statistics (``batch_norm``) and updates
     running statistics with momentum ``BN_MOMENTUM``; eval mode normalizes by
-    the running statistics.
+    the running statistics, centering by adding the negated running mean
+    (IEEE 754 defines ``x - y`` as ``x + (-y)``, so this is the subtraction).
     """
 
     def __init__(self, dim: int, dtype=np.float32):
@@ -672,7 +377,8 @@ class BatchNorm:
             self.running_var[...] = (1.0 - m) * self.running_var + m * var
             return out
         inv = 1.0 / np.sqrt(self.running_var.astype(x.data.dtype) + BN_EPS)
-        normalized = mul(sub(x, Tensor(self.running_mean.astype(x.data.dtype))), Tensor(inv))
+        normalized = mul(add(x, Tensor(np.negative(self.running_mean, dtype=x.data.dtype))),
+                         Tensor(inv))
         return add(mul(normalized, self.scale), self.shift)
 
 

@@ -83,8 +83,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     train_ds = val_ds = None
     if args.data:
-        train_ds = load_dataset(f"{args.data}/train.bin")
-        val_ds = load_dataset(f"{args.data}/val.bin")
+        train_ds, val_ds = (load_dataset(f"{args.data}/{split}.bin") for split in ("train", "val"))
+        for split, ds in (("train", train_ds), ("val", val_ds)):
+            if ds.split != split:
+                raise ConfigError(f"{args.data}/{split}.bin: holds the {ds.split} split, "
+                                  f"not {split}")
     result = harness.train(cfg, out_dir=args.out, train_ds=train_ds, val_ds=val_ds,
                            resume_from=args.resume, log=print)
     if result.metrics:
@@ -228,7 +231,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", default=2, type=_checked(int, lambda v: v >= 2, "an integer >= 2"))
     p.add_argument("--h", default=1e-4,
                    type=_checked(float, lambda v: 0 < v < float("inf"), "a finite number > 0"))
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--tol", default=1e-3,
+                   type=_checked(float, lambda v: 0 <= v < float("inf"), "a finite number >= 0"))
     p.set_defaults(func=_cmd_gradcheck)
 
     p = sub.add_parser("ablate-memories", help="train at several cascade depths")

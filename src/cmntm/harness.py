@@ -237,8 +237,9 @@ def save_checkpoint(path: str, model, opt: Adam, cfg: TrainConfig, epoch: int) -
 def load_checkpoint(path: str, _moments: bool = False) -> Checkpoint:
     """The checkpoint's config, counters and model state.
 
-    The ``adam.*`` payloads are skipped unless ``_moments`` is set, which
-    only a resume does.
+    A negative counter (``meta.epoch`` or ``meta.adam_step``) raises a
+    ``CheckpointError`` naming the entry. The ``adam.*`` payloads are
+    skipped unless ``_moments`` is set, which only a resume does.
     """
     entries = ckpt_io.load_entries(path, skip=() if _moments else ("adam.",))
     try:
@@ -251,6 +252,9 @@ def load_checkpoint(path: str, _moments: bool = False) -> Checkpoint:
     except (IndexError, ValueError, OverflowError, ConfigError) as e:
         # ValueError covers text that is not UTF-8 or not JSON
         raise CheckpointError(f"{path}: corrupt meta entry: {e}") from None
+    for name, value in (("meta.epoch", epoch), ("meta.adam_step", adam_step)):
+        if value < 0:
+            raise CheckpointError(f"{path}: entry {name!r} is {value}; a counter must be >= 0")
     arrays = {name: arr for name, arr in entries.items() if not name.startswith("meta.")}
     return Checkpoint(path, cfg, epoch, adam_step, arrays)
 
@@ -387,7 +391,9 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
     With ``out_dir``, ``metrics.csv`` is rewritten after every epoch. A
     resumed run keeps the rows of an existing ``metrics.csv`` up to the
     checkpoint's epoch, so the file ends as an uninterrupted run's would;
-    the returned ``metrics`` hold only the epochs this call trained.
+    the returned ``metrics`` hold only the epochs this call trained. A resume
+    checkpoint whose epoch exceeds ``cfg.epochs`` raises ``CheckpointError``
+    before anything is written.
 
     After at least one epoch the returned model is in eval mode, as its last
     validation left it; call ``set_training(True)`` before a train-mode forward.
@@ -401,6 +407,9 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             differs = _differing_keys(json.loads(saved), json.loads(wanted))
             raise CheckpointError(f"{resume_from}: resume config does not match checkpoint "
                                   f"config; differs in {differs}")
+        if ckpt.epoch > cfg.epochs:
+            raise CheckpointError(f"{resume_from}: entry 'meta.epoch' is {ckpt.epoch}, past the "
+                                  f"config's {cfg.epochs} epochs")
     model = build_model(cfg) if ckpt is None else _new_model(cfg, None)
     params = model.parameters()
     opt = Adam(params, cfg.learning_rate)

@@ -1,15 +1,16 @@
 """Unfused autodiff primitives: the reference the fused ops are tested against.
 
-The model runs its memory stage on the fused ops of ``cmntm.autodiff``
-(``lstm_cell``, ``head_mlp``, ``ntm_address``, ``erase_add`` and
-``weighted_read``), train-mode batch norm on ``batch_norm``, and its per-turn
-loss on ``cmntm.retrieval.batch_loss``. The primitives here are the ones those
-ops fold together. Tests chain them to rebuild a stage step, a batch norm
-(``batch_norm_chain``) or a turn's loss (``batch_loss_chain``) op by op, and
-compare values and gradients with the fused ops bit for bit. Each one records
-its node through ``autodiff._record`` and shares the engine's private numerics
-(``_as_tensors``, ``_unbroadcast``, ``_sigmoid_values``, ``_roll_indices``),
-so a chain evaluates the same numpy expressions the fused ops replay.
+The model runs its memory stage on the kernels of ``cmntm.ntm``
+(``lstm_cell``, ``head_mlp``, ``address``, ``memory_write`` and
+``memory_read``), train-mode batch norm on ``autodiff.batch_norm``, and its
+per-turn loss on ``cmntm.retrieval.batch_loss``. The primitives here are the
+ones those ops fold together. Tests chain them to rebuild a stage step, a
+batch norm (``batch_norm_chain``) or a turn's loss (``batch_loss_chain``) op
+by op, and compare values and gradients with the fused ops bit for bit. Each
+one records its node through ``autodiff._record`` and shares the package's
+private numerics (``autodiff._as_tensors`` and ``_unbroadcast``,
+``ntm._sigmoid_values``), so a chain evaluates the same numpy expressions the
+fused ops replay.
 """
 from __future__ import annotations
 
@@ -18,8 +19,25 @@ from typing import Sequence
 import numpy as np
 
 from cmntm import autodiff as ad
+from cmntm import ntm
 from cmntm.autodiff import COSINE_EPS, Tensor
 from cmntm.errors import DegenerateInputError, DomainError, ShapeError
+
+
+def sub(a, b) -> Tensor:
+    """Elementwise ``a - b`` with broadcasting; a scalar on either side takes the other's dtype."""
+    if type(a) is not Tensor:
+        a = Tensor(np.asarray(a, dtype=b.data.dtype))
+    a, b = ad._as_tensors(a, b)
+    try:
+        out = a.data - b.data
+    except ValueError:
+        raise ShapeError("sub", f"incompatible shapes {a.data.shape} and {b.data.shape}") from None
+
+    def backward(g):
+        return ad._unbroadcast(g, a.data.shape), ad._unbroadcast(-g, b.data.shape)
+
+    return ad._record((a, b), out, backward)
 
 
 def power(base, exponent) -> Tensor:
@@ -161,13 +179,13 @@ def batch_loss_chain(predictions: Tensor, targets: Tensor) -> Tensor:
     log_denom = log(reduce_sum(exp_sims, axis=1))
     eye = Tensor(np.eye(b, dtype=predictions.data.dtype))
     diag = reduce_sum(ad.mul(sims, eye), axis=1)
-    return reduce_mean(ad.sub(log_denom, diag))
+    return reduce_mean(sub(log_denom, diag))
 
 
 def batch_norm_chain(x: Tensor, scale: Tensor, shift: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """``autodiff.batch_norm`` as nine primitives; ``mean`` and ``var`` stay (1, D)."""
     mean = reduce_mean(x, axis=0, keepdims=True)
-    centered = ad.sub(x, mean)
+    centered = sub(x, mean)
     var = reduce_mean(ad.mul(centered, centered), axis=0, keepdims=True)
     normalized = ad.mul(centered, power(ad.add(var, ad.BN_EPS), -0.5))
     return ad.add(ad.mul(normalized, scale), shift), mean, var
@@ -204,7 +222,7 @@ def take_slice(t: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 def sigmoid(t: Tensor) -> Tensor:
-    out = ad._sigmoid_values(t.data)
+    out = ntm._sigmoid_values(t.data)
 
     def backward(g):
         return (g * out * (1.0 - out),)
@@ -228,7 +246,7 @@ def softplus(t: Tensor) -> Tensor:
         out = np.logaddexp(np.asarray(0.0, dtype=x.dtype), x)
 
     def backward(g):
-        return (g * ad._sigmoid_values(x),)
+        return (g * ntm._sigmoid_values(x),)
 
     return ad._record((t,), out, backward)
 
@@ -271,7 +289,8 @@ def circular_convolution(w: Tensor, s: Tensor, offsets: Sequence[int] | None = N
     if len(offsets) != k:
         raise ShapeError("circular_convolution",
                          f"kernel length {k} does not match {len(offsets)} offsets")
-    fwd, inv = ad._roll_indices(w.data.shape[-1], offsets)
+    base, off = np.arange(w.data.shape[-1]), np.asarray(offsets)[:, None]
+    fwd, inv = (base - off) % base.size, (base + off) % base.size
     out = np.zeros_like(w.data)
     for i in range(k):
         out += s.data[..., i:i + 1] * w.data[..., fwd[i]]

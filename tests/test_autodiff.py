@@ -22,13 +22,15 @@ from reference_ops import (
     sigmoid,
     softmax,
     softplus,
+    sub,
     take_slice,
     tanh,
     transpose,
 )
 
-from cmntm import autodiff, retrieval
+from cmntm import autodiff, ntm, retrieval
 from cmntm.autodiff import (
+    BN_EPS,
     BN_MOMENTUM,
     BatchNorm,
     Tape,
@@ -36,18 +38,13 @@ from cmntm.autodiff import (
     add,
     batch_norm,
     concat,
-    erase_add,
     gradient_check,
-    head_mlp,
-    lstm_cell,
     matmul,
     mul,
     no_grad,
-    ntm_address,
-    sub,
-    weighted_read,
 )
 from cmntm.errors import DomainError, ShapeError
+from cmntm.ntm import HeadParams, address, head_mlp, lstm_cell, memory_read, memory_write
 from cmntm.retrieval import batch_loss
 
 
@@ -135,7 +132,7 @@ def test_circular_conv_batched_matches_rows():
 def test_contractions_match_numpy():
     rng = np.random.default_rng(7)
     w, mem = rng.standard_normal((2, 3)), rng.standard_normal((2, 3, 5))
-    out = weighted_read(Tensor(w), Tensor(mem))
+    out = memory_read(Tensor(mem), Tensor(w))
     assert np.allclose(out.data, np.einsum("bp,bpm->bm", w, mem), atol=1e-12)
     a, b = rng.standard_normal((4, 6)), rng.standard_normal((3, 6))
     assert np.array_equal(transpose(Tensor(b)).data, b.T)
@@ -216,6 +213,44 @@ def test_batch_norm_is_bit_identical_to_primitive_chain(dtype, seed):
         results.append([out.data, *stats] + [leaf.grad for leaf in leaves])
     fused, chain = results
     for name, a, b in zip(["out", "mean", "var", "x0", "w", "scale", "shift"], fused, chain):
+        assert a.dtype == b.dtype == dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_eval_batchnorm_is_bit_identical_to_sub_chain(dtype):
+    # eval mode centers by adding the negated running mean; IEEE 754 defines
+    # x - y as x + (-y), so every bit matches the subtraction, signed zeros
+    # included: a -0 shift keeps the sign of a zero in the output
+    rng = np.random.default_rng(6)
+    bn = BatchNorm(6, dtype=dtype)
+    bn.training = False
+    bn.running_mean[:] = rng.standard_normal(6)
+    bn.running_var[:] = rng.uniform(0.5, 2.0, 6)
+    bn.scale.data[:] = rng.uniform(0.5, 2.0, 6)
+    bn.shift.data[:] = rng.standard_normal(6)
+    x0 = rng.standard_normal((8, 6)).astype(dtype)
+    bn.running_mean[:2] = 0.0, -0.0
+    bn.shift.data[:2] = -0.0
+    x0[:2, :2] = [[0.0, 0.0], [-0.0, -0.0]]
+    w_out = rng.standard_normal((8, 6)).astype(dtype)
+
+    def chain(x):
+        inv = 1.0 / np.sqrt(bn.running_var.astype(dtype) + BN_EPS)
+        normalized = mul(sub(x, Tensor(bn.running_mean.astype(dtype))), Tensor(inv))
+        return add(mul(normalized, bn.scale), bn.shift)
+
+    results = []
+    for op in (bn, chain):
+        x = Tensor(x0.copy(), requires_grad=True)
+        bn.scale.grad = bn.shift.grad = None
+        with Tape() as tape:
+            out = op(x)
+            loss = reduce_sum(mul(out, Tensor(w_out)))
+        tape.backward(loss)
+        results.append([out.data, x.grad, bn.scale.grad, bn.shift.grad])
+    assert np.signbit(results[0][0][1, 0])
+    for name, a, b in zip(["out", "x", "scale", "shift"], *results):
         assert a.dtype == b.dtype == dtype, name
         assert a.tobytes() == b.tobytes(), name
 
@@ -346,7 +381,7 @@ def test_leaf_from_an_earlier_tape_gets_grad():
     assert x.grad is None
 
 
-@pytest.mark.parametrize("op", ["matmul", "weighted_read"])
+@pytest.mark.parametrize("op", ["matmul", "memory_read"])
 @pytest.mark.parametrize("constant", [0, 1])
 def test_constant_contraction_operand_gets_no_gradient(op, constant):
     rng = np.random.default_rng(5)
@@ -358,7 +393,7 @@ def test_constant_contraction_operand_gets_no_gradient(op, constant):
         a = Tensor(a_data, requires_grad=a_grad)
         b = Tensor(b_data, requires_grad=b_grad)
         with Tape() as tape:
-            out = matmul(a, b) if op == "matmul" else weighted_read(a, b)
+            out = matmul(a, b) if op == "matmul" else memory_read(b, a)
             loss = reduce_sum(mul(out, Tensor(w_data)))
         tape.backward(loss)
         return tape, (a.grad, b.grad)
@@ -402,17 +437,6 @@ def test_power_domain_errors():
         power(Tensor([0.0]), Tensor([-1.0]))
 
 
-def test_ntm_address_sharpen_domain_errors():
-    memory, key = Tensor(np.ones((1, 3, 2))), Tensor(np.ones((1, 2)))
-    strength, gate, shift = Tensor([[1.0]]), Tensor([[0.0]]), Tensor([[0.0, 1.0, 0.0]])
-    with pytest.raises(DomainError, match="negative base"):
-        ntm_address(memory, key, strength, gate, shift, Tensor([[1.5]]),
-                    Tensor([[-0.5, 1.0, 0.5]]), (-1, 0, 1))
-    with pytest.raises(DomainError, match="zero base"):
-        ntm_address(memory, key, strength, gate, shift, Tensor([[-1.0]]),
-                    Tensor([[0.0, 1.0, 0.0]]), (-1, 0, 1))
-
-
 def test_matmul_shape_error():
     with pytest.raises(ShapeError) as e:
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
@@ -421,13 +445,13 @@ def test_matmul_shape_error():
 
 def test_contraction_rejects_mismatched_summed_axis():
     with pytest.raises(ShapeError) as e:
-        weighted_read(Tensor(np.ones((2, 4))), Tensor(np.ones((2, 3, 5))))
-    assert e.value.op == "weighted_read"
+        memory_read(Tensor(np.ones((2, 3, 5))), Tensor(np.ones((2, 4))))
+    assert e.value.op == "memory_read"
 
 
 def test_contraction_rejects_wrong_rank():
     with pytest.raises(ShapeError):
-        weighted_read(Tensor(np.ones((2, 3))), Tensor(np.ones((3, 5))))
+        memory_read(Tensor(np.ones((3, 5))), Tensor(np.ones((2, 3))))
     with pytest.raises(ShapeError) as e:
         transpose(Tensor(np.ones((2, 3, 4))))
     assert e.value.op == "transpose"
@@ -594,10 +618,10 @@ def _primitive_cases():
         w = rng.standard_normal((4, 3))
         return lambda: _weighted(transpose(x), w), [x]
 
-    def build_weighted_read(rng):
+    def build_memory_read(rng):
         w_t, memory = _param(rng, 2, 3), _param(rng, 2, 3, 4)
         w = rng.standard_normal((2, 4))
-        return lambda: _weighted(weighted_read(w_t, memory), w), [w_t, memory]
+        return lambda: _weighted(memory_read(memory, w_t), w), [w_t, memory]
 
     def build_circular_conv(rng):
         w_t, s_t = _param(rng, 2, 5), _param(rng, 2, 3)
@@ -651,7 +675,7 @@ def _primitive_cases():
             return weighted_sum(lambda: head_mlp(*params, 4, write), rng), params
         return build
 
-    def build_ntm_address(rng):
+    def build_address(rng):
         # rows of norm ~3 keep the cosine's curvature small against the step
         memory = Tensor(2.0 * rng.standard_normal((2, 5, 3)), requires_grad=True, dtype=np.float64)
         key = _param(rng, 2, 3)
@@ -660,20 +684,21 @@ def _primitive_cases():
         w_prev = positive(rng, 2, 5)
         params = [memory, key, strength, gate, shift, sharpen, w_prev]
         w = rng.standard_normal((2, 5))
-        return lambda: _weighted(ntm_address(*params, (-1, 0, 1)), w), params
+        head = HeadParams(key, strength, gate, shift, sharpen)
+        return lambda: _weighted(address(memory, head, w_prev), w), params
 
-    def build_erase_add(rng):
+    def build_memory_write(rng):
         memory, w_t = _param(rng, 2, 4, 3), positive(rng, 2, 4)
         erase, add_vec = positive(rng, 2, 3), _param(rng, 2, 3)
         w = rng.standard_normal((2, 4, 3))
         params = [memory, w_t, erase, add_vec]
-        return lambda: _weighted(erase_add(*params), w), params
+        return lambda: _weighted(memory_write(*params), w), params
 
-    def build_erase_add_shared(rng):
+    def build_memory_write_shared(rng):
         # one tensor as both the erase and the add vector
         memory, w_t, vec = _param(rng, 2, 4, 3), positive(rng, 2, 4), positive(rng, 2, 3)
         w = rng.standard_normal((2, 4, 3))
-        return lambda: _weighted(erase_add(memory, w_t, vec, vec), w), [memory, w_t, vec]
+        return lambda: _weighted(memory_write(memory, w_t, vec, vec), w), [memory, w_t, vec]
 
     def build_batch_loss(rng):
         preds, tars = _param(rng, 4, 3), _param(rng, 4, 3)
@@ -706,7 +731,7 @@ def _primitive_cases():
         "reduce_mean": build_reduce_mean,
         "l2norm": build_l2norm,
         "clamp_min": build_clamp_min,
-        "weighted_read": build_weighted_read,
+        "memory_read": build_memory_read,
         "circular_convolution": build_circular_conv,
         "batch_loss": build_batch_loss,
         "batch_loss_shared": build_batch_loss_shared,
@@ -716,9 +741,9 @@ def _primitive_cases():
         "lstm_cell_shared": build_lstm_cell_shared,
         "head_mlp_read": build_head_mlp(False),
         "head_mlp_write": build_head_mlp(True),
-        "ntm_address": build_ntm_address,
-        "erase_add": build_erase_add,
-        "erase_add_shared": build_erase_add_shared,
+        "address": build_address,
+        "memory_write": build_memory_write,
+        "memory_write_shared": build_memory_write_shared,
     }
 
 
@@ -732,19 +757,28 @@ def test_primitive_gradients_match_finite_differences(name):
 
 
 def _recording_functions(module) -> list[str]:
-    """Public functions defined in ``module`` that record a tape node."""
-    return [name for name, fn in vars(module).items()
-            if inspect.isfunction(fn) and not name.startswith("_")
-            and fn.__module__ == module.__name__
-            and "_record(" in inspect.getsource(fn)]
+    """Functions and methods written in ``module`` that record a tape node, by qualified name.
+
+    Private helpers (``autodiff._record`` among them) are left out; special
+    methods such as ``__call__`` are not.
+    """
+    found = []
+    for obj in vars(module).values():
+        for fn in vars(obj).values() if inspect.isclass(obj) else (obj,):
+            name = getattr(fn, "__name__", "")
+            if (inspect.isfunction(fn) and fn.__code__.co_filename == module.__file__
+                    and not (name.startswith("_") and not name.endswith("__"))
+                    and "_record(" in inspect.getsource(fn)):
+                found.append(fn.__qualname__)
+    return found
 
 
 def test_every_recording_primitive_has_a_gradcheck_case():
     cases = _primitive_cases()
-    recording = (_recording_functions(autodiff) + _recording_functions(retrieval)
-                 + _recording_functions(reference_ops))
-    assert "weighted_read" in recording and "lstm_cell" in recording and "batch_loss" in recording
-    assert "circular_convolution" in recording
+    recording = [name for module in (autodiff, ntm, retrieval, reference_ops)
+                 for name in _recording_functions(module)]
+    assert {"memory_read", "lstm_cell", "address", "batch_loss", "circular_convolution",
+            "sub"} <= set(recording)
     missing = [name for name in recording
                if not any(key == name or key.startswith(name + "_") for key in cases)]
     assert not missing, f"primitives without a gradcheck case: {missing}"
@@ -752,7 +786,8 @@ def test_every_recording_primitive_has_a_gradcheck_case():
 
 def test_every_engine_primitive_has_a_caller_in_the_package():
     # a call inside the function's own top-level definition does not count;
-    # one inside a class (BatchNorm's calls) does
+    # one inside a class (BatchNorm's calls, LSTMCell.step's) does. A method
+    # counts as called by its name, a __call__ by its class's.
     called = set()
     for path in pathlib.Path(autodiff.__file__).parent.glob("*.py"):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
@@ -763,9 +798,15 @@ def test_every_engine_primitive_has_a_caller_in_the_package():
                     name = getattr(func, "id", None) or getattr(func, "attr", None)
                     if name != own:
                         called.add(name)
-    recording = _recording_functions(autodiff)
-    assert "batch_norm" in recording
-    unused = [name for name in recording if name not in called]
+    recording = [name for module in (autodiff, ntm, retrieval)
+                 for name in _recording_functions(module)]
+    assert {"batch_norm", "lstm_cell", "head_mlp", "address", "batch_loss"} <= set(recording)
+
+    def callee(qualname):
+        owner, _, name = qualname.rpartition(".")
+        return owner if name == "__call__" else name
+
+    unused = [name for name in recording if callee(name) not in called]
     assert not unused, f"engine primitives only tests call: {unused}"
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import pytest
 
@@ -152,8 +153,9 @@ class TestCli:
         lambda e: e.update({"meta.config": np.frombuffer(b"not json", dtype=np.uint8)}),
         lambda e: e.update({"meta.config": np.frombuffer(b"[1]", dtype=np.uint8)}),
         lambda e: e.update({"meta.adam_step": np.array([np.nan], dtype=np.float32)}),
+        lambda e: e.update({"meta.epoch": np.array([-3], dtype=np.int64)}),
     ], ids=["config-not-utf8", "empty-epoch", "config-not-json", "config-not-object",
-            "nan-adam-step"])
+            "nan-adam-step", "negative-epoch"])
     def test_corrupt_checkpoint_meta_is_a_clean_error(self, workspace, tmp_path, capsys, corrupt):
         entries = ckpt_io.load_entries(workspace["ckpt"])
         corrupt(entries)
@@ -183,6 +185,38 @@ class TestCli:
         assert rc == 2
         assert capsys.readouterr().err.startswith(
             f"error: {run}/metrics.csv:1: expected metrics header")
+
+    @pytest.mark.parametrize("entry, value, message", [
+        ("meta.epoch", -3, "entry 'meta.epoch' is -3; a counter must be >= 0"),
+        ("meta.adam_step", -1, "entry 'meta.adam_step' is -1; a counter must be >= 0"),
+        ("meta.epoch", 7, "entry 'meta.epoch' is 7, past the config's 1 epochs"),
+    ], ids=["negative-epoch", "negative-adam-step", "epoch-past-config"])
+    def test_resume_from_a_bad_counter_exits_2_and_writes_nothing(self, workspace, tmp_path,
+                                                                  capsys, entry, value, message):
+        entries = ckpt_io.load_entries(workspace["ckpt"])
+        entries[entry] = np.array([value], dtype=np.int64)
+        bad = str(tmp_path / "bad.bin")
+        ckpt_io.save_entries(bad, entries)
+        out = tmp_path / "out"
+        rc = main(["train", "--config", workspace["cfg"], "--data", workspace["data"],
+                   "--out", str(out), "--resume", bad])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("copied, replaced", [("train", "val"), ("val", "train")])
+    def test_train_on_a_misnamed_split_exits_2_and_writes_nothing(self, workspace, tmp_path,
+                                                                  capsys, copied, replaced):
+        data = tmp_path / "data"
+        shutil.copytree(workspace["data"], data)
+        shutil.copy(data / f"{copied}.bin", data / f"{replaced}.bin")
+        out = tmp_path / "out"
+        rc = main(["train", "--config", workspace["cfg"], "--data", str(data),
+                   "--out", str(out)])
+        assert rc == 2
+        assert (capsys.readouterr().err
+                == f"error: {data}/{replaced}.bin: holds the {copied} split, not {replaced}\n")
+        assert not out.exists()
 
     def test_resume_with_a_different_config_names_the_file_and_key(self, workspace,
                                                                    tmp_path, capsys):
@@ -233,9 +267,12 @@ class TestCli:
         (["gradcheck", "--h", "nan"], "a finite number > 0"),
         (["gradcheck", "--h", "inf"], "a finite number > 0"),
         (["gradcheck", "--seed", "-1"], "an integer >= 0"),
+        (["gradcheck", "--tol", "nan"], "a finite number >= 0"),
+        (["gradcheck", "--tol", "-1"], "a finite number >= 0"),
+        (["gradcheck", "--tol", "inf"], "a finite number >= 0"),
     ], ids=["count-zero", "count-negative", "txns-zero", "gradcheck-size-zero",
             "warmup-negative", "batch-one", "step-zero", "step-nan", "step-inf",
-            "gradcheck-seed-negative"])
+            "gradcheck-seed-negative", "tol-nan", "tol-negative", "tol-inf"])
     def test_out_of_range_flag_is_a_usage_error(self, workspace, capsys, argv, expected):
         if argv[0] == "turn-order":
             argv = argv + ["--checkpoint", workspace["ckpt"],

@@ -6,7 +6,7 @@ import reference_ops as ref
 
 from cmntm import autodiff as ad
 from cmntm.autodiff import Tensor, gradient_check
-from cmntm.errors import ShapeError
+from cmntm.errors import DomainError, ShapeError
 from cmntm.ntm import (
     SHIFT_OFFSETS,
     HeadMLP,
@@ -224,6 +224,16 @@ def test_address_outputs_simplex_for_random_inputs():
         w = address(memory, params, Tensor(_simplex(rng, 2, 6).astype(np.float32)))
         assert (w.data >= 0).all(), seed
         assert np.abs(w.data.sum(axis=1) - 1.0).max() <= 1e-6, seed
+
+
+def test_address_sharpen_domain_errors():
+    memory = _t(np.ones((1, 3, 2)))
+    negative_base = _head_params([[1.0, 1.0]], [[1.0]], [[0.0]], [[0.0, 1.0, 0.0]], [[1.5]])
+    with pytest.raises(DomainError, match="negative base"):
+        address(memory, negative_base, _t([[-0.5, 1.0, 0.5]]))
+    zero_base = _head_params([[1.0, 1.0]], [[1.0]], [[0.0]], [[0.0, 1.0, 0.0]], [[-1.0]])
+    with pytest.raises(DomainError, match="zero base"):
+        address(memory, zero_base, _t([[0.0, 1.0, 0.0]]))
 
 
 def test_address_rejects_flat_memory():
@@ -455,7 +465,7 @@ def _chain_address(memory, params, w_prev):
     row_norm = ref.l2norm(memory, axis=2)
     denom = ref.clamp_min(ad.mul(key_norm, row_norm), ad.COSINE_EPS)
     content = ref.softmax(ad.mul(params.strength, ref.div(dots, denom)))
-    gated = ad.add(ad.mul(params.gate, content), ad.mul(ad.sub(1.0, params.gate), w_prev))
+    gated = ad.add(ad.mul(params.gate, content), ad.mul(ref.sub(1.0, params.gate), w_prev))
     powered = ref.power(ref.circular_convolution(gated, params.shift, SHIFT_OFFSETS), params.sharpen)
     return ref.div(powered, ref.reduce_sum(powered, axis=1, keepdims=True))
 
@@ -463,7 +473,7 @@ def _chain_address(memory, params, w_prev):
 def _chain_write(memory, w, erase, add_vec):
     we = _outer(w, erase)
     wa = _outer(w, add_vec)
-    return ad.add(ad.sub(memory, ad.mul(memory, we)), wa)
+    return ad.add(ref.sub(memory, ad.mul(memory, we)), wa)
 
 
 def _chain_step(stage, state, inp):

@@ -120,10 +120,17 @@ class CMNTM(_Model):
         initialization is reproducible per transaction regardless of batch
         composition. Memory entries are Normal(0, 0.05^2); read vectors and
         controller state start at zero; head weightings start uniform.
+        ``normal(0, s)`` is ``0.0 + s * z``, so each row is filled in place
+        with ``z`` and the batch is scaled and added to ``0.0`` once: the
+        same bits, signed zeros included.
         """
         cfg = self.config
         b, c, p, m, h = len(rngs), cfg.num_stages, cfg.mem_locations, cfg.mem_width, cfg.hidden_size
-        mem = np.stack([rng.normal(0.0, MEMORY_INIT_STD, size=(c, p, m)) for rng in rngs])
+        mem = np.empty((b, c, p, m))
+        for row, rng in zip(mem, rngs):
+            rng.standard_normal(out=row)
+        mem *= MEMORY_INIT_STD
+        mem += 0.0
         mem = mem.astype(self.dtype)
         uniform = np.full((b, p), 1.0 / p, dtype=self.dtype)
         return [StageState(memory=Tensor(mem[:, i]),

@@ -39,12 +39,17 @@ _SPLIT_COUNTS = {"train": "train_count", "val": "val_count", "test": "val_count"
 
 
 def _comma_list(pattern: str, what: str, convert=int):
-    """An argparse ``type``: a comma list whose items all match ``pattern``."""
+    """An argparse ``type``: a comma list whose items all match ``pattern``
+    and convert to distinct values."""
     def parse(text: str) -> list:
         items = [item.strip() for item in text.split(",")]
         if not all(re.fullmatch(pattern, item) for item in items):
             raise argparse.ArgumentTypeError(f"expected a comma list of {what}, got {text!r}")
-        return [convert(item) for item in items]
+        values = [convert(item) for item in items]
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"{items[i]!r} repeats an item of {text!r}")
+        return values
     return parse
 
 

@@ -4,7 +4,10 @@ Every random choice derives from the run seed through tagged SeedSequences,
 so a (config, seed) pair fully determines parameter initialization, shuffle
 order, per-transaction memory initialization, and therefore checkpoints and
 metrics files byte-for-byte. Resuming from a checkpoint replays the same
-derived streams and reproduces the uninterrupted run exactly.
+derived streams and reproduces the uninterrupted run exactly. A stream is
+seeded from the 32-bit words SeedSequence hashes for its list key, packed
+once per batch (``synthdata.streams``), and a memory block is filled in
+place with the values ``normal`` would return.
 """
 from __future__ import annotations
 
@@ -27,7 +30,8 @@ from .errors import (CheckpointError, CmntmError, ConfigError, DomainError, Shap
 from .fileio import atomic_open
 from .retrieval import (CandidateDB, rank_of, row_blocks, similarity_scores, top_k,
                         transaction_loss, unsettled)
-from .synthdata import SyntheticDataset, TaskConfig, block_slice, gen_distractor
+from .synthdata import (SyntheticDataset, TaskConfig, block_slice, gen_distractor, key_words,
+                        stream, streams)
 
 RECALL_KS = (1, 5, 8, 10)
 # the columns of metrics.csv after the epoch
@@ -48,7 +52,7 @@ _ORDER_TAG = 206
 
 def _rng(*key: int) -> np.random.Generator:
     """The stream keyed by content: a tag, the seed, then indices such as the epoch."""
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    return stream(key_words(*key))
 
 
 def build_model(cfg: TrainConfig):
@@ -152,7 +156,7 @@ def _predict(model, queries: np.ndarray, eval_batch_size: int, seed: int) -> np.
     chunks = []
     for start in range(0, len(queries), eval_batch_size):
         stop = min(start + eval_batch_size, len(queries))
-        state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(start, stop)])
+        state = model.initial_state(list(streams((_EVAL_MEM_TAG, seed), range(start, stop))))
         with no_grad():
             preds, _ = model.forward_transaction(queries[start:stop], state)
         chunks.append(np.stack([p.data for p in preds], axis=1))
@@ -439,7 +443,7 @@ def train(cfg: TrainConfig, out_dir: str | None = None,
             if len(idx) < 2:
                 continue
             queries, targets = stack_batch(train_ds, idx)
-            state = model.initial_state([_rng(_TRAIN_MEM_TAG, cfg.seed, epoch, i) for i in idx])
+            state = model.initial_state(list(streams((_TRAIN_MEM_TAG, cfg.seed, epoch), idx)))
             try:
                 with Tape() as tape:
                     preds, _ = model.forward_transaction(queries, state)
@@ -521,7 +525,7 @@ def full_model_gradient_check(num_stages: int = 2, mem_locations: int = 4, mem_w
     raw_targets = data_rng.normal(size=(turns, batch, feature_dim))
     raw_targets /= np.linalg.norm(raw_targets, axis=2, keepdims=True)
     targets = [Tensor(raw_targets[n]) for n in range(turns)]
-    state = model.initial_state([_rng(_EVAL_MEM_TAG, seed, i) for i in range(batch)])
+    state = model.initial_state(list(streams((_EVAL_MEM_TAG, seed), range(batch))))
 
     def f() -> Tensor:
         preds, _ = model.forward_transaction(queries, state)
@@ -542,6 +546,9 @@ def ablate_num_memories(cfg: TrainConfig, stage_counts: Sequence[int],
     """
     if not stage_counts:
         raise ValueError("ablate_num_memories: need at least one stage count")
+    if len(set(map(int, stage_counts))) < len(stage_counts):
+        raise ValueError(f"ablate_num_memories: stage counts {list(stage_counts)} "
+                         f"repeat a count")
     train_ds, val_ds = default_datasets(cfg, train_ds, val_ds)
     rows = []
     for c in stage_counts:
@@ -772,10 +779,16 @@ def check_timing_monotone(rows: Sequence[dict]) -> None:
     """Verify median time is non-decreasing in stage count at fixed memory size.
 
     A small relative tolerance absorbs timer jitter; a genuine decrease
-    beyond it raises ``TimingMonotonicityError``.
+    beyond it raises ``TimingMonotonicityError``. Two rows of one (C, P, M)
+    would compare a configuration with itself, so they raise ``ValueError``.
     """
     groups: dict[tuple, list[dict]] = {}
+    seen = set()
     for row in rows:
+        if (config := (row["C"], row["P"], row["M"])) in seen:
+            raise ValueError(f"check_timing_monotone: two rows of C={config[0]}, "
+                             f"P={config[1]}, M={config[2]}")
+        seen.add(config)
         groups.setdefault((row["P"], row["M"]), []).append(row)
     for (p, m), group in groups.items():
         group = sorted(group, key=lambda r: r["C"])

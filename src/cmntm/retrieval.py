@@ -94,7 +94,7 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
         raise ShapeError("similarity_scores",
                          f"expected ({db.dim},) or (n, {db.dim}) queries, got {query.shape}")
     if query.ndim == 2:
-        qn = np.array([np.linalg.norm(q) for q in query]).reshape(-1, 1)
+        qn = vector_norms(query)[:, None]
         denom = np.maximum(qn * db.row_norms, COSINE_EPS)
         with np.errstate(invalid="ignore", over="ignore"):  # such rows are marked NaN below
             # features @ query.T runs about twice as fast as query @ features.T
@@ -109,6 +109,22 @@ def similarity_scores(query: np.ndarray, db: CandidateDB) -> np.ndarray:
         raise DegenerateInputError("similarity_scores: non-finite query")
     denom = np.maximum(qn * db.row_norms, COSINE_EPS)
     return np.clip(db.features @ query / denom, -1.0, 1.0)
+
+
+def vector_norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a 2-d array, bit for bit.
+
+    One vector's norm is the square root of its ``dot`` with itself. Where
+    the rows are float32 or float64 and each is contiguous, ``matmul`` of
+    (n, 1, D) by (n, D, 1) runs that same BLAS dot on the same memory, all
+    rows in one call, and warns of an overflow where the dot does. Other
+    rows are normed one at a time, since the norm copies a strided row, and
+    a BLAS kernel's summation order may follow where a row starts.
+    """
+    rows = np.asarray(rows)
+    if rows.dtype not in (np.float32, np.float64) or rows.strides[1] != rows.itemsize:
+        return np.array([np.linalg.norm(row) for row in rows])
+    return np.sqrt(np.matmul(rows[:, None, :], rows[:, :, None])[:, 0, 0])
 
 
 def row_blocks(count: int, row_bytes: int) -> list[slice]:

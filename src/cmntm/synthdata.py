@@ -35,18 +35,20 @@ import dataclasses
 import json
 import weakref
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .checkpoint import load_entries, save_entries
 from .errors import CheckpointError, ConfigError, DatasetFormatError, DegenerateInputError
-from .retrieval import CandidateDB, row_blocks, score_gap, unsettled
+from .retrieval import CandidateDB, row_blocks, score_gap, unsettled, vector_norms
 
 # Seed-derivation tags keep the independent random streams apart.
 _DB_TAG = 101
 _TXN_TAG = 102
 _SPLIT_TAGS = {"train": 1, "val": 2, "test": 3}
+
+_WORD = 0xFFFFFFFF
 
 # make_db's dbs by (seed, db_size, feature_dim); an entry lives while a caller holds its db
 _DBS = weakref.WeakValueDictionary()
@@ -152,6 +154,34 @@ class SyntheticDataset:
         return [Transaction(q, t) for q, t in zip(self.queries, self.target_ids)]
 
 
+def key_words(*key: int) -> list[int]:
+    """The 32-bit words ``np.random.SeedSequence`` hashes for the list key
+    ``key``: each int split little-endian, 0 as one word, and a negative
+    int a ``ValueError``, as there."""
+    words = []
+    for k in map(int, key):
+        if k < 0:
+            raise ValueError(f"a stream key holds {k}; its ints must be >= 0")
+        words.append(k & _WORD)
+        while k := k >> 32:
+            words.append(k & _WORD)
+    return words
+
+
+def stream(words: list[int]) -> np.random.Generator:
+    """``np.random.default_rng(np.random.SeedSequence(key))`` for the list
+    key whose ``key_words`` are ``words``, seeded from the packed words."""
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, np.uint32)))
+
+
+def streams(key: tuple[int, ...], indices: Iterable[int]) -> Iterator[np.random.Generator]:
+    """The ``stream`` of each list key ``(*key, i)`` in index order; ``key``
+    is split into words once, and an index below 2^32 is one word."""
+    words = key_words(*key)
+    for i in map(int, indices):
+        yield stream([*words, i] if 0 <= i <= _WORD else words + key_words(i))
+
+
 def _db_key(config: TaskConfig) -> tuple[int, int, int]:
     return config.seed, config.db_size, config.feature_dim
 
@@ -160,15 +190,20 @@ def _db_features(config: TaskConfig) -> np.ndarray:
     """The task's unit-norm Gaussian rows, drawn and normalized a block at a
     time straight into float32.
 
-    Consecutive ``normal`` calls continue one stream and each row's norm
-    reduces that row alone, so the bytes are those of one full-size float64
-    draw, without its temporaries.
+    Consecutive draws continue one stream and each row's norm reduces that
+    row alone, so the bytes are those of one full-size float64 ``normal``
+    draw, without its temporaries. That draw is ``0.0 + 1.0 * z``, so a
+    block filled in place with ``z`` has ``0.0`` added (-0.0 becomes 0.0).
     """
-    rng = np.random.default_rng(np.random.SeedSequence([_DB_TAG, config.seed]))
+    rng = stream(key_words(_DB_TAG, config.seed))
     feats = np.empty((config.db_size, config.feature_dim), np.float32)
     # a float64 block and the norm's squares of it share one block's budget
-    for rows in row_blocks(config.db_size, 16 * config.feature_dim):
-        block = rng.normal(size=(rows.stop - rows.start, config.feature_dim))
+    blocks = row_blocks(config.db_size, 16 * config.feature_dim)
+    buffer = np.empty((blocks[0].stop, config.feature_dim))
+    for rows in blocks:
+        block = buffer[:rows.stop - rows.start]
+        rng.standard_normal(out=block)
+        block += 0.0
         block /= np.linalg.norm(block, axis=1, keepdims=True)
         feats[rows] = block
     return feats
@@ -265,24 +300,34 @@ def _draw(ds: SyntheticDataset, rows: slice) -> tuple[np.ndarray, np.ndarray]:
     on each turn's revealed block (0 on a distractor), shaped
     (n, N, block_len). Each transaction draws from its own generator, keyed
     by its index, so generation order never affects content.
+
+    ``normal(0, s)`` is ``0.0 + s * z``, so the noise is filled in place
+    with ``z`` and scaled by ``s`` and added to ``0.0`` once per chunk: the
+    same bits, signed zeros included.
     """
     config = ds.task
-    turns, dim = config.max_turns, config.feature_dim
-    targets = np.empty(rows.stop - rows.start, np.int64)
-    noise = np.zeros((len(targets), turns, config.block_len))
-    for k, i in enumerate(range(rows.start, rows.stop)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([_TXN_TAG, config.seed, _SPLIT_TAGS[ds.split], i]))
-        ds.refs[i], targets[k] = rng.choice(config.db_size, size=2, replace=False)
-        ds.blocks[i] = rng.permutation(config.blocks)[:turns]
+    turns, dim, prob = config.max_turns, config.feature_dim, config.distractor_prob
+    picks = np.empty((rows.stop - rows.start, 2), np.int64)  # (ref, target) per transaction
+    noise = np.zeros((len(picks), turns, config.block_len))
+    blocks, distractor, queries = ds.blocks[rows], ds.distractor[rows], ds.queries[rows]
+    key = (_TXN_TAG, config.seed, _SPLIT_TAGS[ds.split])
+    for k, rng in enumerate(streams(key, range(rows.start, rows.stop))):
+        picks[k] = rng.choice(config.db_size, size=2, replace=False)
+        blocks[k] = rng.permutation(config.blocks)[:turns]
         for n in range(turns):
-            if rng.random() < config.distractor_prob:
-                ds.distractor[i, n] = True
+            if rng.random() < prob:
+                distractor[k, n] = True
                 draw = rng.normal(size=dim)
-                ds.queries[i, n] = draw / np.linalg.norm(draw)
+                queries[k, n] = draw / np.linalg.norm(draw)
             else:
-                noise[k, n] = rng.normal(0.0, config.noise_std, size=config.block_len)
-    return targets, noise
+                rng.standard_normal(out=noise[k, n])
+    # a distractor's 0 times an infinite scale is a NaN that _assemble never
+    # reads, and normal(0, inf) warns of nothing
+    with np.errstate(invalid="ignore"):
+        noise *= config.noise_std
+    noise += 0.0
+    ds.refs[rows] = picks[:, 0]
+    return picks[:, 1], noise
 
 
 def _assemble(ds: SyntheticDataset, rows: slice, targets: np.ndarray, noise: np.ndarray,
@@ -340,9 +385,9 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
         composites = buffer[:len(targets)]
         _assemble(ds, rows, targets, noise, composites)
         composites = composites.reshape(-1, dim)
-        # as np.linalg.norm computes a vector's: one dot per row, so the same
-        # sum; a float64 array, so that db.row_norms * norm stays float64
-        norms = np.maximum(np.sqrt([c.dot(c) for c in composites]), 1e-30)
+        # as np.linalg.norm computes each row's; a float64 array, so that
+        # db.row_norms * norm stays float64
+        norms = np.maximum(vector_norms(composites), 1e-30)
         ds.target_ids[rows] = _nearest_ids(db, composites, norms).reshape(-1, turns)
     return ds
 

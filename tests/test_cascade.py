@@ -131,6 +131,20 @@ def test_initial_memory_sample_statistics():
             assert abs(float(s.memory.data.std()) - MEMORY_INIT_STD) <= 0.2 * MEMORY_INIT_STD
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_initial_memory_equals_one_normal_draw_per_row(dtype):
+    # each row filled in place and scaled once gives normal(0, s)'s bits,
+    # signed zeros included
+    cfg = _tiny_config(num_stages=3, mem_locations=5, mem_width=7)
+    model = CMNTM(cfg, np.random.default_rng(0), dtype=dtype)
+    state = model.initial_state(_rngs(4, seed=11))
+    want = np.stack([rng.normal(0.0, MEMORY_INIT_STD, size=(3, 5, 7))
+                     for rng in _rngs(4, seed=11)]).astype(dtype)
+    for i, s in enumerate(state):
+        assert s.memory.data.dtype == dtype
+        assert s.memory.data.tobytes() == np.ascontiguousarray(want[:, i]).tobytes()
+
+
 def test_per_transaction_memory_independent_of_batch_composition():
     model = CMNTM(_tiny_config(), np.random.default_rng(0))
     solo = model.initial_state([np.random.default_rng([9, 1])])

@@ -256,6 +256,24 @@ class TestCli:
         assert "usage:" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv, item", [
+        (["time", "--stages", "2,2", "--sizes", "4x4"], "'2'"),
+        (["time", "--stages", "1,2,01"], "'01'"),
+        (["time", "--sizes", "4x4,8x4,4x4"], "'4x4'"),
+        (["ablate-memories", "--stages", "1,1"], "'1'"),
+        (["gen-data", "--splits", "train,train"], "'train'"),
+    ], ids=["stages", "stages-leading-zero", "sizes", "ablation-stages", "splits"])
+    def test_a_repeated_list_item_is_a_usage_error(self, workspace, tmp_path, capsys, argv,
+                                                   item):
+        # a repeat would time, train or write one configuration or split twice
+        out = tmp_path / "out"
+        rc = main(argv + ["--config", workspace["cfg"], "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"{item} repeats an item of" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, expected", [
         (["turn-order", "--count", "0"], "an integer >= 1"),
         (["turn-order", "--count", "-5"], "an integer >= 1"),

@@ -1396,6 +1396,20 @@ class TestExperiments:
         with pytest.raises(ValueError, match="feature_dim"):
             harness.timing_experiment([bad], TINY_TASK, txn_count=1, warmup=0, seed=0)
 
+    def test_ablation_rejects_a_repeated_depth(self, tiny_val):
+        cfg = tiny_cfg(epochs=1, train_count=8)
+        train_ds = gen_distractor(TINY_TASK, count=8, split="train")
+        with pytest.raises(ValueError, match="repeat a count"):
+            harness.ablate_num_memories(cfg, [1, 2, 1], train_ds=train_ds, val_ds=tiny_val)
+
+    def test_timing_monotone_checker_rejects_a_repeated_configuration(self):
+        # the same configuration timed twice would be compared with itself
+        rows = [{"C": 2, "P": 4, "M": 4, "ms_per_txn": 1.6},
+                {"C": 2, "P": 4, "M": 8, "ms_per_txn": 1.7},
+                {"C": 2, "P": 4, "M": 4, "ms_per_txn": 1.6}]
+        with pytest.raises(ValueError, match="two rows of C=2, P=4, M=4"):
+            harness.check_timing_monotone(rows)
+
     def test_timing_monotone_checker(self):
         ok = [{"C": 1, "P": 4, "M": 4, "ms_per_txn": 1.0},
               {"C": 2, "P": 4, "M": 4, "ms_per_txn": 1.5},

@@ -23,6 +23,7 @@ from cmntm.retrieval import (
     top_k,
     transaction_loss,
     unsettled,
+    vector_norms,
 )
 
 
@@ -195,6 +196,59 @@ def test_similarity_scores_with_cached_norms_is_bit_equal(seed, count, dim, dtyp
     got = similarity_scores(query, db)
     assert got.dtype == old.dtype
     assert got.tobytes() == old.tobytes()
+
+
+def _norm_rows(dtype, dim, rng):
+    """Rows of ordinary, zero, huge and non-finite values."""
+    big = np.finfo(dtype).max / 4
+    rows = rng.normal(size=(8, dim)) * np.array([1, 1e-3, 1e3, 1, 1, 1, 1, 1])[:, None]
+    rows = rows.astype(dtype)
+    rows[3] = 0.0
+    rows[4] = big
+    rows[5, 0] = np.inf
+    rows[6, -1] = np.nan
+    rows[7, 0], rows[7, -1] = np.inf, -np.inf
+    return rows
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("dim", [1, 3, 7, 32, 33, 768])
+def test_vector_norms_equal_one_norm_per_row(dtype, dim):
+    rng = np.random.default_rng(dim)
+    rows = _norm_rows(dtype, dim, rng)
+    stacked = np.stack([rows, rows[::-1], rows], axis=1)
+    # contiguous rows, every other row, a turn of (T, N, D), a column-major copy
+    for block in (rows, rows[::2], stacked[:, 1], np.asfortranarray(rows)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.array([np.linalg.norm(row) for row in block])
+            got = vector_norms(block)
+        assert got.dtype == want.dtype == dtype
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_vector_norms_warn_of_an_overflow_as_the_norm_does(dtype):
+    rows = np.full((2, 4), np.finfo(dtype).max / 4, dtype)
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        np.linalg.norm(rows[0])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        vector_norms(rows)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_block_scores_equal_the_per_row_norm_loop(dtype):
+    # the block path's denominators, as one norm per query row gave them
+    rng = np.random.default_rng(4)
+    db = CandidateDB(rng.normal(size=(40, 33)).astype(dtype))
+    queries = _norm_rows(dtype, 33, rng)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qn = np.array([np.linalg.norm(q) for q in queries]).reshape(-1, 1)
+        want = np.clip((db.features @ queries.T).T / np.maximum(qn * db.row_norms,
+                                                                 ad.COSINE_EPS), -1.0, 1.0)
+        got = similarity_scores(queries, db)
+    scorable = [0, 1, 2]
+    assert got[scorable].tobytes() == want[scorable].tobytes()
+    assert np.isnan(got[3:]).all()
 
 
 # ----------------------------------------------------------------------- rank

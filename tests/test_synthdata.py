@@ -7,6 +7,7 @@ import json
 import os
 import re
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -22,9 +23,12 @@ from cmntm.synthdata import (
     block_slice,
     datasets_equal,
     gen_distractor,
+    key_words,
     load_dataset,
     make_db,
     save_dataset,
+    stream,
+    streams,
 )
 
 
@@ -778,6 +782,88 @@ class TestSerialization:
             load_dataset(bad)
 
 
+# ---------------------------------------------------------------- key streams
+
+# the ints SeedSequence splits into one, two, three and four 32-bit words
+WORD_EDGES = [0, 1, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 5, 2**100]
+
+
+def _list_key_state(key) -> np.ndarray:
+    return np.random.SeedSequence(list(key)).generate_state(8)
+
+
+class TestKeyStreams:
+    @pytest.mark.parametrize("seed", WORD_EDGES)
+    def test_packed_words_seed_the_list_keys_stream(self, seed):
+        for key in [(seed,), (synthdata._TXN_TAG, seed, 1, 5), (seed, seed, 0)]:
+            words = np.array(key_words(*key), np.uint32)
+            state = np.random.SeedSequence(words).generate_state(8)
+            assert state.tobytes() == _list_key_state(key).tobytes(), key
+            want = np.random.default_rng(np.random.SeedSequence(list(key)))
+            assert stream(key_words(*key)).random(4).tobytes() == want.random(4).tobytes()
+
+    def test_words_split_little_endian(self):
+        assert key_words(0, 1, 2**32 - 1) == [0, 1, 2**32 - 1]
+        assert key_words(2**32, 2**40 + 7) == [0, 1, 7, 256]
+        assert key_words(2**100) == [0, 0, 0, 16]
+
+    def test_a_negative_key_raises_as_seed_sequence_does(self):
+        with pytest.raises(ValueError):
+            np.random.SeedSequence([3, -1])
+        with pytest.raises(ValueError, match="-1"):
+            key_words(3, -1)
+
+    @pytest.mark.parametrize("seed", WORD_EDGES)
+    def test_streams_equal_one_list_key_per_index(self, seed):
+        # an index past 2^32 - 1 is split into words as well
+        indices = [0, 7, 2**32 - 1, 2**32, 2**33 + 3]
+        for rng, i in zip(streams((204, seed, 3), indices), indices, strict=True):
+            want = np.random.default_rng(np.random.SeedSequence([204, seed, 3, i]))
+            assert rng.bit_generator.state == want.bit_generator.state, i
+
+    def test_a_scaled_in_place_draw_equals_normal(self):
+        # normal(0, s) returns 0.0 + s * z; z * s + 0.0 is the same value,
+        # also where the product is -0.0
+        for scale in (0.05, 0.0, 1.0, 3.5):
+            got = np.empty((3, 8))
+            rng = np.random.default_rng(5)
+            for row in got:
+                rng.standard_normal(out=row)
+            got *= scale
+            got += 0.0
+            rng = np.random.default_rng(5)
+            want = np.stack([rng.normal(0.0, scale, size=8) for _ in range(3)])
+            assert got.tobytes() == want.tobytes(), scale
+        z = np.array([-0.0, 0.0, -5e-324, 5e-324, -1.0, np.inf, -np.inf])
+        for scale in (0.05, 0.0, 1.0):
+            with np.errstate(invalid="ignore"):
+                assert ((z * scale) + 0.0).tobytes() == (0.0 + scale * z).tobytes(), scale
+
+    def test_a_split_at_a_two_word_task_seed_is_pinned(self, tmp_path):
+        # task seed 2^32 + 1 keys every stream with two words for the seed
+        cfg = TaskConfig(feature_dim=16, db_size=32, seed=2**32 + 1)
+        assert _digests(gen_distractor(cfg, count=24, split="val"), tmp_path / "seed.bin") == (
+            TWO_WORD_SEED_FILE_SHA256, TWO_WORD_SEED_ARRAYS_SHA256)
+
+    def test_a_noiseless_split_with_distractors_is_pinned(self, tmp_path):
+        # a distractor turn draws its query; a revealing one is scaled by 0 and has 0.0 added
+        cfg = TaskConfig(distractor_prob=0.5, noise_std=0.0)
+        ds = gen_distractor(cfg, count=64, split="test")
+        assert 0 < ds.distractor.sum() < ds.distractor.size
+        assert _digests(ds, tmp_path / "noiseless.bin") == (
+            NOISELESS_DISTRACTOR_FILE_SHA256, NOISELESS_DISTRACTOR_ARRAYS_SHA256)
+
+    def test_an_infinite_noise_scale_warns_of_nothing(self):
+        # normal(0, inf) warns of nothing; neither may a distractor's unused
+        # noise, 0 times inf
+        cfg = TaskConfig(distractor_prob=0.5, noise_std=np.inf)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ds = gen_distractor(cfg, count=16, split="train")
+        assert np.isinf(ds.queries[~ds.distractor]).any(axis=1).all()
+        assert np.isfinite(ds.queries[ds.distractor]).all()
+
+
 # ----------------------------------------------------------------- golden data
 
 # Generation must stay bit-for-bit: a change to its arithmetic that flips a
@@ -791,6 +877,14 @@ DESK_DISTRACTOR_FILE_SHA256 = "ba616a0fe4e251c348b8cb8e987ccf7c6e8210ca8754bc5a4
 DESK_DISTRACTOR_ARRAYS_SHA256 = "8fda0b5f96932108b8b7575b3eed72080d575040af05787682a755e64ffdabbd"
 NOISELESS_3_OF_8_FILE_SHA256 = "67e7621e2d84d348ffcb9c6d1f7ea6839563b239c2d8a6c1c2ae066c5d617f3e"
 NOISELESS_3_OF_8_ARRAYS_SHA256 = "fb648ce66dec73ffdf4ee0d542877cbc427c905ca6309386d0f6b7444eeef155"
+# 24 val transactions of a 16-d task whose seed is 2^32 + 1
+TWO_WORD_SEED_FILE_SHA256 = "7e7143d529c13e85d957c79c785357cf012a9d8662e530d082e1dc83994012f3"
+TWO_WORD_SEED_ARRAYS_SHA256 = "920a3756a43f830f89e8c8ec7d93eead3be9b29d1c207218ab9de431be34b981"
+# 64 desk test transactions, each turn a distractor with probability 0.5, no noise
+NOISELESS_DISTRACTOR_FILE_SHA256 = (
+    "7ec78820b4262d9408ae22491b98975d7fbad5d2e1a6e240d0f31c547d651dff")
+NOISELESS_DISTRACTOR_ARRAYS_SHA256 = (
+    "462b2a44fe1c88ad790fd93cc4d7de8cedf7d1720c204a7e05637c6313992e71")
 
 
 def _digests(dataset, path) -> tuple[str, str]:

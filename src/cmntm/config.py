@@ -123,7 +123,7 @@ def load_config(path: str) -> TrainConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from None
     return config_from_dict(raw)
 

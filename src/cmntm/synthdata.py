@@ -19,21 +19,24 @@ scored again in float64, and only a float64 near tie is searched again with
 the per-turn GEMV (``_nearest_id``); every id thus equals a
 one-float64-GEMV-per-turn search's, ties included. Chunks are cut by
 ``retrieval.row_blocks``, so that a chunk's float32 scores fit one score
-block. ``make_db`` hands every split of a task the same read-only db for as
-long as some dataset holds it, and ``load_dataset`` hands a split the live
-db its file's db equals, so a process holds each task's db once.
+block. ``make_db`` hands every split of a task, generated or loaded, the
+same read-only db for as long as some dataset holds it, so a process holds
+each task's db once.
 
 A ``SyntheticDataset`` holds a split as stacked arrays, one row per
-transaction. A dataset file is one ``checkpoint`` container of those same
-arrays: a JSON ``header`` of the task and split, then one entry per array
-(``_entries``). Arrays are stored as their raw bytes, so files round-trip
-exactly and are byte-identical for a given task and count.
+transaction. A dataset file is one ``checkpoint`` container of its
+transactions' arrays: a JSON ``header`` of the task, the split and the
+CRC32 of the db's features, then one entry per array (``_entries``). The db
+is a pure function of the task, so the file names it by that CRC32 and a
+load takes ``make_db``'s. Arrays are stored as their raw bytes, so files
+round-trip exactly and are byte-identical for a given task and count.
 """
 from __future__ import annotations
 
 import dataclasses
 import json
 import weakref
+import zlib
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,9 +55,6 @@ _WORD = 0xFFFFFFFF
 
 # make_db's dbs by (seed, db_size, feature_dim); an entry lives while a caller holds its db
 _DBS = weakref.WeakValueDictionary()
-# the dbs load_dataset built, by the same key; kept apart so that make_db
-# never returns a db read from a file
-_LOADED_DBS = weakref.WeakValueDictionary()
 
 
 @dataclass(frozen=True)
@@ -182,10 +182,6 @@ def streams(key: tuple[int, ...], indices: Iterable[int]) -> Iterator[np.random.
         yield stream([*words, i] if 0 <= i <= _WORD else words + key_words(i))
 
 
-def _db_key(config: TaskConfig) -> tuple[int, int, int]:
-    return config.seed, config.db_size, config.feature_dim
-
-
 def _db_features(config: TaskConfig) -> np.ndarray:
     """The task's unit-norm Gaussian rows, drawn and normalized a block at a
     time straight into float32.
@@ -216,22 +212,11 @@ def make_db(config: TaskConfig) -> CandidateDB:
     split of a task gets the same read-only object for as long as some
     dataset holds it; once none does, the next call builds it afresh.
     """
-    key = _db_key(config)
+    key = config.seed, config.db_size, config.feature_dim
     db = _DBS.get(key)
     if db is None:
         db = _DBS[key] = CandidateDB(_db_features(config))
     return db
-
-
-def _holds(db: CandidateDB, features: np.ndarray) -> bool:
-    """Whether ``db``'s float32 features equal these, byte for byte.
-
-    The caller found ``db`` by the task's ``_db_key``, so the shapes agree.
-    The features are compared as int32 bit patterns, a block of rows at a
-    time, so -0.0 differs from 0.0 and no full-size temporary is built.
-    """
-    return all(np.array_equal(db.features[rows].view(np.int32), features[rows].view(np.int32))
-               for rows in row_blocks(len(features), 4 * db.dim))
 
 
 def _nearest_id(db: CandidateDB, vector: np.ndarray) -> int:
@@ -397,9 +382,8 @@ def gen_distractor(config: TaskConfig, count: int, split: str = "train") -> Synt
 
 
 def _entries(dataset: SyntheticDataset) -> dict[str, np.ndarray]:
-    """The dataset's arrays by the name of the file entry that stores each, in file order."""
-    return {"db.ids": dataset.db.ids, "db.features": dataset.db.features,
-            "queries": dataset.queries, "target_ids": dataset.target_ids,
+    """The transactions' arrays by the name of the file entry that stores each, in file order."""
+    return {"queries": dataset.queries, "target_ids": dataset.target_ids,
             "meta.ref": dataset.refs, "meta.block": dataset.blocks,
             "meta.distractor": dataset.distractor.view(np.uint8)}
 
@@ -407,9 +391,12 @@ def _entries(dataset: SyntheticDataset) -> dict[str, np.ndarray]:
 def save_dataset(dataset: SyntheticDataset, path: str) -> None:
     """Write ``dataset`` as one checkpoint container (deterministic bytes).
 
-    The file is replaced atomically: a failed write leaves ``path`` as it was.
+    The header records the CRC32 of the db's features in place of the db,
+    which ``make_db`` draws again from the task. The file is replaced
+    atomically: a failed write leaves ``path`` as it was.
     """
-    header = json.dumps({"task": dataclasses.asdict(dataset.task), "split": dataset.split},
+    header = json.dumps({"task": dataclasses.asdict(dataset.task), "split": dataset.split,
+                         "db_crc32": zlib.crc32(dataset.db.features)},
                         sort_keys=True, separators=(",", ":"))
     save_entries(path, {"header": np.frombuffer(header.encode("utf-8"), np.uint8),
                         **_entries(dataset)})
@@ -421,15 +408,18 @@ def load_dataset(path: str) -> SyntheticDataset:
     The container checks its own structure (magic, sizes, truncation,
     duplicate names). This checks what the entries mean: the header's task
     passes the checks a config file's task gets, every entry is present with
-    the dtype and shape the task gives it, ``db.ids`` is 0..S-1 (an id is
-    its row), values are finite, target and reference ids lie in
-    ``[0, S)``, blocks in ``[0, task.blocks)``, and distractor flags are 0
-    or 1. A failure raises ``DatasetFormatError`` naming the entry.
+    the dtype and shape the task gives it, queries are finite, target and
+    reference ids lie in ``[0, S)``, blocks in ``[0, task.blocks)``, and
+    distractor flags are 0 or 1. A failure raises ``DatasetFormatError``
+    naming the entry.
 
-    The split takes a live db of its task whose features equal the file's
-    byte for byte, ``make_db``'s or an earlier load's, so loaded
-    splits hold one db. Otherwise it builds its own, which later loads may
-    take and ``make_db`` never returns.
+    Only then does the split take ``make_db(task)``, the live db of its
+    task or a fresh draw, so loaded and generated splits hold one db. The
+    header's task is trusted for the size of that draw, as a config file's
+    task is. The db's CRC32 must be the one the header records, or the load
+    fails on ``header``: a guard against accidents, such as a changed numpy
+    generator or an edited header, not against an adversary. A file of the
+    earlier layout, which stored the db and no CRC32, fails on its header.
     """
     from .config import _TASK_KEYS, _section  # config imports this module
 
@@ -447,9 +437,10 @@ def load_dataset(path: str) -> SyntheticDataset:
     try:
         # UnicodeDecodeError and JSONDecodeError are ValueErrors, as TaskConfig's are
         raw = json.loads(header.tobytes().decode("utf-8"))
-        if not (isinstance(raw, dict) and raw.keys() == {"task", "split"}
-                and raw["split"] in tuple(_SPLIT_TAGS)):
-            raise ValueError(f'must be an object of "task" and a "split" in {tuple(_SPLIT_TAGS)}')
+        if not (isinstance(raw, dict) and raw.keys() == {"db_crc32", "split", "task"}
+                and type(raw["db_crc32"]) is int and raw["split"] in tuple(_SPLIT_TAGS)):
+            raise ValueError(f'must be an object of an integer "db_crc32", a "task" and a '
+                             f'"split" in {tuple(_SPLIT_TAGS)}')
         fields = _section(raw["task"], TaskConfig, _TASK_KEYS, "task")
         if missing := sorted(_TASK_KEYS - fields.keys()):
             raise ValueError(f"task lacks {missing}")
@@ -458,8 +449,7 @@ def load_dataset(path: str) -> SyntheticDataset:
         raise bad("header", str(e)) from None
     s, n, d = task.db_size, task.max_turns, task.feature_dim
     t = entries["queries"].shape[:1] if "queries" in entries else ()  # (T,); () fails below
-    layout = {"db.ids": (np.int64, (s,)), "db.features": (np.float32, (s, d)),
-              "queries": (np.float32, (*t, n, d)), "target_ids": (np.int64, (*t, n)),
+    layout = {"queries": (np.float32, (*t, n, d)), "target_ids": (np.int64, (*t, n)),
               "meta.ref": (np.int64, t), "meta.block": (np.int64, (*t, n)),
               "meta.distractor": (np.uint8, (*t, n))}
     if extra := sorted(entries.keys() - layout.keys() - {"header"}):
@@ -475,8 +465,6 @@ def load_dataset(path: str) -> SyntheticDataset:
         raise bad("queries", "holds no transactions")
     blocks, targets, refs = entries["meta.block"], entries["target_ids"], entries["meta.ref"]
     for name, wrong, what in (
-            ("db.ids", entries["db.ids"] != np.arange(s), "an id other than its row"),
-            ("db.features", ~np.isfinite(entries["db.features"]), "a non-finite value"),
             ("queries", ~np.isfinite(entries["queries"]), "a non-finite value"),
             ("target_ids", (targets < 0) | (targets >= s), "an id not in the db"),
             ("meta.ref", (refs < 0) | (refs >= s), "an id not in the db"),
@@ -485,21 +473,18 @@ def load_dataset(path: str) -> SyntheticDataset:
             ("meta.distractor", entries["meta.distractor"] > 1, "a flag other than 0 or 1")):
         if wrong.any():
             raise bad(name, f"holds {what}: {entries[name][wrong][0]}")
-    features, key = entries["db.features"], _db_key(task)
-    db = next((live for live in (_DBS.get(key), _LOADED_DBS.get(key))
-               if live is not None and _holds(live, features)), None)
-    if db is None:
-        try:
-            db = _LOADED_DBS[key] = CandidateDB(features)
-        except DegenerateInputError as e:
-            raise bad("db.features", f"makes no candidate db: {e}") from None
+    db = make_db(task)
+    if (crc := zlib.crc32(db.features)) != raw["db_crc32"]:
+        raise bad("header", f"records db CRC32 {raw['db_crc32']}, but its task's db has {crc}")
     # the flags were checked to be 0 or 1, so they view as bools
     return SyntheticDataset(task, db, entries["queries"], targets, refs, blocks,
                             entries["meta.distractor"].view(bool), raw["split"])
 
 
 def datasets_equal(a: SyntheticDataset, b: SyntheticDataset) -> bool:
-    """Structural equality over everything that serialization preserves."""
+    """Structural equality over everything that serialization preserves: the
+    task, the split, the db's features and the transactions' arrays."""
     return ((a.task, a.split) == (b.task, b.split)
+            and np.array_equal(a.db.features, b.db.features)
             and all(np.array_equal(x, y) for x, y in zip(_entries(a).values(),
                                                           _entries(b).values())))

@@ -322,6 +322,15 @@ class TestCli:
         assert f"error: {message}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_config_file_that_is_not_utf8_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.json"
+        cfg.write_bytes(b'{"seed": \xff}')
+        out = tmp_path / "out"
+        assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {cfg}: invalid JSON: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value", [("max_turns", 3), ("db_size", 24), ("seed", 3)])
     def test_train_on_data_of_another_task_exits_2_and_writes_nothing(self, workspace, tmp_path,
                                                                       capsys, key, value):

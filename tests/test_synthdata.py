@@ -9,6 +9,7 @@ import re
 import tracemalloc
 import warnings
 import weakref
+import zlib
 
 import numpy as np
 import pytest
@@ -451,12 +452,16 @@ class TestDataset:
             dataclasses.replace(ds, **{name: ids})
 
     @pytest.mark.parametrize("change", [
-        "queries", "target_ids", "refs", "blocks", "distractor", "task", "split"])
+        "queries", "target_ids", "refs", "blocks", "distractor", "task", "split", "db"])
     def test_one_changed_element_makes_datasets_unequal(self, change):
         ds = gen_distractor(dataclasses.replace(SMALL, distractor_prob=0.5), count=3)
         other = dataclasses.replace(ds, **{name: a.copy() for name, a in _arrays(ds).items()})
         assert datasets_equal(other, ds)
-        if change == "task":
+        if change == "db":
+            features = ds.db.features.copy()
+            features[-1, -1] = np.nextafter(features[-1, -1], np.float32(2))
+            other.db = CandidateDB(features)
+        elif change == "task":
             other.task = dataclasses.replace(ds.task, noise_std=0.5)
         elif change == "split":
             other.split = "val"
@@ -469,8 +474,7 @@ class TestDataset:
 
 # -------------------------------------------------------------- serialization
 
-ENTRIES = ("header", "db.ids", "db.features", "queries", "target_ids", "meta.ref",
-           "meta.block", "meta.distractor")
+ENTRIES = ("header", "queries", "target_ids", "meta.ref", "meta.block", "meta.distractor")
 
 
 def _saved(tmp_path, ds=None, name="ds.bin") -> str:
@@ -504,7 +508,8 @@ def _set(name, index, value):
     return apply
 
 
-_NOT_AN_OBJECT = re.escape("""must be an object of "task" and a "split" in ('train', 'val', 'test')""")
+_NOT_AN_OBJECT = re.escape("""must be an object of an integer "db_crc32", a "task" and a """
+                           """"split" in ('train', 'val', 'test')""")
 
 
 class TestSerialization:
@@ -530,9 +535,9 @@ class TestSerialization:
         entries = ckpt_io.load_entries(_saved(tmp_path, ds))
         assert tuple(entries) == ENTRIES
         assert json.loads(entries["header"].tobytes()) == {
-            "task": dataclasses.asdict(SMALL), "split": "val"}
+            "task": dataclasses.asdict(SMALL), "split": "val",
+            "db_crc32": zlib.crc32(ds.db.features.tobytes())}
         assert {name: (str(a.dtype), a.shape) for name, a in entries.items() if name != "header"} == {
-            "db.ids": ("int64", (32,)), "db.features": ("float32", (32, 16)),
             "queries": ("float32", (3, 4, 16)), "target_ids": ("int64", (3, 4)),
             "meta.ref": ("int64", (3,)), "meta.block": ("int64", (3, 4)),
             "meta.distractor": ("uint8", (3, 4))}
@@ -542,7 +547,7 @@ class TestSerialization:
         save_dataset(gen_distractor(SMALL, count=2), str(path))
         before = path.read_bytes()
         broken = gen_distractor(SMALL, count=3)
-        # float64 queries: the container raises after the header and the db are written
+        # float64 queries: the container raises after the header is written
         broken.queries = broken.queries.astype(np.float64)
         with pytest.raises(CheckpointError, match="'queries' must be float32"):
             save_dataset(broken, str(path))
@@ -569,12 +574,12 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="unsupported version 99"):
             load_dataset(path)
 
-    def test_truncated_db_section_rejected(self, tmp_path):
+    def test_truncated_queries_section_rejected(self, tmp_path):
         path = _saved(tmp_path)
         data = open(path, "rb").read()
-        open(path, "wb").write(data[:data.index(b"db.features") + 200])
+        open(path, "wb").write(data[:data.index(b"queries") + 200])
         with pytest.raises(DatasetFormatError,
-                           match=r"ds\.bin: truncated while reading entry 'db\.features' payload"):
+                           match=r"ds\.bin: truncated while reading entry 'queries' payload"):
             load_dataset(path)
 
     def test_truncation_at_every_field_offset_is_rejected(self, tmp_path):
@@ -590,7 +595,7 @@ class TestSerialization:
     def test_load_streams_the_file(self, tmp_path):
         # the container reads each payload once, into its array: a load that
         # also held the file's bytes would peak near twice its size. The
-        # queries are 90% of this file, so the db's norms add little.
+        # queries are nearly all of this file, and the load takes the live db.
         ds = gen_distractor(TaskConfig(feature_dim=768, db_size=200), count=500)
         path = _saved(tmp_path, ds, "big.bin")
         tracemalloc.start()
@@ -616,28 +621,80 @@ class TestSerialization:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert train.db is val.db
+        # the first load draws the db, and the second takes it
+        assert train.db is val.db is make_db(cfg)
         # a db per load would hold about 2.08x
         assert held <= 1.15 * train.db.features.nbytes
-        # a db read from a file is never make_db's
-        assert make_db(cfg) is not train.db
-        assert make_db(cfg).features.tobytes() == train.db.features.tobytes()
 
     def test_a_load_takes_the_drawn_db_its_file_holds(self, tmp_path):
         ds = gen_distractor(SMALL, count=3)
         assert load_dataset(_saved(tmp_path, ds)).db is ds.db
 
-    def test_a_file_with_another_db_value_gets_its_own_db(self, tmp_path):
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw.update(db_crc32=raw["db_crc32"] ^ 1),
+        # the first 32 rows of a 64-row draw are the 32-row db's
+        lambda raw: raw["task"].update(db_size=64),
+        # another seed draws another db; the queries are only data to the checks
+        lambda raw: raw["task"].update(seed=raw["task"]["seed"] + 1),
+    ], ids=["db_crc32", "db_size", "seed"])
+    def test_a_header_whose_db_was_edited_fails_on_the_crc(self, tmp_path, edit):
         ds = gen_distractor(SMALL, count=3)
-        features = ds.db.features.copy()
-        features[3, 5] = np.nextafter(features[3, 5], np.float32(2))
-        changed = load_dataset(_rewritten(_saved(tmp_path, ds), _set("db.features", (3, 5),
-                                                                     features[3, 5])))
-        assert changed.db is not ds.db
-        assert changed.db.features.tobytes() == features.tobytes()
-        assert make_db(SMALL) is ds.db
-        # the next load of the file that holds the drawn db still takes it
-        assert load_dataset(_saved(tmp_path, ds, "again.bin")).db is ds.db
+        bad = _rewritten(_saved(tmp_path, ds), _header_edited(edit))
+        with pytest.raises(DatasetFormatError, match=r"bad\.bin: entry 'header' records db CRC32 "
+                                                     r"\d+, but its task's db has \d+$"):
+            load_dataset(bad)
+
+    @staticmethod
+    def _undrawn_file(tmp_path, monkeypatch) -> str:
+        # a task of its own, so that no other test's dataset holds its db
+        cfg = dataclasses.replace(SMALL, seed=34)
+        path = _saved(tmp_path, gen_distractor(cfg, count=3))
+        drawn = weakref.ref(make_db(cfg))
+        gc.collect()
+        assert drawn() is None
+
+        def draw(config):
+            raise AssertionError(f"drew a db of {config.db_size} rows")
+        monkeypatch.setattr(synthdata, "_db_features", draw)
+        return path
+
+    @pytest.mark.parametrize("edit, message", [
+        (_set("target_ids", (1, 2), -1), "entry 'target_ids' holds an id not in the db: -1$"),
+        (_set("queries", (2, 1, 0), np.nan), "entry 'queries' holds a non-finite value: nan$"),
+        (_set("meta.distractor", (0, 3), 2),
+         "entry 'meta.distractor' holds a flag other than 0 or 1: 2$"),
+        (lambda e: e.update(queries=e["queries"][..., :-1]),
+         r"entry 'queries' must be float32 of shape \(3, 4, 16\), got float32 of shape "
+         r"\(3, 4, 15\)$"),
+        (_header_edited(lambda raw: raw.pop("db_crc32")), rf"entry 'header' {_NOT_AN_OBJECT}$"),
+    ], ids=["target_ids", "queries", "meta.distractor", "shape", "header"])
+    def test_checks_run_before_the_db_is_drawn(self, tmp_path, monkeypatch, edit, message):
+        path = self._undrawn_file(tmp_path, monkeypatch)
+
+        def huge_db_and(entries):
+            _header_edited(lambda raw: raw["task"].update(db_size=10 ** 12))(entries)
+            edit(entries)
+        # the entries are checked before the header's huge db is drawn
+        with pytest.raises(DatasetFormatError, match=message):
+            load_dataset(_rewritten(path, huge_db_and))
+
+    def test_a_file_that_passes_every_check_draws_its_db(self, tmp_path, monkeypatch):
+        with pytest.raises(AssertionError, match="drew a db of 32 rows"):
+            load_dataset(self._undrawn_file(tmp_path, monkeypatch))
+
+    def test_a_file_of_the_layout_that_stored_the_db_fails_on_its_header(self, tmp_path):
+        # that layout's header held no CRC32, and the db's arrays followed it
+        ds = gen_distractor(SMALL, count=3)
+        header = json.dumps({"split": "train", "task": dataclasses.asdict(SMALL)},
+                            sort_keys=True, separators=(",", ":"))
+        path = str(tmp_path / "old.bin")
+        ckpt_io.save_entries(path, {
+            "header": np.frombuffer(header.encode(), np.uint8), "db.ids": ds.db.ids,
+            "db.features": ds.db.features, "queries": ds.queries, "target_ids": ds.target_ids,
+            "meta.ref": ds.refs, "meta.block": ds.blocks,
+            "meta.distractor": ds.distractor.view(np.uint8)})
+        with pytest.raises(DatasetFormatError, match=rf"old\.bin: entry 'header' {_NOT_AN_OBJECT}$"):
+            load_dataset(path)
 
     def test_missing_key_rejected(self, tmp_path):
         path = _saved(tmp_path)
@@ -671,10 +728,10 @@ class TestSerialization:
 
     def test_wrong_feature_width_rejected(self, tmp_path):
         def widen(entries):
-            entries["db.features"] = np.pad(entries["db.features"], ((0, 0), (0, 1)))
+            entries["queries"] = np.pad(entries["queries"], ((0, 0), (0, 0), (0, 1)))
         with pytest.raises(DatasetFormatError,
-                           match=r"'db\.features' must be float32 of shape \(32, 16\), "
-                                 r"got float32 of shape \(32, 17\)"):
+                           match=r"'queries' must be float32 of shape \(3, 4, 16\), "
+                                 r"got float32 of shape \(3, 4, 17\)"):
             load_dataset(_rewritten(_saved(tmp_path), widen))
 
     def test_missing_transactions_rejected(self, tmp_path):
@@ -684,11 +741,10 @@ class TestSerialization:
         with pytest.raises(DatasetFormatError, match="entry 'queries' holds no transactions"):
             load_dataset(_rewritten(_saved(tmp_path), empty))
 
-    @pytest.mark.parametrize("name, index", [("db.features", (3, 5)), ("queries", (2, 1, 0))])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
-    def test_a_non_finite_value_is_rejected(self, tmp_path, name, index, value):
-        with pytest.raises(DatasetFormatError, match=rf"entry '{name}' holds a non-finite value: {value}"):
-            load_dataset(_rewritten(_saved(tmp_path), _set(name, index, value)))
+    def test_a_non_finite_value_is_rejected(self, tmp_path, value):
+        with pytest.raises(DatasetFormatError, match=f"entry 'queries' holds a non-finite value: {value}"):
+            load_dataset(_rewritten(_saved(tmp_path), _set("queries", (2, 1, 0), value)))
 
     def test_unknown_target_id_rejected(self, tmp_path):
         bad = _rewritten(_saved(tmp_path), _set("target_ids", (1, 2), 9999))
@@ -701,22 +757,6 @@ class TestSerialization:
         bad = _rewritten(_saved(tmp_path), _set("meta.ref", 2, 9999))
         with pytest.raises(DatasetFormatError,
                            match="entry 'meta.ref' holds an id not in the db: 9999"):
-            load_dataset(bad)
-
-    @pytest.mark.parametrize("ids, first", [
-        (np.r_[:31, 0], 0), (np.arange(32)[::-1], 31), (np.arange(1, 33), 1),
-    ], ids=["duplicate", "reversed", "shifted"])
-    def test_db_ids_other_than_their_rows_are_rejected(self, tmp_path, ids, first):
-        # an id is its row, so the file's db.ids must be 0..S-1
-        bad = _rewritten(_saved(tmp_path), lambda e: e.update({"db.ids": ids.astype(np.int64)}))
-        with pytest.raises(DatasetFormatError,
-                           match=f"entry 'db.ids' holds an id other than its row: {first}$"):
-            load_dataset(bad)
-
-    def test_a_zero_db_feature_row_is_rejected(self, tmp_path):
-        bad = _rewritten(_saved(tmp_path), _set("db.features", 3, 0.0))
-        with pytest.raises(DatasetFormatError, match="entry 'db.features' makes no candidate "
-                                                     "db: CandidateDB: zero-norm"):
             load_dataset(bad)
 
     @pytest.mark.parametrize("block", [-1, 4, 5], ids=["negative", "blocks", "past-blocks"])
@@ -745,8 +785,12 @@ class TestSerialization:
         (lambda raw: raw.update(split=[1]), _NOT_AN_OBJECT),
         (lambda raw: raw.pop("split"), _NOT_AN_OBJECT),
         (lambda raw: raw.update(extra=1), _NOT_AN_OBJECT),
+        (lambda raw: raw.pop("db_crc32"), _NOT_AN_OBJECT),
+        (lambda raw: raw.update(db_crc32=float(raw["db_crc32"])), _NOT_AN_OBJECT),
+        (lambda raw: raw.update(db_crc32=str(raw["db_crc32"])), _NOT_AN_OBJECT),
     ], ids=["seed-negative", "noise-nan", "unknown-key", "missing-key", "task-list",
-            "unknown-split", "split-list", "no-split", "extra-key"])
+            "unknown-split", "split-list", "no-split", "extra-key", "no-crc", "crc-float",
+            "crc-text"])
     def test_a_bad_header_task_is_rejected(self, tmp_path, edit, message):
         bad = _rewritten(_saved(tmp_path), _header_edited(edit))
         with pytest.raises(DatasetFormatError, match=rf"bad\.bin: entry 'header' {message}"):
@@ -770,15 +814,6 @@ class TestSerialization:
                          _header_edited(lambda raw: raw["task"].update({key: value(raw["task"][key])})))
         with pytest.raises(DatasetFormatError,
                            match=rf"entry 'header' task\.{key} must be an integer, got "):
-            load_dataset(bad)
-
-    def test_a_header_promising_a_huge_db_fails_on_the_shape(self, tmp_path):
-        # the entries are read as the file sizes them, then checked against
-        # the task: nothing is allocated for the promise
-        bad = _rewritten(_saved(tmp_path),
-                         _header_edited(lambda raw: raw["task"].update(db_size=10 ** 12)))
-        with pytest.raises(DatasetFormatError,
-                           match=r"entry 'db\.ids' must be int64 of shape \(1000000000000,\)"):
             load_dataset(bad)
 
 
@@ -869,20 +904,20 @@ class TestKeyStreams:
 # Generation must stay bit-for-bit: a change to its arithmetic that flips a
 # bit or a near-tie moves these digests, and the change is then wrong. The
 # array digests pin what was generated; the file digests also pin the format.
-DESK_FILE_SHA256 = "abc5ec6003aa1fa86023accffbef389daadf35a3d8b96fe6ab33479f52d5fea9"
+DESK_FILE_SHA256 = "765a234e5978c8f8dcb92290e4e80066be631861bcee72539a362e4970eb45b4"
 DESK_ARRAYS_SHA256 = "89c15f8b46f80c44181e71e6f19027432d4eeb008127085d462627747dc80f56"
 SCALE_TXN_SHA256 = "f3992cee0de47c6b9e424c553bfdf7d857ad2f0a6458d17293657aef58609985"
 # 700 desk transactions span two chunks of 640, and their distractors pin the meta
-DESK_DISTRACTOR_FILE_SHA256 = "ba616a0fe4e251c348b8cb8e987ccf7c6e8210ca8754bc5a4aa3e59780041800"
+DESK_DISTRACTOR_FILE_SHA256 = "778cd9a90a52a4ba376d170a38d28c2fa1ccf140db3f51431a8d030e62f977d4"
 DESK_DISTRACTOR_ARRAYS_SHA256 = "8fda0b5f96932108b8b7575b3eed72080d575040af05787682a755e64ffdabbd"
-NOISELESS_3_OF_8_FILE_SHA256 = "67e7621e2d84d348ffcb9c6d1f7ea6839563b239c2d8a6c1c2ae066c5d617f3e"
+NOISELESS_3_OF_8_FILE_SHA256 = "233d87a8d930e8658f09fb2bca9b0f3c719163a6aff567b22be8361cabf4778b"
 NOISELESS_3_OF_8_ARRAYS_SHA256 = "fb648ce66dec73ffdf4ee0d542877cbc427c905ca6309386d0f6b7444eeef155"
 # 24 val transactions of a 16-d task whose seed is 2^32 + 1
-TWO_WORD_SEED_FILE_SHA256 = "7e7143d529c13e85d957c79c785357cf012a9d8662e530d082e1dc83994012f3"
+TWO_WORD_SEED_FILE_SHA256 = "9f3ba828b5d5327d386fc614176343644488c41935119a7493b25b919d3e8238"
 TWO_WORD_SEED_ARRAYS_SHA256 = "920a3756a43f830f89e8c8ec7d93eead3be9b29d1c207218ab9de431be34b981"
 # 64 desk test transactions, each turn a distractor with probability 0.5, no noise
 NOISELESS_DISTRACTOR_FILE_SHA256 = (
-    "7ec78820b4262d9408ae22491b98975d7fbad5d2e1a6e240d0f31c547d651dff")
+    "bfc88cafaf3db5a6814e8ddf388628bbc33593f8063dcd4b5c9ab66f7fc6dbba")
 NOISELESS_DISTRACTOR_ARRAYS_SHA256 = (
     "462b2a44fe1c88ad790fd93cc4d7de8cedf7d1720c204a7e05637c6313992e71")
 
